@@ -162,12 +162,13 @@ class CachingPolicy:
     placement: np.ndarray
 
     def __post_init__(self):
-        x = np.array(self.placement, dtype=np.int8)
-        if x.ndim != 2:
-            raise ValueError(f"placement must be a 2-D matrix, got ndim={x.ndim}")
-        if not ((x == 0) | (x == 1)).all():
+        # check before casting: an int8 cast would truncate 1.7 to 1
+        raw = np.asarray(self.placement)
+        if raw.ndim != 2:
+            raise ValueError(f"placement must be a 2-D matrix, got ndim={raw.ndim}")
+        if not ((raw == 0) | (raw == 1)).all():
             raise ValueError("placement entries must be 0 or 1")
-        object.__setattr__(self, "placement", _readonly(x))
+        object.__setattr__(self, "placement", _readonly(raw.astype(np.int8)))
 
     @property
     def num_scbs(self) -> int:

@@ -1,10 +1,24 @@
 """Monte Carlo replay of the request process against a fixed policy.
 
-Each service period draws independent Poisson request counts for every
-(area, file) pair and charges either one deadline-batched multicast per
-requested file or one unicast per request.  The per-period multicast cost
-is an unbiased sample of the analytic objective, which makes the simulator
-the end-to-end check on the whole cost model.
+Each service period replays the request process of every (area, file)
+pair, whose arrivals are Poisson with mean lambda*d, and charges either
+one deadline-batched multicast per requested file or one unicast per
+request.  Both modes draw only what their cost depends on:
+
+* multicast needs to know which areas request each file, so it draws the
+  presence of every (area, file) pair as Bernoulli(1 - exp(-lambda*d)),
+  one uniform variate per pair, and applies the macro-or-local rule to
+  the drawn presence pattern;
+* unicast cost is linear in the request counts, so by the superposition of
+  independent Poisson processes it draws one count per period for the
+  macro class (area 0 and every uncached request) and one per SCBS (its
+  cached requests).
+
+Nothing here is taken from the analytic cost model in ``cost.py``: the
+draws come from the per-pair rates alone, never from aggregate
+probabilities of the closed form.  The per-period multicast cost is
+therefore an independent, unbiased sample of the analytic objective,
+which makes the simulator the end-to-end check on the whole cost model.
 """
 
 from __future__ import annotations
@@ -20,9 +34,10 @@ from .model import CachingPolicy, Instance
 
 MODES = ("unicast", "multicast")
 
-# Periods are drawn in fixed-size batches.  Poisson variates fill the batch
-# in row-major element order, so the generated stream (and every report
-# field) is independent of the batch size.
+# Periods are drawn in fixed-size batches.  Each batch fills its variates in
+# row-major (period, area, file) order and every per-period reduction is
+# computed row by row, so the generated stream, the report and the trace
+# bytes are independent of the batch size.
 _BATCH = 4096
 
 
@@ -78,63 +93,79 @@ def simulate(
 ) -> SimReport:
     """Simulate ``config.periods`` service periods; deterministic in the seed.
 
-    Multicast mode: for every file requested anywhere in a period, charge
-    one backhaul-plus-macro transmission if any requester lacks local
-    service, else one transmission per requesting SCBS.  Unicast mode:
-    charge every single request individually.  ``trace_path`` optionally
-    writes a per-period CSV (period,cost,mbs_tx,scbs_tx,unicast_tx).
+    Multicast mode: draw which areas request each file in the period.  A
+    requested file costs one backhaul-plus-macro transmission if the macro
+    area or any SCBS that lacks the file requests it, else one transmission
+    per requesting SCBS.  Unicast mode: draw the period's request count of
+    the macro class and of each SCBS, and charge every request
+    individually.  ``trace_path`` optionally writes a per-period CSV
+    (period,cost,mbs_tx,scbs_tx,unicast_tx).
     """
     policy.check_feasible(instance)
     lam = instance.demand * instance.deadline
     cached = policy.placement.astype(bool)
     c = instance.cost_scbs_tx
     c_mbs = instance.cost_backhaul + instance.cost_mbs_tx
-    unicast = config.mode == "unicast"
 
     rng = np.random.default_rng(config.seed)
     total = config.periods
+    batch = min(_BATCH, total)
+    if config.mode == "unicast":
+        rates = np.concatenate((
+            [lam[0].sum() + lam[1:][~cached].sum()],
+            np.where(cached, lam[1:], 0.0).sum(axis=1),
+        ))
+
+        def draw(m):
+            k = rng.poisson(rates, size=(m, rates.size))
+            return k[:, 0], k[:, 1:], k.sum(axis=1)
+
+    else:
+        p = -np.expm1(-lam)
+        uncached = ~cached
+        # one buffer for every batch: a fresh 8*batch*(N+1)*I bytes per
+        # batch costs page faults and peak memory
+        uniform = np.empty((batch,) + lam.shape)
+
+        def draw(m):
+            here = rng.random(out=uniform[:m]) < p
+            triggered = here[:, 0] | (here[:, 1:] & uncached).any(axis=1)
+            # untriggered files are requested at caching SCBSs only
+            local = here[:, 1:] & ~triggered[:, None, :]
+            return triggered.sum(axis=1), local.sum(axis=2), np.zeros(m, dtype=np.int64)
+
     costs = np.empty(total)
     mbs_tx = 0
     scbs_tx = 0
     uni_tx = 0
-
     trace = open(trace_path, "w") if trace_path is not None else None
     try:
         if trace is not None:
             trace.write("period,cost,mbs_tx,scbs_tx,unicast_tx\n")
         done = 0
         while done < total:
-            m = min(_BATCH, total - done)
-            k = rng.poisson(lam, size=(m,) + lam.shape)
-            if unicast:
-                mbs_counts = (k[:, 1:] * ~cached).sum(axis=(1, 2)) + k[:, 0].sum(axis=1)
-                scbs_counts = (k[:, 1:] * cached).sum(axis=(1, 2))
-                batch_costs = c_mbs * mbs_counts + (
-                    (k[:, 1:] * cached) * c[:, None]
-                ).sum(axis=(1, 2))
-                uni_counts = mbs_counts + scbs_counts
-            else:
-                present = k > 0
-                triggered = present[:, 0] | (present[:, 1:] & ~cached).any(axis=1)
-                served_local = present.any(axis=1) & ~triggered
-                local_events = present[:, 1:] & served_local[:, None, :]
-                mbs_counts = triggered.sum(axis=1)
-                scbs_counts = local_events.sum(axis=(1, 2))
-                batch_costs = c_mbs * mbs_counts + (
-                    local_events * c[:, None]
-                ).sum(axis=(1, 2))
-                uni_counts = np.zeros(m, dtype=np.int64)
+            m = min(batch, total - done)
+            mbs_counts, per_scbs, uni_counts = draw(m)
+            scbs_counts = per_scbs.sum(axis=1)
+            # a row-wise sum, not ``per_scbs @ c``: BLAS sums a row in an
+            # order that depends on its position in the batch
+            batch_costs = c_mbs * mbs_counts + (per_scbs * c).sum(axis=1)
 
             costs[done : done + m] = batch_costs
             mbs_tx += int(mbs_counts.sum())
             scbs_tx += int(scbs_counts.sum())
             uni_tx += int(uni_counts.sum())
             if trace is not None:
-                for j in range(m):
-                    trace.write(
-                        f"{done + j},{float(batch_costs[j])!r},{int(mbs_counts[j])},"
-                        f"{int(scbs_counts[j])},{int(uni_counts[j])}\n"
+                trace.writelines(
+                    f"{t},{cost!r},{a},{b},{u}\n"
+                    for t, cost, a, b, u in zip(
+                        range(done, done + m),
+                        batch_costs.tolist(),
+                        mbs_counts.tolist(),
+                        scbs_counts.tolist(),
+                        uni_counts.tolist(),
                     )
+                )
             done += m
     finally:
         if trace is not None:

@@ -1,5 +1,7 @@
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -102,6 +104,29 @@ class TestCachingPolicy:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             CachingPolicy([[0, 2]])
+
+    @pytest.mark.parametrize("entries", [[[0.5, 1.7]], [[1.9, 0]], [[1.0, float("nan")]]])
+    def test_rejects_fractional_entries(self, entries):
+        with pytest.raises(ValueError):
+            CachingPolicy(entries)
+
+    def test_accepts_integral_floats_and_bools(self):
+        assert CachingPolicy([[1.0, 0.0]]).placement.tolist() == [[1, 0]]
+        assert CachingPolicy(np.array([[True, False]])).placement.tolist() == [[1, 0]]
+
+    def test_simulate_command_rejects_fractional_policy_json(self, tmp_path):
+        inst = tmp_path / "instance.json"
+        pol = tmp_path / "policy.json"
+        inst.write_text(Instance(1, 2, [1], 1.0, 1.0, [0.5], [[0.0, 0.0], [1.0, 1.0]], 1.0).to_json())
+        pol.write_text("[[1.9, 0]]")
+        proc = subprocess.run(
+            [sys.executable, "-m", "macp.cli", "simulate", str(inst), str(pol),
+             "--periods", "10", "--seed", "1", "--out", str(tmp_path / "report.json")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode != 0
+        assert "placement entries must be 0 or 1" in proc.stderr
+        assert not (tmp_path / "report.json").exists()
 
     def test_feasibility_check(self):
         inst = motivating_instance()

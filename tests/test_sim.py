@@ -9,6 +9,7 @@ from macp import (
     cost_unicast,
     simulate,
 )
+import macp.sim as sim_module
 from helpers import motivating_instance, random_instance, random_policy
 
 
@@ -31,13 +32,28 @@ class TestDeterminism:
             cfg = SimConfig(periods=5000, mode=mode, seed=99)
             assert simulate(inst, pol, cfg) == simulate(inst, pol, cfg)
 
-    def test_batch_boundary_does_not_change_stream(self):
-        # a period count that is not a multiple of the draw batch
+    def test_batch_boundary_does_not_change_stream(self, tmp_path, monkeypatch):
+        # A period count that is not a multiple of the default draw batch.
+        # Nine SCBSs, each caching all files but one and rarely requesting
+        # that one, so most periods have several local transmissions per
+        # SCBS and each period's SCBS cost is a sum of 8+ uneven terms.
         rng = np.random.default_rng(71)
-        inst = random_instance(rng, max_scbs=3, max_files=3)
-        pol = random_policy(rng, inst)
-        cfg = SimConfig(periods=4096 + 37, mode="multicast", seed=5)
-        assert simulate(inst, pol, cfg) == simulate(inst, pol, cfg)
+        missing = np.eye(9, 4, dtype=bool) | np.eye(9, 4, -4, dtype=bool) | np.eye(9, 4, -8, dtype=bool)
+        rates = rng.uniform(0.2, 1.5, size=(10, 4))
+        rates[0] = 0.05
+        rates[1:][missing] = 0.05
+        inst = Instance(9, 4, [3] * 9, 0.7, 0.9, rng.uniform(0.0, 0.9, 9), rates, 1.3)
+        pol = CachingPolicy(~missing)
+        default = sim_module._BATCH
+        for mode in ("multicast", "unicast"):
+            cfg = SimConfig(periods=4096 + 37, mode=mode, seed=5)
+            runs = []
+            for batch in (default, 1, 37):
+                monkeypatch.setattr(sim_module, "_BATCH", batch)
+                path = tmp_path / f"{mode}-{batch}.csv"
+                runs.append((simulate(inst, pol, cfg, trace_path=path), path.read_bytes()))
+            assert runs[1] == runs[0], f"{mode}: batch 1 differs from the default"
+            assert runs[2] == runs[0], f"{mode}: batch 37 differs from the default"
 
     def test_different_seeds_differ(self):
         inst = motivating_instance()
@@ -113,6 +129,69 @@ class TestUnbiasedness:
             assert rep.mean_cost_per_period == pytest.approx(analytic, abs=1e-12)
         else:
             assert abs(rep.mean_cost_per_period - analytic) <= 4.5 * rep.std_error
+
+
+class TestExtremeRates:
+    @staticmethod
+    def _saturated(macro_rate):
+        # lambda*d = 1e3 at every SCBS pair; dyadic costs, so a constant
+        # per-period cost also averages exactly
+        demand = np.full((4, 5), 1e3 / 0.5)
+        demand[0] = macro_rate
+        return Instance(3, 5, [5] * 3, 0.25, 0.5, [0.125, 0.25, 0.5], demand, 0.5)
+
+    @pytest.mark.parametrize("pattern", ["empty", "partial", "full"])
+    def test_every_pair_saturated_gives_fixed_cost(self, pattern):
+        # lambda*d = 1e3: q = exp(-1e3) underflows to 0, every area requests
+        # every file in every period, and the macro area triggers each file
+        inst = self._saturated(1e3 / 0.5)
+        placement = {"empty": np.zeros((3, 5)), "partial": np.eye(3, 5), "full": np.ones((3, 5))}
+        pol = CachingPolicy(placement[pattern])
+        rep = simulate(inst, pol, SimConfig(5000, "multicast", 17))
+        assert rep.std_error == 0.0
+        assert rep.mean_cost_per_period == pytest.approx(
+            cost_closed_form(inst, pol).total, rel=1e-9)
+        assert rep.mean_cost_per_period == 5 * 0.75
+        assert (rep.mbs_transmissions, rep.scbs_transmissions) == (5 * 5000, 0)
+
+    def test_saturated_fully_cached_scbss_serve_locally(self):
+        # no macro-area demand and full caches: every SCBS sends every file
+        inst = self._saturated(0.0)
+        pol = CachingPolicy(np.ones((3, 5)))
+        rep = simulate(inst, pol, SimConfig(5000, "multicast", 19))
+        assert rep.std_error == 0.0
+        assert rep.mean_cost_per_period == pytest.approx(
+            cost_closed_form(inst, pol).total, rel=1e-9)
+        assert rep.mean_cost_per_period == 5 * (0.125 + 0.25 + 0.5)
+        assert (rep.mbs_transmissions, rep.scbs_transmissions) == (0, 3 * 5 * 5000)
+
+    @pytest.mark.parametrize("mode", ["multicast", "unicast"])
+    def test_zero_rate_pair_is_never_present(self, mode):
+        # SCBS 1 caches file 0 but never requests it; its file 1 request
+        # (uncached, lambda*d = 1e3) triggers a macro transmission each period
+        demand = [[0.0, 0.0], [0.0, 1e3], [0.0, 0.0]]
+        inst = Instance(2, 2, [1, 1], 0.25, 0.5, [0.25, 0.25], demand, 1.0)
+        pol = CachingPolicy([[1, 0], [0, 1]])
+        rep = simulate(inst, pol, SimConfig(3000, mode, 23))
+        assert rep.scbs_transmissions == 0
+        if mode == "multicast":
+            assert rep.mbs_transmissions == 3000
+            assert rep.mean_cost_per_period == 0.75
+            assert rep.std_error == 0.0
+
+    @pytest.mark.parametrize("seed", [211, 212])
+    def test_unicast_tracks_expected_cost_with_an_empty_scbs(self, seed):
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, max_scbs=4, max_files=3)
+        while inst.num_scbs < 2:
+            inst = random_instance(rng, max_scbs=4, max_files=3)
+        x = random_policy(rng, inst).placement.copy()
+        x[0] = 0  # SCBS 1 caches nothing: its superposed rate is 0
+        pol = CachingPolicy(x)
+        rep = simulate(inst, pol, SimConfig(30_000, "unicast", seed))
+        analytic = cost_unicast(inst, pol).total
+        assert rep.std_error > 0.0
+        assert abs(rep.mean_cost_per_period - analytic) <= 4.5 * rep.std_error
 
 
 class TestTrace:
