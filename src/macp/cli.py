@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .cost import cost_bruteforce, cost_closed_form, cost_unicast
+from .errors import CapacityError
 from .model import CachingPolicy, Instance
 from .reduction import DecisionInstance, SppInstance, macdp_decide, spp_decide, spp_to_macdp
 from .scenario import (
@@ -248,8 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, CapacityError) as exc:
+        # malformed input or an exhaustive search over its cap: one line, no traceback
+        sys.stderr.write(f"{parser.prog}: error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -30,7 +30,9 @@ class SolverReport:
 
     ``trace`` holds one ``(iteration, scbs, file, objective_after)`` entry
     per committed placement (greedy only; exhaustive search leaves it
-    empty).  ``evaluations`` counts candidate objective evaluations.
+    empty).  ``evaluations`` counts the candidates the solver scored: the
+    single-placement gains the greedy computed (see ``greedy_macp``), or
+    the feasible placements exhaustive search evaluated.
     """
 
     policy: CachingPolicy
@@ -41,68 +43,101 @@ class SolverReport:
 def greedy_macp(instance: Instance) -> SolverReport:
     """Greedy multicast-aware placement.
 
-    Starts from empty caches; each iteration evaluates the objective after
-    every still-possible single placement and commits the cheapest one,
-    until all caches are full.  Ties go to the smallest SCBS id, then the
-    smallest file index.
+    Starts from empty caches and commits, one at a time, the placement
+    with the smallest gain (objective after minus before, which can be
+    positive), until every cache is full.
+
+    The objective is a sum of per-file terms, so the gain of caching file
+    f at SCBS n depends on file f's column only.  Each file's term is kept
+    in the rate-sum form of ``_rate_sum_terms``: the rate outside its
+    cached set and the local cost of its cached SCBSs.  The gain matrix is
+    evaluated once; a commit of (n, f) then recomputes file f's rate and
+    local cost from fresh sums over its column (not running differences) and
+    re-evaluates column f only.  When the commit fills SCBS n, row n leaves
+    the running.  That is O(N * I) work once and O(N + I) per commit, plus
+    O(N * I) for each of at most N rows that fill.
+
+    Tie rule: the eligible candidates are those whose gain is within
+    ``1e-12 * max(1, |objective|)`` of the minimal gain, the objective
+    being the one before the commit; among them the smallest SCBS wins,
+    then the smallest file.
+
+    ``evaluations`` counts the gains computed, for allowed cells only (the
+    file not cached there and the SCBS's cache not full): every allowed
+    cell once at the start, then the allowed cells of the committed file's
+    column after each commit.  It is 0 when no SCBS has a cache.
     """
     n, i = instance.num_scbs, instance.num_files
-    p = instance.request_probabilities()
-    q = 1.0 - p
-    qs = q[1:]
-    q0 = q[0]
-    c = instance.cost_scbs_tx
+    sizes = instance.cache_size.tolist()
     c_mbs = instance.cost_backhaul + instance.cost_mbs_tx
-    sizes = instance.cache_size
-    budget = int(sizes.sum())
+    # file-major (I, N) layout, so a file's column is one contiguous row
+    rate = (instance.demand[1:] * instance.deadline).T.copy()
+    rate_mbs = instance.demand[0] * instance.deadline
+    local_cost = instance.cost_scbs_tx * -np.expm1(-rate)
+    cached = np.zeros((i, n), dtype=bool)
+    fill = [0] * n
+    # allowed[f, n]: f is not cached at n and n's cache has room
+    has_cache = instance.cache_size > 0
+    allowed = np.zeros((i, n), dtype=bool)
+    allowed[:, has_cache] = True
 
-    cached = np.zeros((n, i), dtype=bool)
-    fill = np.zeros(n, dtype=np.int64)
-    zero_q = qs == 0.0
-
-    a_all = 1.0 - q.prod(axis=0)
-    # per-file objective terms under the current (initially empty) policy
-    terms = c_mbs * a_all
+    rate_out = rate_mbs + rate.sum(axis=1)
+    terms = _rate_sum_terms(c_mbs, rate_out, 0.0)
     total = float(terms.sum())
+    gain = np.full((i, n), np.inf)
+    gain[:, has_cache] = _rate_sum_terms(
+        c_mbs, rate_out[:, None] - rate[:, has_cache], local_cost[:, has_cache]
+    ) - terms[:, None]
+    best = gain.min(axis=1)
+    evaluations = int(np.count_nonzero(allowed))
 
+    rate_rows, local_rows = rate.tolist(), local_cost.tolist()
     trace: list[tuple[int, int, int, float]] = []
-    evaluations = 0
-
-    for iteration in range(1, budget + 1):
-        # Products of q over each file's uncached SCBS areas, with exact-zero
-        # factors counted separately so that "product without one area" can
-        # be formed by division without ever dividing by zero.
-        un = np.where(cached, 1.0, qs)
-        un_zero = (~cached) & zero_q
-        zc = un_zero.sum(axis=0)
-        prodnz = np.where(un_zero, 1.0, un).prod(axis=0)
-
-        denom = np.where(un_zero, 1.0, un)
-        rem_zeros = zc[None, :] - un_zero
-        u_minus = np.where(rem_zeros > 0, 0.0, prodnz[None, :] / denom) * q0[None, :]
-
-        v = np.where(cached, qs, 1.0).prod(axis=0)
-        w = (c[:, None] * p[1:] * cached).sum(axis=0)
-
-        b_new = u_minus * (1.0 - v[None, :] * qs)
-        cand_terms = c_mbs * (a_all[None, :] - b_new) + u_minus * (
-            w[None, :] + c[:, None] * p[1:]
-        )
-        cand_total = (total - terms)[None, :] + cand_terms
-
-        valid = (~cached) & (fill < sizes)[:, None]
-        evaluations += int(valid.sum())
-        flat = int(np.argmin(np.where(valid, cand_total, np.inf)))
-        row, file = divmod(flat, i)
-
-        cached[row, file] = True
+    for iteration in range(1, sum(sizes) + 1):
+        file = int(best.argmin())
+        limit = best[file] + 1e-12 * max(1.0, abs(total))
+        # another file within the limit is rare; only then scan them all
+        if np.count_nonzero(best <= limit) == 1:
+            row = int((gain[file] <= limit).argmax())
+        else:
+            row, file = min(
+                (int((gain[f] <= limit).argmax()), f)
+                for f in np.flatnonzero(best <= limit).tolist()
+            )
+        cached[file, row] = True
+        allowed[file, row] = False
         fill[row] += 1
-        terms = terms.copy()
-        terms[file] = cand_terms[row, file]
+
+        # the file's term from fresh sums over its column: a running
+        # difference would keep a residue of every rate taken out
+        column_cached = cached[file]
+        rate_out_f = float(rate_mbs[file]) + math.fsum(rate[file][~column_cached].tolist())
+        local_f = math.fsum(local_cost[file][column_cached].tolist())
+        term_f = _rate_sum_terms(c_mbs, rate_out_f, local_f, math.expm1)
+        terms[file] = term_f
         total = float(terms.sum())
         trace.append((iteration, row + 1, file, total))
 
-    policy = CachingPolicy(cached.astype(np.int8))
+        full = fill[row] == sizes[row]
+        if full:
+            allowed[:, row] = False
+            gain[:, row] = np.inf
+        # at most N cells, scored one by one: cheaper than numpy calls on them
+        rates, costs = rate_rows[file], local_rows[file]
+        column = [math.inf] * n
+        for k, ok in enumerate(allowed[file].tolist()):
+            if ok:
+                column[k] = _rate_sum_terms(
+                    c_mbs, rate_out_f - rates[k], local_f + costs[k], math.expm1
+                ) - term_f
+                evaluations += 1
+        gain[file] = column
+        if full:
+            best = gain.min(axis=1)
+        else:
+            best[file] = min(column)
+
+    policy = CachingPolicy(cached.T.astype(np.int8))
     return SolverReport(policy=policy, trace=tuple(trace), evaluations=evaluations)
 
 
@@ -124,7 +159,7 @@ def popularity_placement(instance: Instance) -> CachingPolicy:
     return CachingPolicy(x)
 
 
-def _rate_sum_terms(c_mbs: float, rate_out, local):
+def _rate_sum_terms(c_mbs: float, rate_out, local, expm1=np.expm1):
     """Per-file objective from the rate outside the cached set and the local cost.
 
     The macro cell transmits unless no area outside the cached set requests
@@ -133,9 +168,10 @@ def _rate_sum_terms(c_mbs: float, rate_out, local):
     term ``c_mbs * (1 - exp(-r)) + exp(-r) * local`` is written with one
     ``expm1`` so small rates keep their digits, and it never divides by a
     no-request probability, so rates large enough to make one 0 need no
-    special case.
+    special case.  Arrays take numpy's ``expm1``; a caller scoring single
+    Python floats passes ``math.expm1``, several times cheaper per call.
     """
-    e = np.expm1(-rate_out)
+    e = expm1(-rate_out)
     return local + e * (local - c_mbs)
 
 

@@ -172,6 +172,29 @@ class TestSweepCommand:
             assert fields[4] != "" and fields[5] != ""
 
 
+class TestInputErrors:
+    def test_malformed_policy_is_one_line_error(self, tmp_path, capsys, instance_file):
+        policy = tmp_path / "policy.json"
+        policy.write_text("[[1.9, 0, 0], [0, 0, 1]]")
+        out = tmp_path / "report.json"
+        rc = main(["simulate", str(instance_file), str(policy), "--periods", "10",
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "macp: error: placement entries must be 0 or 1\n"
+        assert not out.exists()
+
+    def test_enumeration_cap_is_one_line_error(self, tmp_path, capsys, instance_file):
+        out = tmp_path / "policy.json"
+        rc = main(["solve", str(instance_file), "--algorithm", "exact",
+                   "--max-policies", "1", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("macp: error: ") and "exceed the enumeration cap of 1" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "inst.json"

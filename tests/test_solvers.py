@@ -5,8 +5,10 @@ from macp import (
     CachingPolicy,
     CapacityError,
     Instance,
+    ScenarioConfig,
     cost_closed_form,
     exact_optimal,
+    generate_scenario,
     greedy_macp,
     local_search,
     marginal_cost,
@@ -78,29 +80,45 @@ class TestGreedy:
             )
 
     def test_matches_stepwise_marginal_argmin(self):
-        # one full cross-check of the committed placements against direct
-        # marginal evaluation with lexicographic tie-breaking
+        # every committed placement against direct marginal evaluation under
+        # the stated tie rule, on random, generated and saturated instances
         rng = np.random.default_rng(37)
-        inst = random_instance(rng, max_scbs=3, max_files=4)
-        report = greedy_macp(inst)
-        x = np.zeros((inst.num_scbs, inst.num_files), dtype=np.int8)
-        fill = np.zeros(inst.num_scbs, dtype=int)
-        for _, scbs, file, _ in report.trace:
-            best = None
-            pol = CachingPolicy(x)
-            base = cost_closed_form(inst, pol)
-            for row in range(inst.num_scbs):
-                if fill[row] >= inst.cache_size[row]:
-                    continue
-                for f in range(inst.num_files):
-                    if x[row, f]:
-                        continue
-                    val = marginal_cost(inst, pol, row + 1, f, base=base)
-                    if best is None or val < best[0] - 1e-12:
-                        best = (val, row + 1, f)
-            assert (best[1], best[2]) == (scbs, file)
-            x[scbs - 1, file] = 1
-            fill[scbs - 1] += 1
+        instances = [
+            random_instance(rng, heavy_scbs_costs=k % 2 == 1) for k in range(100)
+        ]
+        instances += [
+            generate_scenario(ScenarioConfig(num_scbs=5, num_files=30, cache_size=6, seed=s))
+            for s in range(3)
+        ]
+        instances += [_saturated(rng, random_instance(rng, heavy_scbs_costs=k % 2 == 1))
+                      for k in range(20)]
+        for inst in instances:
+            _check_against_marginal_oracle(inst)
+
+    def test_tie_rule_takes_smallest_scbs_then_file(self):
+        # identical files at identical SCBSs: all six first placements gain
+        # the same, and the next one completes file 0's coverage
+        inst = Instance(2, 3, [1, 1], 0.4, 0.6, [0.0, 0.0],
+                        [[0.0] * 3, [0.5] * 3, [0.5] * 3], 1.0)
+        assert [entry[1:3] for entry in greedy_macp(inst).trace] == [(1, 0), (2, 0)]
+        # the macro-only area requests every file almost surely, so the macro
+        # multicast fires whatever is cached and every gain is zero
+        demand = np.full((4, 5), 0.7)
+        demand[0] = 1e3
+        inst = Instance(3, 5, [2, 3, 1], 0.4, 0.6, [0.1, 0.3, 0.2], demand, 1.0)
+        assert [entry[1:3] for entry in greedy_macp(inst).trace] == [
+            (1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 0),
+        ]
+
+    def test_rounding_level_ties_count_as_ties(self):
+        # Files 1 and 2 hold file 0's three SCBS rates in another order, so
+        # caching the 1.61 rate gains the same for (1, 0), (1, 1) and (3, 2)
+        # up to the order of a three-term sum; the computed gain of (1, 0)
+        # is the largest of the three by one rounding step.
+        a, b, c = 1.61, 0.54, 0.2
+        demand = [[0.0] * 3, [a, a, c], [b, c, b], [c, b, a]]
+        inst = Instance(3, 3, [1, 1, 1], 0.4, 0.6, [0.25] * 3, demand, 1.0)
+        assert greedy_macp(inst).trace[0][1:3] == (1, 0)
 
     def test_deterministic(self):
         inst = motivating_instance()
@@ -109,6 +127,40 @@ class TestGreedy:
         assert a.trace == b.trace
         assert a.evaluations == b.evaluations
         assert np.array_equal(a.policy.placement, b.policy.placement)
+
+
+def _saturated(rng: np.random.Generator, inst: Instance) -> Instance:
+    """The instance with about a third of its rates raised to lambda * d = 1e3."""
+    demand = np.array(inst.demand)
+    demand[rng.random(demand.shape) < 0.35] = 1e3 / inst.deadline
+    return Instance(inst.num_scbs, inst.num_files, inst.cache_size, inst.cost_backhaul,
+                    inst.cost_mbs_tx, inst.cost_scbs_tx, demand, inst.deadline)
+
+
+def _check_against_marginal_oracle(inst: Instance) -> None:
+    """Replay the greedy's trace against ``marginal_cost``.
+
+    Each commit must be the smallest (SCBS, file) among the allowed cells
+    whose objective after the placement is within 1e-12 * max(1, |objective|)
+    of the best one, and each trace value must be the closed-form objective.
+    """
+    report = greedy_macp(inst)
+    assert len(report.trace) == int(inst.cache_size.sum())
+    x = np.zeros((inst.num_scbs, inst.num_files), dtype=np.int8)
+    for _, scbs, file, value in report.trace:
+        pol = CachingPolicy(x)
+        base = cost_closed_form(inst, pol)
+        after = {
+            (row + 1, f): marginal_cost(inst, pol, row + 1, f, base=base)
+            for row in range(inst.num_scbs)
+            if x[row].sum() < inst.cache_size[row]
+            for f in range(inst.num_files)
+            if not x[row, f]
+        }
+        limit = min(after.values()) + 1e-12 * max(1.0, abs(base.total))
+        assert (scbs, file) == min(cell for cell, v in after.items() if v <= limit)
+        x[scbs - 1, file] = 1
+        assert value == pytest.approx(cost_closed_form(inst, CachingPolicy(x)).total, abs=1e-9)
 
 
 class TestPopularity:
