@@ -253,8 +253,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, CapacityError) as exc:
-        # malformed input or an exhaustive search over its cap: one line, no traceback
+    except (ValueError, OSError, CapacityError) as exc:
+        # malformed or unreadable input, or an exhaustive search over its cap:
+        # one line, no traceback
         sys.stderr.write(f"{parser.prog}: error: {exc}\n")
         return 2
 

@@ -1,27 +1,31 @@
 """Expected per-period servicing cost of a caching policy.
 
-Two independent evaluators of the multicast objective are provided:
-``cost_bruteforce`` literally enumerates all 2^(N+1) requesting subsets
-and is the ground truth for small N, while ``cost_closed_form`` exploits
-the independence of areas to reach the same value in O(N * I).  The
-unicast metric used by popularity/unicast baselines lives here too.
+The macro cell multicasts a file unless every request for it falls inside
+the set of SCBSs caching it; then each requesting cached SCBS serves
+locally.  Areas request independently, so with ``rate_out`` the summed
+d * lambda of the areas outside the cached set, the file costs
+``c_mbs * (1 - exp(-rate_out)) + exp(-rate_out) * sum of c_n * p_n`` over
+the cached SCBSs.  ``_file_terms`` is the one place that formula is
+written; ``cost_closed_form``, ``marginal_cost`` and the solvers are built
+on it.  ``cost_bruteforce`` literally enumerates all 2^(N+1) requesting
+subsets and is the independent ground truth for small N.  The unicast
+metric used by popularity/unicast baselines lives here too.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError
-from .model import CachingPolicy, Instance
+from .model import CachingPolicy, Instance, Record
 
 DEFAULT_BRUTEFORCE_CAP = 16
 
 
 @dataclass(frozen=True, eq=False)
-class CostBreakdown:
+class CostBreakdown(Record):
     """Expected cost per service period, split by file and by transmitter."""
 
     total: float
@@ -36,26 +40,6 @@ class CostBreakdown:
         object.__setattr__(self, "total", float(self.total))
         object.__setattr__(self, "mbs_component", float(self.mbs_component))
         object.__setattr__(self, "scbs_component", float(self.scbs_component))
-
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "per_file": self.per_file.tolist(),
-            "mbs_component": self.mbs_component,
-            "scbs_component": self.scbs_component,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CostBreakdown":
-        return cls(
-            total=data["total"],
-            per_file=data["per_file"],
-            mbs_component=data["mbs_component"],
-            scbs_component=data["scbs_component"],
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _breakdown(mbs_pf: np.ndarray, scbs_pf: np.ndarray) -> CostBreakdown:
@@ -121,44 +105,56 @@ def cost_bruteforce(
     return _breakdown(mbs_pf, scbs_pf)
 
 
+def _file_terms(c_mbs: float, rate_out, local, expm1=np.expm1):
+    """Per-file objective from the rate outside the cached set and the local cost.
+
+    The macro cell transmits unless no area outside the cached set requests
+    the file, which happens with probability ``exp(-rate_out)``; then the
+    cached SCBSs serve at expected cost ``local`` (sum of c_n * p_n).  The
+    term ``c_mbs * (1 - exp(-r)) + exp(-r) * local`` is written with one
+    ``expm1`` so small rates keep their digits, and it never divides by a
+    no-request probability, so rates large enough to make one 0 need no
+    special case.  It is linear in ``c_mbs`` and ``local``: passing 0 for
+    one gives the other transmitter's share.  Arrays take numpy's
+    ``expm1``; a caller scoring single Python floats passes ``math.expm1``,
+    several times cheaper per call.
+    """
+    e = expm1(-rate_out)
+    return local + e * (local - c_mbs)
+
+
+def _area_rates(instance: Instance, files=slice(None)):
+    """Per-area inputs of the objective for ``files`` (every file by default).
+
+    Returns ``(c_mbs, rate_mbs, rate, local_cost)``: the cost of one macro
+    transmission (backhaul plus macro cell), the macro-only area's
+    d * lambda per file, the (N, files) SCBS rates d * lambda, and the
+    (N, files) expected cost c_n * p_n of SCBS n serving its own requests.
+    """
+    rate = instance.demand[:, files] * instance.deadline
+    local_cost = instance.cost_scbs_tx[:, None] * -np.expm1(-rate[1:])
+    return instance.cost_backhaul + instance.cost_mbs_tx, rate[0], rate[1:], local_cost
+
+
+def _cached_split(rate_mbs, rate, local_cost, cached):
+    """Per-file rate outside the cached set and local cost of the cached SCBSs."""
+    rate_out = rate_mbs + np.where(cached, 0.0, rate).sum(axis=0)
+    return rate_out, np.where(cached, local_cost, 0.0).sum(axis=0)
+
+
 def cost_closed_form(instance: Instance, policy: CachingPolicy) -> CostBreakdown:
     """Exact objective in O(N * I), factored over independent areas.
 
-    For file i with cached area set C and per-area no-request probabilities
-    q, let A = 1 - prod(q) (some area requests) and
-    B = prod(q over areas outside C) * (1 - prod(q over C)) (requests occur
-    and all fall inside C).  The macro cell transmits with probability
-    A - B, and each cached SCBS n serves locally with probability
-    p_n * prod(q outside C).
+    For file i, ``rate_out`` sums d * lambda over the macro-only area and
+    the SCBSs not caching i.  The macro cell transmits with probability
+    ``-expm1(-rate_out)``; otherwise no area outside the cached set
+    requests, and each cached SCBS n serves locally with probability p_n,
+    so the SCBS part is ``exp(-rate_out) * sum of c_n * p_n``.
     """
     policy.check_feasible(instance)
-    p = instance.request_probabilities()
-    q = 1.0 - p
-    cached = policy.placement.astype(bool)
-    c = instance.cost_scbs_tx
-    c_mbs = instance.cost_backhaul + instance.cost_mbs_tx
-
-    a = 1.0 - q.prod(axis=0)
-    v = np.where(cached, q[1:], 1.0).prod(axis=0)
-    u = q[0] * np.where(cached, 1.0, q[1:]).prod(axis=0)
-    b = u * (1.0 - v)
-    w = (c[:, None] * p[1:] * cached).sum(axis=0)
-
-    return _breakdown(c_mbs * (a - b), u * w)
-
-
-def _file_term(instance: Instance, file: int, cached_rows: np.ndarray) -> float:
-    """Single-file contribution to the objective for a given cached row mask."""
-    p = -np.expm1(-instance.demand[:, file] * instance.deadline)
-    q = 1.0 - p
-    c = instance.cost_scbs_tx
-    c_mbs = instance.cost_backhaul + instance.cost_mbs_tx
-    a = 1.0 - q.prod()
-    v = np.where(cached_rows, q[1:], 1.0).prod()
-    u = q[0] * np.where(cached_rows, 1.0, q[1:]).prod()
-    b = u * (1.0 - v)
-    w = (c * p[1:] * cached_rows).sum()
-    return float(c_mbs * (a - b) + u * w)
+    c_mbs, rate_mbs, rate, local_cost = _area_rates(instance)
+    rate_out, local = _cached_split(rate_mbs, rate, local_cost, policy.placement.astype(bool))
+    return _breakdown(_file_terms(c_mbs, rate_out, 0.0), _file_terms(0.0, rate_out, local))
 
 
 def marginal_cost(
@@ -186,9 +182,11 @@ def marginal_cost(
         raise ValueError(f"cache of SCBS {scbs} is full")
     if base is None:
         base = cost_closed_form(instance, policy)
-    cached_rows = policy.placement[:, file].astype(bool)
-    cached_rows[row] = True
-    return base.total - float(base.per_file[file]) + _file_term(instance, file, cached_rows)
+    cached = policy.placement[:, [file]].astype(bool)
+    cached[row] = True
+    c_mbs, rate_mbs, rate, local_cost = _area_rates(instance, [file])
+    term = _file_terms(c_mbs, *_cached_split(rate_mbs, rate, local_cost, cached))
+    return base.total - float(base.per_file[file]) + float(term[0])
 
 
 def cost_unicast(instance: Instance, policy: CachingPolicy) -> CostBreakdown:

@@ -11,22 +11,20 @@ translators convert solutions back and forth.
 from __future__ import annotations
 
 import itertools
-import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError
-from .model import CachingPolicy
+from .model import CachingPolicy, Record
+from .solvers import DEFAULT_POLICY_CAP, count_feasible_placements, iter_feasible_placements
 
 DEFAULT_SELECTION_CAP = 20
-DEFAULT_POLICY_CAP = 10_000_000
 COST_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
-class SppInstance:
+class SppInstance(Record):
     """Set packing question: do ``target`` of the listed subsets pairwise disjoint exist?"""
 
     elements: frozenset
@@ -62,16 +60,9 @@ class SppInstance:
             target=data["target"],
         )
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SppInstance":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass(frozen=True, eq=False)
-class DecisionInstance:
+class DecisionInstance(Record):
     """Threshold question over an explicit request-probability table.
 
     ``probabilities[i]`` lists ``(areas, prob)`` pairs for file i; the
@@ -168,13 +159,6 @@ class DecisionInstance:
             threshold=data["threshold"],
         )
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DecisionInstance":
-        return cls.from_dict(json.loads(text))
-
 
 def _element_areas(spp: SppInstance) -> dict:
     """Canonical element -> SCBS area id map (sorted element order, ids 1..N)."""
@@ -250,10 +234,7 @@ def macdp_decide(
     scanning the whole space.
     """
     n, i = decision.num_scbs, decision.num_files
-    space = math.prod(
-        sum(math.comb(i, k) for k in range(min(int(s), i) + 1))
-        for s in decision.cache_size
-    )
+    space = count_feasible_placements(i, decision.cache_size)
     if space > max_policies:
         raise CapacityError(
             f"{space} feasible placements exceed the enumeration cap of {max_policies}"
@@ -280,29 +261,17 @@ def macdp_decide(
     if fixed > limit:
         return False, None
 
-    per_row: list[list[frozenset[int]]] = []
-    for s in decision.cache_size:
-        choices = []
-        for k in range(min(int(s), i) + 1):
-            choices.extend(itertools.combinations(range(i), k))
-        # lexicographic order of the corresponding 0/1 rows
-        choices.sort(key=lambda combo: [1 if f in combo else 0 for f in range(i)])
-        per_row.append([frozenset(combo) for combo in choices])
-
-    for assignment in itertools.product(*per_row):
+    for assignment in iter_feasible_placements(i, decision.cache_size):
         cost = fixed
         for file, rows, mbs_term, local_term in dynamic:
-            if all(file in assignment[r] for r in rows):
+            if all(assignment[r][file] for r in rows):
                 cost += local_term
             else:
                 cost += mbs_term
             if cost > limit:
                 break
         else:
-            x = np.zeros((n, i), dtype=np.int8)
-            for row, files in enumerate(assignment):
-                x[row, list(files)] = 1
-            return True, CachingPolicy(x)
+            return True, CachingPolicy(np.array(assignment, dtype=np.int8).reshape(n, i))
     return False, None
 
 

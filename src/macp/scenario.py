@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .cost import cost_closed_form, cost_unicast
-from .model import CachingPolicy, Instance
+from .model import CachingPolicy, Instance, Record
 from .sim import SimConfig, simulate
 from .solvers import greedy_macp, local_search, popularity_placement
 
@@ -41,7 +41,7 @@ SWEEP_CSV_COLUMNS = (
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Record):
     """Random-scenario parameters; demand is drawn with numpy's PCG64 stream.
 
     ``rate_mode`` picks how the uniform rate draw is applied: as an
@@ -82,13 +82,6 @@ class ScenarioConfig:
             raise ValueError("cost_scbs may not exceed cost_mbs_tx")
         if self.rate_mode not in ("per_scbs_total", "per_pair"):
             raise ValueError(f"unknown rate_mode {self.rate_mode!r}")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioConfig":
-        return cls(**data)
 
 
 def zipf_weights(num_files: int, shape: float) -> np.ndarray:

@@ -23,14 +23,13 @@ which makes the simulator the end-to-end check on the whole cost model.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .model import CachingPolicy, Instance
+from .model import CachingPolicy, Instance, Record
 
 MODES = ("unicast", "multicast")
 
@@ -61,7 +60,7 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class SimReport:
+class SimReport(Record):
     """Averaged simulation outcome with transmission counters."""
 
     mean_cost_per_period: float
@@ -70,19 +69,6 @@ class SimReport:
     mbs_transmissions: int
     scbs_transmissions: int
     unicast_transmissions: int
-
-    def to_dict(self) -> dict:
-        return {
-            "mean_cost_per_period": self.mean_cost_per_period,
-            "std_error": self.std_error,
-            "periods": self.periods,
-            "mbs_transmissions": self.mbs_transmissions,
-            "scbs_transmissions": self.scbs_transmissions,
-            "unicast_transmissions": self.unicast_transmissions,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def simulate(

@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .cost import cost_closed_form
+from .cost import _area_rates, _cached_split, _file_terms, cost_closed_form
 from .errors import CapacityError
 from .model import CachingPolicy, Instance
 
@@ -49,7 +49,7 @@ def greedy_macp(instance: Instance) -> SolverReport:
 
     The objective is a sum of per-file terms, so the gain of caching file
     f at SCBS n depends on file f's column only.  Each file's term is kept
-    in the rate-sum form of ``_rate_sum_terms``: the rate outside its
+    in the rate-sum form of ``_file_terms``: the rate outside its
     cached set and the local cost of its cached SCBSs.  The gain matrix is
     evaluated once; a commit of (n, f) then recomputes file f's rate and
     local cost from fresh sums over its column (not running differences) and
@@ -69,11 +69,9 @@ def greedy_macp(instance: Instance) -> SolverReport:
     """
     n, i = instance.num_scbs, instance.num_files
     sizes = instance.cache_size.tolist()
-    c_mbs = instance.cost_backhaul + instance.cost_mbs_tx
+    c_mbs, rate_mbs, rate, local_cost = _area_rates(instance)
     # file-major (I, N) layout, so a file's column is one contiguous row
-    rate = (instance.demand[1:] * instance.deadline).T.copy()
-    rate_mbs = instance.demand[0] * instance.deadline
-    local_cost = instance.cost_scbs_tx * -np.expm1(-rate)
+    rate, local_cost = rate.T.copy(), local_cost.T.copy()
     cached = np.zeros((i, n), dtype=bool)
     fill = [0] * n
     # allowed[f, n]: f is not cached at n and n's cache has room
@@ -82,10 +80,10 @@ def greedy_macp(instance: Instance) -> SolverReport:
     allowed[:, has_cache] = True
 
     rate_out = rate_mbs + rate.sum(axis=1)
-    terms = _rate_sum_terms(c_mbs, rate_out, 0.0)
+    terms = _file_terms(c_mbs, rate_out, 0.0)
     total = float(terms.sum())
     gain = np.full((i, n), np.inf)
-    gain[:, has_cache] = _rate_sum_terms(
+    gain[:, has_cache] = _file_terms(
         c_mbs, rate_out[:, None] - rate[:, has_cache], local_cost[:, has_cache]
     ) - terms[:, None]
     best = gain.min(axis=1)
@@ -113,7 +111,7 @@ def greedy_macp(instance: Instance) -> SolverReport:
         column_cached = cached[file]
         rate_out_f = float(rate_mbs[file]) + math.fsum(rate[file][~column_cached].tolist())
         local_f = math.fsum(local_cost[file][column_cached].tolist())
-        term_f = _rate_sum_terms(c_mbs, rate_out_f, local_f, math.expm1)
+        term_f = _file_terms(c_mbs, rate_out_f, local_f, math.expm1)
         terms[file] = term_f
         total = float(terms.sum())
         trace.append((iteration, row + 1, file, total))
@@ -127,7 +125,7 @@ def greedy_macp(instance: Instance) -> SolverReport:
         column = [math.inf] * n
         for k, ok in enumerate(allowed[file].tolist()):
             if ok:
-                column[k] = _rate_sum_terms(
+                column[k] = _file_terms(
                     c_mbs, rate_out_f - rates[k], local_f + costs[k], math.expm1
                 ) - term_f
                 evaluations += 1
@@ -159,22 +157,6 @@ def popularity_placement(instance: Instance) -> CachingPolicy:
     return CachingPolicy(x)
 
 
-def _rate_sum_terms(c_mbs: float, rate_out, local, expm1=np.expm1):
-    """Per-file objective from the rate outside the cached set and the local cost.
-
-    The macro cell transmits unless no area outside the cached set requests
-    the file, which happens with probability ``exp(-rate_out)``; then the
-    cached SCBSs serve at expected cost ``local`` (sum of c_n * p_n).  The
-    term ``c_mbs * (1 - exp(-r)) + exp(-r) * local`` is written with one
-    ``expm1`` so small rates keep their digits, and it never divides by a
-    no-request probability, so rates large enough to make one 0 need no
-    special case.  Arrays take numpy's ``expm1``; a caller scoring single
-    Python floats passes ``math.expm1``, several times cheaper per call.
-    """
-    e = expm1(-rate_out)
-    return local + e * (local - c_mbs)
-
-
 def local_search(instance: Instance, policy: CachingPolicy) -> CachingPolicy:
     """Improve a placement by strictly cost-lowering moves until none is left.
 
@@ -194,10 +176,7 @@ def local_search(instance: Instance, policy: CachingPolicy) -> CachingPolicy:
     then to the smallest SCBS, then to the smallest file.
     """
     policy.check_feasible(instance)
-    rate = instance.demand[1:] * instance.deadline
-    rate_mbs = instance.demand[0] * instance.deadline
-    local_cost = instance.cost_scbs_tx[:, None] * -np.expm1(-rate)
-    c_mbs = instance.cost_backhaul + instance.cost_mbs_tx
+    c_mbs, rate_mbs, rate, local_cost = _area_rates(instance)
     sizes = instance.cache_size
     has_cache = sizes > 0
     # rate no completion can cover: areas without any cache
@@ -207,11 +186,10 @@ def local_search(instance: Instance, policy: CachingPolicy) -> CachingPolicy:
     cached = policy.placement.astype(bool)
     best = cost_closed_form(instance, policy).total
     while True:
-        rate_out = rate_mbs + np.where(cached, 0.0, rate).sum(axis=0)
-        local = np.where(cached, local_cost, 0.0).sum(axis=0)
-        terms = _rate_sum_terms(c_mbs, rate_out, local)
+        rate_out, local = _cached_split(rate_mbs, rate, local_cost, cached)
+        terms = _file_terms(c_mbs, rate_out, local)
         # change of each file's term when one cell is toggled
-        toggle = _rate_sum_terms(
+        toggle = _file_terms(
             c_mbs,
             rate_out + np.where(cached, rate, -rate),
             local + np.where(cached, -local_cost, local_cost),
@@ -230,7 +208,7 @@ def local_search(instance: Instance, policy: CachingPolicy) -> CachingPolicy:
         # completions: the full SCBSs lacking f each drop their file out[n],
         # so the drops are grouped by file before scoring
         lacks = ~cached & has_cache[:, None]
-        cover = _rate_sum_terms(
+        cover = _file_terms(
             c_mbs, rate_bare, local + np.where(lacks, local_cost, 0.0).sum(axis=0)
         ) - terms
         freed = np.unique(out[full & has_cache])
@@ -239,7 +217,7 @@ def local_search(instance: Instance, policy: CachingPolicy) -> CachingPolicy:
         extra_rate = np.einsum("nf,nk->fk", dropping, onehot * rate[rows, out][:, None])
         extra_local = np.einsum("nf,nk->fk", dropping, onehot * local_cost[rows, out][:, None])
         cover += (
-            _rate_sum_terms(c_mbs, rate_out[freed] + extra_rate, local[freed] - extra_local)
+            _file_terms(c_mbs, rate_out[freed] + extra_rate, local[freed] - extra_local)
             - terms[freed]
         ).sum(axis=1)
 
@@ -265,9 +243,12 @@ def local_search(instance: Instance, policy: CachingPolicy) -> CachingPolicy:
     return CachingPolicy(cached.astype(np.int8))
 
 
-def iter_feasible_placements(num_files: int, cache_sizes) -> Iterator[tuple[np.ndarray, ...]]:
+def iter_feasible_placements(
+    num_files: int, cache_sizes
+) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Yield every 0/1 placement matrix with row sums within the cache sizes.
 
+    Each matrix is a tuple of rows, each row a tuple of 0/1 ints.
     Matrices arrive in lexicographic row-major order (all-zeros first), so
     a first-strict-minimum scan picks the lexicographically smallest
     optimum deterministically.
@@ -277,10 +258,11 @@ def iter_feasible_placements(num_files: int, cache_sizes) -> Iterator[tuple[np.n
         rows = []
         for k in range(min(int(s), num_files) + 1):
             for combo in itertools.combinations(range(num_files), k):
-                row = np.zeros(num_files, dtype=np.int8)
-                row[list(combo)] = 1
-                rows.append(row)
-        rows.sort(key=lambda r: r.tolist())
+                row = [0] * num_files
+                for f in combo:
+                    row[f] = 1
+                rows.append(tuple(row))
+        rows.sort()
         per_row.append(rows)
     return itertools.product(*per_row)
 
@@ -300,29 +282,21 @@ def exact_optimal(instance: Instance, max_policies: int = DEFAULT_POLICY_CAP) ->
     space cardinality when it exceeds ``max_policies``.  Among equal-cost
     optima the lexicographically smallest placement matrix wins.
     """
-    n, i = instance.num_scbs, instance.num_files
+    i = instance.num_files
     space = count_feasible_placements(i, instance.cache_size)
     if space > max_policies:
         raise CapacityError(
             f"{space} feasible placements exceed the enumeration cap of {max_policies}"
         )
 
-    p = instance.request_probabilities()
-    q = 1.0 - p
-    qs = q[1:]
-    c = instance.cost_scbs_tx
-    c_mbs = instance.cost_backhaul + instance.cost_mbs_tx
-    a_all = 1.0 - q.prod(axis=0)
-
+    c_mbs, rate_mbs, rate, local_cost = _area_rates(instance)
     best_cost = math.inf
     best: np.ndarray | None = None
     evaluations = 0
     for rows in iter_feasible_placements(i, instance.cache_size):
-        x = np.array(rows, dtype=bool).reshape(n, i)
-        v = np.where(x, qs, 1.0).prod(axis=0)
-        u = q[0] * np.where(x, 1.0, qs).prod(axis=0)
-        w = (c[:, None] * p[1:] * x).sum(axis=0)
-        cost = float((c_mbs * (a_all - u * (1.0 - v)) + u * w).sum())
+        x = np.array(rows, dtype=bool)
+        rate_out, local = _cached_split(rate_mbs, rate, local_cost, x)
+        cost = float(_file_terms(c_mbs, rate_out, local).sum())
         evaluations += 1
         if cost < best_cost:
             best_cost = cost

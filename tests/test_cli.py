@@ -194,6 +194,28 @@ class TestInputErrors:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_instance_missing_field_is_one_line_error(self, tmp_path, capsys, instance_file):
+        data = json.loads(instance_file.read_text())
+        del data["num_files"]
+        instance_file.write_text(json.dumps(data))
+        rc = main(["solve", str(instance_file), "--out", str(tmp_path / "policy.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == "macp: error: Instance: missing field 'num_files'\n"
+
+    def test_missing_input_file_is_one_line_error(self, tmp_path, capsys):
+        rc = main(["solve", str(tmp_path / "nonexistent.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("macp: error: ") and "nonexistent.json" in err
+        assert err.count("\n") == 1
+
+    def test_unknown_config_key_is_one_line_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"cach_size": 3}))
+        rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "inst.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == "macp: error: ScenarioConfig: unknown field 'cach_size'\n"
+
 
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):

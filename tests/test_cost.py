@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from macp import (
     cost_bruteforce,
     cost_closed_form,
     cost_unicast,
+    exact_optimal,
     marginal_cost,
 )
 from helpers import (
@@ -185,6 +188,54 @@ class TestMarginalCost:
             marginal_cost(inst, pol, 0, 0)
         with pytest.raises(ValueError):
             marginal_cost(inst, pol, 1, 9)
+
+
+class TestRateExtremes:
+    def test_low_rate_keeps_its_digits(self):
+        # areas 0 and 2 request outside SCBS 1's cache, so rate_out = 2e-12
+        inst = Instance(2, 1, [1, 0], 1, 1, [0, 0], [[1e-12]] * 3, 1.0)
+        exact = 2.0 * -math.expm1(-2e-12)
+        cached = CachingPolicy([[1], [0]])
+        got = {
+            "closed form": cost_closed_form(inst, cached).total,
+            "marginal": marginal_cost(inst, CachingPolicy.empty(2, 1), 1, 0),
+            "exact": cost_closed_form(inst, exact_optimal(inst).policy).total,
+        }
+        for name, value in got.items():
+            assert abs(value - exact) <= 1e-15 * exact, name
+
+    @pytest.mark.parametrize("rate", [1e3, 1e6])
+    @pytest.mark.parametrize("macro", [False, True])
+    def test_saturated_rates_give_the_limit(self, rate, macro):
+        # every area requests with probability 1: a file costs c_mbs = 2 when
+        # an area outside its cached set requests it, else its local cost
+        c = np.array([0.25, 0.5])
+        demand = np.full((3, 3), rate)
+        if not macro:
+            demand[0] = 0.0
+        inst = Instance(2, 3, [3, 3], 1, 1, c, demand, 1.0)
+
+        def limit(x):
+            x = np.asarray(x)
+            return sum(2.0 if macro or not x[:, f].all() else float(c @ x[:, f]) for f in range(3))
+
+        empty, partial, full = [[0, 0, 0]] * 2, [[1, 1, 0], [0, 1, 0]], [[1, 1, 1]] * 2
+        for x in (empty, partial, full):
+            breakdown = cost_closed_form(inst, CachingPolicy(x))
+            assert breakdown.total == pytest.approx(limit(x), rel=1e-15, abs=0)
+        for x in (empty, partial):
+            base = CachingPolicy(x)
+            for row, f in zip(*np.nonzero(base.placement == 0)):
+                after = base.placement.copy()
+                after[row, f] = 1
+                value = marginal_cost(inst, base, int(row) + 1, int(f))
+                assert value == pytest.approx(limit(after), rel=1e-15, abs=0)
+
+        small = Instance(2, 3, [1, 2], 1, 1, c, demand, 1.0)
+        best = exact_optimal(small).policy
+        expected = 6.0 if macro else 0.75 + 2.0 + 2.0
+        assert limit(best.placement) == expected
+        assert cost_closed_form(small, best).total == pytest.approx(expected, rel=1e-15, abs=0)
 
 
 class TestUnicast:

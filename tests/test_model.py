@@ -9,10 +9,16 @@ import pytest
 from macp import (
     CachingPolicy,
     Instance,
+    ScenarioConfig,
+    SppInstance,
     mbs_triggered,
     request_probability,
     subset_probability,
+    spp_to_macdp,
 )
+from macp.cost import CostBreakdown
+from macp.reduction import DecisionInstance
+from macp.sim import SimReport
 from helpers import motivating_instance, random_instance
 
 
@@ -98,6 +104,33 @@ class TestInstance:
                 assert p[a, i] == pytest.approx(
                     request_probability(inst.demand[a, i], inst.deadline), abs=1e-15
                 )
+
+
+SPP = SppInstance(frozenset({1, 2, 3}), (frozenset({1}), frozenset({1, 2}), frozenset({2, 3})), 2)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        random_instance(np.random.default_rng(11)),
+        SPP,
+        spp_to_macdp(SPP),
+        ScenarioConfig(num_scbs=3, deadline=2.5, zipf_shape=1.1, seed=7),
+    ],
+    ids=lambda record: type(record).__name__,
+)
+def test_json_round_trip_is_byte_identical(record):
+    text = record.to_json()
+    assert type(record).from_json(text).to_json() == text
+
+
+@pytest.mark.parametrize(
+    "cls", [Instance, CostBreakdown, SimReport, ScenarioConfig, SppInstance, DecisionInstance]
+)
+def test_record_methods_are_in_each_class_namespace(cls):
+    # bench/spans.py wraps these methods per class through vars(cls)
+    for name in ("to_dict", "from_dict", "to_json", "from_json"):
+        assert name in vars(cls)
 
 
 class TestCachingPolicy:

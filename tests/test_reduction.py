@@ -15,6 +15,7 @@ from macp import (
     spp_to_macdp,
 )
 
+from macp.solvers import count_feasible_placements
 from helpers import random_spp
 
 FIG_SPP = SppInstance(
@@ -124,6 +125,15 @@ class TestFigureExample:
         answer, witness = spp_decide(FIG_SPP)
         assert answer is True
         assert witness == (0, 2)  # the first and third listed subsets
+
+
+class TestMacdpDecide:
+    def test_capacity_error_names_the_feasible_count(self):
+        dec = spp_to_macdp(FIG_SPP)
+        space = count_feasible_placements(dec.num_files, dec.cache_size)
+        with pytest.raises(CapacityError, match=f"^{space} feasible placements exceed"):
+            macdp_decide(dec, max_policies=space - 1)
+        assert macdp_decide(dec, max_policies=space)[0]
 
 
 class TestSppDecide:
