@@ -9,6 +9,7 @@ seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -179,7 +180,9 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``macp`` argument parser, built once per process and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="macp",
         description="Multicast-aware cache placement: generate, solve, evaluate, simulate.",

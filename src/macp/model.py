@@ -40,6 +40,16 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def check_keys(kind: str, data: dict, required, optional=()) -> None:
+    """Raise ValueError naming the first unknown, then the first missing, JSON key."""
+    unknown = sorted(set(data) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"{kind}: unknown field {unknown[0]!r}")
+    for name in required:
+        if name not in data:
+            raise ValueError(f"{kind}: missing field {name!r}")
+
+
 class Record:
     """JSON form of a dataclass record: one object keyed by its field names.
 
@@ -65,12 +75,8 @@ class Record:
     @classmethod
     def from_dict(cls, data: dict):
         fields = dataclasses.fields(cls)
-        unknown = sorted(set(data) - {f.name for f in fields})
-        if unknown:
-            raise ValueError(f"{cls.__name__}: unknown field {unknown[0]!r}")
-        for f in fields:
-            if f.name not in data and f.default is dataclasses.MISSING:
-                raise ValueError(f"{cls.__name__}: missing field {f.name!r}")
+        required = [f.name for f in fields if f.default is dataclasses.MISSING]
+        check_keys(cls.__name__, data, required, [f.name for f in fields if f.name not in required])
         return cls(**data)
 
     def to_json(self) -> str:

@@ -11,16 +11,21 @@ translators convert solutions back and forth.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError
-from .model import CachingPolicy, Record
-from .solvers import DEFAULT_POLICY_CAP, count_feasible_placements, iter_feasible_placements
+from .model import CachingPolicy, Record, check_keys
+from .solvers import DEFAULT_POLICY_CAP, _placement_blocks, _placement_tables
 
 DEFAULT_SELECTION_CAP = 20
 COST_SLACK = 1e-9
+# The JSON keys of a decision instance (``to_dict``), which names its table
+# ``prob_table``.
+_DECISION_KEYS = ("num_scbs", "num_files", "cache_size", "cost_backhaul", "cost_mbs_tx",
+                  "cost_scbs_tx", "deadline", "prob_table", "threshold")
 
 
 @dataclass(frozen=True)
@@ -54,6 +59,7 @@ class SppInstance(Record):
 
     @classmethod
     def from_dict(cls, data: dict) -> "SppInstance":
+        check_keys(cls.__name__, data, ("elements", "subsets", "target"))
         return cls(
             elements=frozenset(data["elements"]),
             subsets=tuple(frozenset(s) for s in data["subsets"]),
@@ -94,7 +100,7 @@ class DecisionInstance(Record):
         cache.setflags(write=False)
         object.__setattr__(self, "cache_size", cache)
         c = np.array(self.cost_scbs_tx, dtype=np.float64)
-        if c.shape != (n,) or (c < 0).any():
+        if c.shape != (n,) or not (c >= 0).all():
             raise ValueError(f"cost_scbs_tx must be {n} non-negative reals")
         c.setflags(write=False)
         object.__setattr__(self, "cost_scbs_tx", c)
@@ -102,8 +108,11 @@ class DecisionInstance(Record):
         object.__setattr__(self, "cost_mbs_tx", float(self.cost_mbs_tx))
         object.__setattr__(self, "deadline", float(self.deadline))
         object.__setattr__(self, "threshold", float(self.threshold))
-        if self.cost_backhaul < 0 or self.cost_mbs_tx < 0 or self.deadline <= 0:
+        # written to reject NaN too: the deciders rely on terms >= 0
+        if not (self.cost_backhaul >= 0 and self.cost_mbs_tx >= 0 and self.deadline > 0):
             raise ValueError("costs must be non-negative and the deadline positive")
+        if math.isnan(self.threshold):
+            raise ValueError("threshold must be a number")
 
         table = tuple(
             tuple((frozenset(r), float(pr)) for r, pr in entries)
@@ -142,10 +151,16 @@ class DecisionInstance(Record):
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecisionInstance":
+        check_keys(cls.__name__, data, _DECISION_KEYS)
         table: list[list[tuple[frozenset[int], float]]] = [
             [] for _ in range(data["num_files"])
         ]
         for entry in data["prob_table"]:
+            check_keys(f"{cls.__name__} prob_table entry", entry, ("file", "areas", "prob"))
+            if not 0 <= entry["file"] < len(table):
+                raise ValueError(
+                    f"{cls.__name__}: prob_table file {entry['file']} outside 0..{len(table) - 1}"
+                )
             table[entry["file"]].append((frozenset(entry["areas"]), entry["prob"]))
         return cls(
             num_scbs=data["num_scbs"],
@@ -231,15 +246,17 @@ def macdp_decide(
 
     Returns ``(True, witness)`` for the first (lexicographically smallest)
     policy with objective <= threshold + 1e-9, or ``(False, None)`` after
-    scanning the whole space.
+    scanning the whole space.  The scan runs over the numpy blocks of
+    ``exact_optimal``, O(block x max(N, I)) values at a time, in the order of
+    ``iter_feasible_placements``: a policy's cost is the fixed part plus each
+    entry's local or macro term, added in table order as a scalar loop
+    would.  Every term is >= 0 and IEEE addition of a non-negative number
+    never lowers a sum, so the first policy whose full cost is within the
+    limit is the one a scan that stops at the first partial sum over the
+    limit accepts.
     """
     n, i = decision.num_scbs, decision.num_files
-    space = count_feasible_placements(i, decision.cache_size)
-    if space > max_policies:
-        raise CapacityError(
-            f"{space} feasible placements exceed the enumeration cap of {max_policies}"
-        )
-
+    tables = _placement_tables(i, decision.cache_size, max_policies)
     c = decision.cost_scbs_tx
     c_mbs = decision.cost_backhaul + decision.cost_mbs_tx
     limit = decision.threshold + COST_SLACK
@@ -261,17 +278,16 @@ def macdp_decide(
     if fixed > limit:
         return False, None
 
-    for assignment in iter_feasible_placements(i, decision.cache_size):
-        cost = fixed
-        for file, rows, mbs_term, local_term in dynamic:
-            if all(assignment[r][file] for r in rows):
-                cost += local_term
-            else:
-                cost += mbs_term
-            if cost > limit:
-                break
-        else:
-            return True, CachingPolicy(np.array(assignment, dtype=np.int8).reshape(n, i))
+    columns = [np.ascontiguousarray(t.T) for t in tables]  # (I, options) per SCBS
+    for size, rows in _placement_blocks(tables):
+        cost = np.full(size, fixed)
+        for file, scbs, mbs_term, local_term in dynamic:
+            covered = np.logical_and.reduce([columns[r][file].take(rows[r]) for r in scbs])
+            cost += np.where(covered, local_term, mbs_term)
+        hits = np.flatnonzero(cost <= limit)
+        if hits.size:
+            x = np.array([t[r[hits[0]]] for t, r in zip(tables, rows)], dtype=np.int8)
+            return True, CachingPolicy(x.reshape(n, i))
     return False, None
 
 

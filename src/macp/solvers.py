@@ -10,6 +10,7 @@ tiny instances.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -243,28 +244,65 @@ def local_search(instance: Instance, policy: CachingPolicy) -> CachingPolicy:
     return CachingPolicy(cached.astype(np.int8))
 
 
+# Placements per numpy block of the exhaustive scans (``exact_optimal`` and
+# ``macdp_decide``): a few arrays of _BLOCK x max(N, I) values, whatever the space.
+_BLOCK = 4096
+
+
+@functools.lru_cache(maxsize=64)
+def _row_options(num_files: int, size: int) -> np.ndarray:
+    """Read-only bool table of the rows holding at most ``size`` files, sorted."""
+    rows = sorted(
+        tuple(f in combo for f in range(num_files))
+        for k in range(min(size, num_files) + 1)
+        for combo in itertools.combinations(range(num_files), k)
+    )
+    table = np.array(rows, dtype=bool)
+    table.setflags(write=False)
+    return table
+
+
+def _placement_tables(num_files: int, cache_sizes, max_policies=math.inf) -> list[np.ndarray]:
+    """Each SCBS's row options, after checking the space against ``max_policies``."""
+    space = count_feasible_placements(num_files, cache_sizes)
+    if space > max_policies:
+        raise CapacityError(
+            f"{space} feasible placements exceed the enumeration cap of {max_policies}"
+        )
+    return [_row_options(num_files, min(int(s), num_files)) for s in cache_sizes]
+
+
+def _placement_blocks(tables) -> Iterator[tuple[int, list[np.ndarray]]]:
+    """Yield ``(size, rows)`` for consecutive blocks of the enumeration.
+
+    Placement k is the mixed-radix number whose digit n, ``rows[n]``, indexes
+    ``tables[n]``; the last SCBS varies fastest.
+    """
+    radix = [len(t) for t in tables]
+    space = math.prod(radix)
+    for start in range(0, space, _BLOCK):
+        k = np.arange(start, min(start + _BLOCK, space))
+        rows = []
+        for r in reversed(radix):
+            k, digit = np.divmod(k, r)
+            rows.append(digit)
+        yield min(_BLOCK, space - start), rows[::-1]
+
+
 def iter_feasible_placements(
     num_files: int, cache_sizes
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Yield every 0/1 placement matrix with row sums within the cache sizes.
 
-    Each matrix is a tuple of rows, each row a tuple of 0/1 ints.
-    Matrices arrive in lexicographic row-major order (all-zeros first), so
-    a first-strict-minimum scan picks the lexicographically smallest
-    optimum deterministically.
+    Each matrix is a tuple of rows, each row a tuple of 0/1 ints, in
+    lexicographic row-major order (all-zeros first): each SCBS's options
+    are sorted, and the last SCBS varies fastest, so a first-strict-minimum
+    scan picks the lexicographically smallest optimum.  This is the tuple
+    view of the tables whose blocks ``exact_optimal`` and ``macdp_decide``
+    scan, O(_BLOCK x max(N, I)) values at a time.
     """
-    per_row = []
-    for s in cache_sizes:
-        rows = []
-        for k in range(min(int(s), num_files) + 1):
-            for combo in itertools.combinations(range(num_files), k):
-                row = [0] * num_files
-                for f in combo:
-                    row[f] = 1
-                rows.append(tuple(row))
-        rows.sort()
-        per_row.append(rows)
-    return itertools.product(*per_row)
+    tables = _placement_tables(num_files, cache_sizes)
+    return itertools.product(*([tuple(r) for r in t.astype(int).tolist()] for t in tables))
 
 
 def count_feasible_placements(num_files: int, cache_sizes) -> int:
@@ -275,32 +313,47 @@ def count_feasible_placements(num_files: int, cache_sizes) -> int:
     )
 
 
+def _row_sum(options, rows) -> np.ndarray:
+    """Per-placement sum over SCBSs of ``options[n][rows[n]]`` in numpy's order.
+
+    ``_cached_split``'s ``sum(axis=0)`` adds the rows of an (N, I) array one
+    after another, but with one file it reduces the N values pairwise, as
+    ``sum(axis=1)`` of a (block, N) array does.
+    """
+    parts = (o.take(r, axis=0) for o, r in zip(options, rows))
+    if options[0].shape[1] == 1:
+        return np.hstack(list(parts)).sum(axis=1, keepdims=True)
+    return sum(parts)
+
+
 def exact_optimal(instance: Instance, max_policies: int = DEFAULT_POLICY_CAP) -> SolverReport:
     """Minimize the objective by exhaustive search over feasible placements.
 
     Only viable on tiny instances; raises CapacityError with the search
-    space cardinality when it exceeds ``max_policies``.  Among equal-cost
-    optima the lexicographically smallest placement matrix wins.
+    space cardinality when it exceeds ``max_policies``, before any table is
+    built.  Scores the placements of ``iter_feasible_placements`` in numpy
+    blocks of ``_BLOCK`` (O(_BLOCK x max(N, I)) values held at once), adding
+    each SCBS's per-option rate outside and local cost in ``_cached_split``'s
+    order, so each policy's cost equals ``_file_terms(...).sum()`` of its own
+    ``_cached_split`` bit for bit.  Among equal-cost optima the
+    lexicographically smallest placement wins: the first minimum of a block,
+    and a later block only if strictly cheaper.  ``evaluations`` counts
+    every policy.
     """
-    i = instance.num_files
-    space = count_feasible_placements(i, instance.cache_size)
-    if space > max_policies:
-        raise CapacityError(
-            f"{space} feasible placements exceed the enumeration cap of {max_policies}"
-        )
-
+    tables = _placement_tables(instance.num_files, instance.cache_size, max_policies)
     c_mbs, rate_mbs, rate, local_cost = _area_rates(instance)
+    rate_options = [np.where(t, 0.0, r) for t, r in zip(tables, rate)]
+    local_options = [np.where(t, c, 0.0) for t, c in zip(tables, local_cost)]
     best_cost = math.inf
     best: np.ndarray | None = None
-    evaluations = 0
-    for rows in iter_feasible_placements(i, instance.cache_size):
-        x = np.array(rows, dtype=bool)
-        rate_out, local = _cached_split(rate_mbs, rate, local_cost, x)
-        cost = float(_file_terms(c_mbs, rate_out, local).sum())
-        evaluations += 1
-        if cost < best_cost:
-            best_cost = cost
-            best = x
+    for _, rows in _placement_blocks(tables):
+        rate_out = rate_mbs + _row_sum(rate_options, rows)
+        cost = _file_terms(c_mbs, rate_out, _row_sum(local_options, rows)).sum(axis=1)
+        j = int(cost.argmin())
+        if cost[j] < best_cost:
+            best_cost = float(cost[j])
+            best = np.array([t[r[j]] for t, r in zip(tables, rows)])
     assert best is not None
     policy = CachingPolicy(best.astype(np.int8))
+    evaluations = math.prod(len(t) for t in tables)
     return SolverReport(policy=policy, trace=(), evaluations=evaluations)

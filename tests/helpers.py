@@ -1,8 +1,13 @@
-"""Shared builders for the test suite."""
+"""Shared builders and reference oracles for the test suite."""
+
+import itertools
+import math
 
 import numpy as np
 
-from macp import CachingPolicy, Instance, SppInstance
+from macp import CachingPolicy, DecisionInstance, Instance, SppInstance
+from macp.cost import _area_rates, _cached_split, _file_terms
+from macp.reduction import COST_SLACK
 
 # Two-SCBS, three-file walkthrough instance: unit macro cost, free SCBS
 # transmissions, one cache slot each, one-second period.
@@ -94,3 +99,128 @@ def random_spp(rng: np.random.Generator, max_elements: int = 6, max_subsets: int
         mask = rng.random(n) < rng.uniform(0.2, 0.8)
         subsets.append(frozenset(e for e, hit in zip(universe, mask) if hit))
     return SppInstance(frozenset(universe), tuple(subsets), int(rng.integers(0, count + 1)))
+
+
+# Reference oracles: the scalar per-policy scans that the block scans of
+# ``exact_optimal`` and ``macdp_decide`` replaced, one placement per Python
+# iteration, with their own enumerator.  The library must agree with them
+# placement for placement and bit for bit.
+
+
+def reference_feasible_placements(num_files, cache_sizes):
+    """Every feasible placement as a tuple of 0/1 row tuples, lexicographic order."""
+    per_row = []
+    for s in cache_sizes:
+        rows = []
+        for k in range(min(int(s), num_files) + 1):
+            for combo in itertools.combinations(range(num_files), k):
+                row = [0] * num_files
+                for f in combo:
+                    row[f] = 1
+                rows.append(tuple(row))
+        rows.sort()
+        per_row.append(rows)
+    return itertools.product(*per_row)
+
+
+def reference_exact_optimal(instance: Instance):
+    """``(placement, evaluations, best_cost)`` of the scalar exhaustive scan."""
+    i = instance.num_files
+    c_mbs, rate_mbs, rate, local_cost = _area_rates(instance)
+    best_cost = math.inf
+    best = None
+    evaluations = 0
+    for rows in reference_feasible_placements(i, instance.cache_size):
+        x = np.array(rows, dtype=bool)
+        rate_out, local = _cached_split(rate_mbs, rate, local_cost, x)
+        cost = float(_file_terms(c_mbs, rate_out, local).sum())
+        evaluations += 1
+        if cost < best_cost:
+            best_cost = cost
+            best = x
+    return best.astype(np.int8), evaluations, best_cost
+
+
+def reference_macdp_decide(decision: DecisionInstance):
+    """``(answer, placement or None)`` of the scalar scan with its early break."""
+    n, i = decision.num_scbs, decision.num_files
+    c = decision.cost_scbs_tx
+    c_mbs = decision.cost_backhaul + decision.cost_mbs_tx
+    limit = decision.threshold + COST_SLACK
+
+    # Entries touching the macro-only area cost c_mbs under any policy.
+    fixed = 0.0
+    dynamic = []
+    for file, entries in enumerate(decision.probabilities):
+        for areas, pr in entries:
+            if not areas or pr == 0.0:
+                continue
+            if 0 in areas:
+                fixed += pr * c_mbs
+            else:
+                rows = tuple(a - 1 for a in sorted(areas))
+                local = pr * sum(c[r] for r in rows)
+                dynamic.append((file, rows, pr * c_mbs, local))
+
+    if fixed > limit:
+        return False, None
+
+    for assignment in reference_feasible_placements(i, decision.cache_size):
+        cost = fixed
+        for file, rows, mbs_term, local_term in dynamic:
+            if all(assignment[r][file] for r in rows):
+                cost += local_term
+            else:
+                cost += mbs_term
+            if cost > limit:
+                break
+        else:
+            return True, np.array(assignment, dtype=np.int8).reshape(n, i)
+    return False, None
+
+
+def random_decision(
+    rng: np.random.Generator, max_scbs: int = 3, max_files: int = 4
+) -> DecisionInstance:
+    """Random threshold question over a general probability table.
+
+    Entries may include the macro-only area, carry zero probability or
+    list no area; a file's masses may sum below 1; SCBS costs are non-zero
+    and caches may hold more than one file.  The threshold is drawn below
+    the cost of caching nothing, mostly, so both answers occur and most
+    witnesses cache something.
+    """
+    n = int(rng.integers(1, max_scbs + 1))
+    i = int(rng.integers(1, max_files + 1))
+    table = []
+    for _ in range(i):
+        entries = []
+        mass = 0.0
+        for _ in range(int(rng.integers(0, 4))):
+            k = int(rng.integers(1, n + 1))
+            areas = {int(a) + 1 for a in rng.choice(n, size=k, replace=False)}
+            if rng.random() < 0.2:
+                areas.add(0)
+            if rng.random() < 0.05:
+                areas = set()
+            areas = frozenset(areas)
+            pr = 0.0 if rng.random() < 0.15 else float(rng.uniform(0.0, 1.0 - mass))
+            mass += pr
+            entries.append((areas, pr))
+        table.append(tuple(entries))
+    cost_w = float(rng.uniform(0.2, 1.5))
+    c_mbs = float(rng.uniform(0.0, 1.0)) + cost_w
+    c = rng.uniform(0.05, 1.0, size=n) * cost_w / n
+    # the cost of caching nothing, which every other policy can only undercut
+    all_macro = sum(pr * c_mbs for entries in table for areas, pr in entries if areas)
+    return DecisionInstance(
+        num_scbs=n,
+        num_files=i,
+        cache_size=rng.integers(0, i + 1, size=n),
+        cost_backhaul=c_mbs - cost_w,
+        cost_mbs_tx=cost_w,
+        cost_scbs_tx=c,
+        deadline=1.0,
+        probabilities=tuple(table),
+        threshold=float(rng.uniform(0.4, 1.02)) * all_macro,
+    )

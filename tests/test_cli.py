@@ -5,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from macp import CachingPolicy, Instance, cost_closed_form
-from macp.cli import main
+from macp import CachingPolicy, Instance, SppInstance, cost_closed_form, spp_to_macdp
+from macp.cli import build_parser, main
 from helpers import motivating_instance, motivating_optimal_policy
 
 
@@ -215,6 +215,79 @@ class TestInputErrors:
         rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "inst.json")])
         assert rc == 2
         assert capsys.readouterr().err == "macp: error: ScenarioConfig: unknown field 'cach_size'\n"
+
+
+    def test_spp_missing_target_is_one_line_error(self, tmp_path, capsys):
+        spp = tmp_path / "spp.json"
+        spp.write_text(json.dumps({"elements": [1, 2], "subsets": [[1], [2]]}))
+        out = tmp_path / "dec.json"
+        assert main(["reduce", str(spp), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "macp: error: SppInstance: missing field 'target'\n"
+        assert not out.exists()
+        assert main(["decide", str(spp), "--problem", "spp"]) == 2
+        assert capsys.readouterr().err == "macp: error: SppInstance: missing field 'target'\n"
+
+    def test_decision_missing_threshold_is_one_line_error(self, tmp_path, capsys):
+        spp = SppInstance(frozenset({1, 2}), (frozenset({1}), frozenset({2})), 1)
+        data = spp_to_macdp(spp).to_dict()
+        del data["threshold"]
+        dec = tmp_path / "dec.json"
+        dec.write_text(json.dumps(data))
+        assert main(["decide", str(dec), "--problem", "macdp"]) == 2
+        assert capsys.readouterr().err == (
+            "macp: error: DecisionInstance: missing field 'threshold'\n"
+        )
+        # the check names the JSON keys: the table is ``prob_table``
+        data = spp_to_macdp(spp).to_dict()
+        data["probabilities"] = data.pop("prob_table")
+        dec.write_text(json.dumps(data))
+        assert main(["decide", str(dec), "--problem", "macdp"]) == 2
+        assert capsys.readouterr().err == (
+            "macp: error: DecisionInstance: unknown field 'probabilities'\n"
+        )
+
+
+class TestParserReuse:
+    def test_one_parser_gives_the_outputs_of_fresh_ones(self, tmp_path, capsys, instance_file):
+        dec = tmp_path / "dec.json"
+        dec.write_text(spp_to_macdp(SppInstance(
+            frozenset({1, 2, 3}), (frozenset({1}), frozenset({1, 2}), frozenset({2, 3})), 2
+        )).to_json())
+        commands = [
+            ["solve", str(instance_file), "--algorithm", "exact", "--out", "exact.json",
+             "--report", "exact.report.json"],
+            ["solve", str(instance_file), "--out", "plain.json", "--report", "plain.report.json"],
+            ["decide", str(dec)],
+            ["decide", str(dec), "--problem", "macdp", "--out", "macdp.json"],
+        ]
+
+        def run(directory, fresh):
+            directory.mkdir()
+            results = []
+            for argv in commands:
+                if fresh:
+                    build_parser.cache_clear()
+                argv = [str(directory / a) if a.endswith(".json") and "/" not in a else a
+                        for a in argv]
+                try:
+                    rc = main(argv)
+                except SystemExit as exc:
+                    rc = exc.code
+                captured = capsys.readouterr()
+                results.append((rc, captured.out, captured.err))
+            files = {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+            return results, files
+
+        shared = run(tmp_path / "shared", fresh=False)
+        assert build_parser() is build_parser()
+        fresh = run(tmp_path / "fresh", fresh=True)
+        assert shared == fresh
+        (exact_rc, _, _), (plain_rc, _, _), (bare_rc, _, bare_err), (macdp_rc, _, _) = shared[0]
+        assert (exact_rc, plain_rc, bare_rc, macdp_rc) == (0, 0, 2, 0)
+        assert "the following arguments are required: --problem" in bare_err
+        assert json.loads(shared[1]["exact.report.json"])["algorithm"] == "exact"
+        assert json.loads(shared[1]["plain.report.json"])["algorithm"] == "greedy"
+        assert json.loads(shared[1]["macdp.json"])["answer"] is True
 
 
 class TestConsoleEntry:

@@ -6,6 +6,7 @@ import pytest
 from macp import (
     CachingPolicy,
     CapacityError,
+    DecisionInstance,
     SppInstance,
     decision_cost,
     macdp_decide,
@@ -16,7 +17,7 @@ from macp import (
 )
 
 from macp.solvers import count_feasible_placements
-from helpers import random_spp
+from helpers import random_decision, random_spp, reference_macdp_decide
 
 FIG_SPP = SppInstance(
     elements=frozenset({1, 2, 3}),
@@ -85,6 +86,23 @@ class TestConstruction:
         assert back.threshold == dec.threshold
 
 
+class TestDecisionValidation:
+    def test_rejects_nan_costs_and_threshold(self):
+        data = spp_to_macdp(FIG_SPP).to_dict()
+        for key, value in [("cost_backhaul", float("nan")), ("cost_mbs_tx", float("nan")),
+                           ("cost_scbs_tx", [0.0, float("nan"), 0.0]),
+                           ("threshold", float("nan"))]:
+            with pytest.raises(ValueError):
+                DecisionInstance.from_dict({**data, key: value})
+
+    @pytest.mark.parametrize("file", [-1, 3])
+    def test_rejects_table_file_out_of_range(self, file):
+        data = spp_to_macdp(FIG_SPP).to_dict()
+        data["prob_table"][0]["file"] = file
+        with pytest.raises(ValueError, match=f"prob_table file {file} outside 0..2"):
+            DecisionInstance.from_dict(data)
+
+
 class TestDecisionCost:
     def test_worst_case_cost_is_one(self):
         dec = spp_to_macdp(FIG_SPP)
@@ -134,6 +152,29 @@ class TestMacdpDecide:
         with pytest.raises(CapacityError, match=f"^{space} feasible placements exceed"):
             macdp_decide(dec, max_policies=space - 1)
         assert macdp_decide(dec, max_policies=space)[0]
+
+
+    def test_matches_scalar_reference_on_general_tables(self):
+        rng = np.random.default_rng(67)
+        decisions = [random_decision(rng) for _ in range(300)]
+        yes = 0
+        for dec in decisions:
+            answer, witness = macdp_decide(dec)
+            expect, placement = reference_macdp_decide(dec)
+            assert answer == expect, dec
+            if answer:
+                yes += 1
+                assert np.array_equal(witness.placement, placement), dec
+                assert decision_cost(dec, witness) <= dec.threshold + 1e-9
+        assert 60 <= yes <= 240
+        # the draws cover what the reduction never produces
+        entries = [e for dec in decisions for file in dec.probabilities for e in file]
+        assert sum(0 in areas for areas, pr in entries if pr > 0) >= 30
+        assert sum(pr == 0.0 for areas, pr in entries) >= 10
+        assert sum(sum(pr for _, pr in file) < 0.9 for dec in decisions
+                   for file in dec.probabilities) >= 30
+        assert sum((dec.cache_size > 1).any() for dec in decisions) >= 30
+        assert all((dec.cost_scbs_tx > 0).all() for dec in decisions)
 
 
 class TestSppDecide:

@@ -11,15 +11,23 @@ from macp import (
     generate_scenario,
     greedy_macp,
     local_search,
+    macdp_decide,
     marginal_cost,
     popularity_placement,
+    spp_to_macdp,
 )
-from macp.solvers import count_feasible_placements
+import macp.solvers as solvers_module
+from macp.cost import _area_rates, _cached_split, _file_terms
+from macp.solvers import count_feasible_placements, iter_feasible_placements
 from helpers import (
     motivating_instance,
     motivating_optimal_policy,
+    random_decision,
     random_instance,
     random_policy,
+    random_spp,
+    reference_exact_optimal,
+    reference_feasible_placements,
 )
 
 
@@ -307,3 +315,102 @@ class TestLocalSearch:
             a = local_search(inst, start)
             b = local_search(inst, start)
             assert np.array_equal(a.placement, b.placement)
+
+
+def _exhaustive_cases(seed: int, count: int) -> list[Instance]:
+    """Random tiny instances plus the edge cases of the block scan.
+
+    Caches are capped at 2 and may be 0; a few instances have every cache
+    at 0, a few duplicate a file (exact ties between mirror placements),
+    two have no demand at all (every placement ties), and a few have one
+    file and nine SCBSs, where numpy sums the rates pairwise.
+    """
+    rng = np.random.default_rng(seed)
+    cases = [
+        _capped(random_instance(rng, max_scbs=3, max_files=4, heavy_scbs_costs=k % 2 == 1), 2)
+        for k in range(count)
+    ]
+    mirrored = [inst for inst in cases if inst.num_files > 1][:8]
+    for k, inst in enumerate(cases[:4] + mirrored):
+        sizes = np.zeros(inst.num_scbs, dtype=int) if k < 4 else inst.cache_size
+        demand = inst.demand.copy()
+        if k >= 4:
+            demand[:, -1] = demand[:, 0]
+        cases.append(Instance(inst.num_scbs, inst.num_files, sizes, inst.cost_backhaul,
+                              inst.cost_mbs_tx, inst.cost_scbs_tx, demand, inst.deadline))
+    cases.append(Instance(2, 3, [1, 2], 1, 1, [0.5, 0.5], np.zeros((3, 3)), 1.0))
+    cases.append(Instance(3, 2, [1, 1, 2], 0.5, 1, [0, 0.2, 0.4], np.zeros((4, 2)), 2.0))
+    for _ in range(4):
+        demand = rng.uniform(0.0, 2.0, size=(10, 1)) * 10.0 ** rng.integers(-6, 1, size=(10, 1))
+        cases.append(Instance(9, 1, rng.integers(0, 2, size=9), 0.4, 0.8,
+                              rng.uniform(0.0, 0.8, size=9), demand, 1.3))
+    return cases
+
+
+class TestExhaustiveBlocks:
+    def test_exact_matches_scalar_reference(self):
+        cases = _exhaustive_cases(71, 200)
+        ties = 0
+        for inst in cases:
+            report = exact_optimal(inst)
+            placement, evaluations, best_cost = reference_exact_optimal(inst)
+            assert np.array_equal(report.policy.placement, placement), inst
+            assert report.evaluations == evaluations
+            c_mbs, rate_mbs, rate, local_cost = _area_rates(inst)
+            split = _cached_split(rate_mbs, rate, local_cost, report.policy.placement.astype(bool))
+            assert float(_file_terms(c_mbs, *split).sum()) == best_cost
+            demand = inst.demand
+            ties += demand.shape[1] > 1 and np.array_equal(demand[:, 0], demand[:, -1])
+        assert ties >= 8
+
+    def test_every_policy_scored_as_the_scalar_split(self, monkeypatch):
+        # the per-policy inputs of _file_terms equal _cached_split's for the
+        # same placement bit for bit, including the pairwise single-file sum
+        seen = []
+
+        def recording(c_mbs, rate_out, local, *rest):
+            seen.append((rate_out, local))
+            return _file_terms(c_mbs, rate_out, local, *rest)
+
+        monkeypatch.setattr(solvers_module, "_file_terms", recording)
+        monkeypatch.setattr(solvers_module, "_BLOCK", 100)
+        for inst in _exhaustive_cases(83, 40)[-24:]:
+            seen.clear()
+            exact_optimal(inst)
+            rate_out = np.concatenate([r for r, _ in seen])
+            local = np.concatenate([c for _, c in seen])
+            c_mbs, rate_mbs, rate, local_cost = _area_rates(inst)
+            placements = reference_feasible_placements(inst.num_files, inst.cache_size)
+            for k, rows in enumerate(placements):
+                want = _cached_split(rate_mbs, rate, local_cost, np.array(rows, dtype=bool))
+                assert np.array_equal(rate_out[k], want[0]), (inst, k)
+                assert np.array_equal(local[k], want[1]), (inst, k)
+
+    def test_tuple_view_matches_reference_enumerator(self):
+        for num_files, sizes in [(1, [0]), (3, [1, 2]), (4, [0, 4, 2]), (5, [3])]:
+            assert list(iter_feasible_placements(num_files, sizes)) == list(
+                reference_feasible_placements(num_files, sizes)
+            )
+
+    def test_block_boundary_does_not_change_result(self, monkeypatch):
+        # exact ties (no demand, mirrored files) must still go to the first
+        # placement when they fall in different blocks
+        instances = [
+            inst for inst in _exhaustive_cases(73, 30)
+            if count_feasible_placements(inst.num_files, inst.cache_size) <= 600
+        ]
+        rng = np.random.default_rng(79)
+        decisions = [random_decision(rng, max_files=3) for _ in range(30)]
+        decisions += [spp_to_macdp(random_spp(rng, 3, 4)) for _ in range(30)]
+        default = solvers_module._BLOCK
+        runs = []
+        for block in (default, 1, 7):
+            monkeypatch.setattr(solvers_module, "_BLOCK", block)
+            exact = [exact_optimal(inst) for inst in instances]
+            decided = [macdp_decide(dec) for dec in decisions]
+            runs.append((
+                [(r.policy.placement.tolist(), r.evaluations) for r in exact],
+                [(a, None if w is None else w.placement.tolist()) for a, w in decided],
+            ))
+        assert runs[1] == runs[0], "block 1 differs from the default"
+        assert runs[2] == runs[0], "block 7 differs from the default"
