@@ -52,13 +52,9 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
-    data: dict = {}
-    if args.config is not None:
-        data.update(json.loads(args.config.read_text()))
-    for name, _ in _SCENARIO_FLAGS:
-        value = getattr(args, name)
-        if value is not None:
-            data[name] = value
+    data = json.loads(args.config.read_text()) if args.config is not None else {}
+    if isinstance(data, dict):  # anything else fails ScenarioConfig's own check
+        data.update({k: v for k, _ in _SCENARIO_FLAGS if (v := getattr(args, k)) is not None})
     return ScenarioConfig.from_dict(data)
 
 

@@ -142,6 +142,11 @@ def _cached_split(rate_mbs, rate, local_cost, cached):
     return rate_out, np.where(cached, local_cost, 0.0).sum(axis=0)
 
 
+def _split_cost(c_mbs: float, rate_out, local) -> CostBreakdown:
+    """The objective, split by transmitter, from a ``_cached_split``."""
+    return _breakdown(_file_terms(c_mbs, rate_out, 0.0), _file_terms(0.0, rate_out, local))
+
+
 def cost_closed_form(instance: Instance, policy: CachingPolicy) -> CostBreakdown:
     """Exact objective in O(N * I), factored over independent areas.
 
@@ -154,7 +159,7 @@ def cost_closed_form(instance: Instance, policy: CachingPolicy) -> CostBreakdown
     policy.check_feasible(instance)
     c_mbs, rate_mbs, rate, local_cost = _area_rates(instance)
     rate_out, local = _cached_split(rate_mbs, rate, local_cost, policy.placement.astype(bool))
-    return _breakdown(_file_terms(c_mbs, rate_out, 0.0), _file_terms(0.0, rate_out, local))
+    return _split_cost(c_mbs, rate_out, local)
 
 
 def marginal_cost(

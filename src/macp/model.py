@@ -19,6 +19,8 @@ from typing import Iterable
 import numpy as np
 
 MBS_AREA = 0
+# The types of the JSON values a field of each kind takes (a bool is no number).
+_JSON_KINDS = {"int": (int,), "float": (int, float), "str": (str,), "list": (list,)}
 
 
 def request_probability(rate: float, deadline: float) -> float:
@@ -40,14 +42,19 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def check_keys(kind: str, data: dict, required, optional=()) -> None:
-    """Raise ValueError naming the first unknown, then the first missing, JSON key."""
+def check_keys(kind: str, data: dict, required, optional=(), kinds=()) -> None:
+    """Raise ValueError naming the first unknown, missing or (per ``kinds``) mistyped key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{kind}: expected a JSON object, got {type(data).__name__}")
     unknown = sorted(set(data) - set(required) - set(optional))
     if unknown:
         raise ValueError(f"{kind}: unknown field {unknown[0]!r}")
     for name in required:
         if name not in data:
             raise ValueError(f"{kind}: missing field {name!r}")
+    for name, want in dict(kinds).items():
+        if name in data and type(data[name]) not in _JSON_KINDS[want]:
+            raise ValueError(f"{kind}: field {name!r} must be {want}, got {data[name]!r}")
 
 
 class Record:
@@ -76,7 +83,8 @@ class Record:
     def from_dict(cls, data: dict):
         fields = dataclasses.fields(cls)
         required = [f.name for f in fields if f.default is dataclasses.MISSING]
-        check_keys(cls.__name__, data, required, [f.name for f in fields if f.name not in required])
+        check_keys(cls.__name__, data, required, [f.name for f in fields if f.name not in required],
+                   {f.name: f.type for f in fields if f.type in _JSON_KINDS})
         return cls(**data)
 
     def to_json(self) -> str:

@@ -23,9 +23,11 @@ from .solvers import DEFAULT_POLICY_CAP, _placement_blocks, _placement_tables
 DEFAULT_SELECTION_CAP = 20
 COST_SLACK = 1e-9
 # The JSON keys of a decision instance (``to_dict``), which names its table
-# ``prob_table``.
-_DECISION_KEYS = ("num_scbs", "num_files", "cache_size", "cost_backhaul", "cost_mbs_tx",
-                  "cost_scbs_tx", "deadline", "prob_table", "threshold")
+# ``prob_table``, and of one table entry, with the kind of each value.
+_DECISION_KEYS = {"num_scbs": "int", "num_files": "int", "cache_size": "list",
+                  "cost_backhaul": "float", "cost_mbs_tx": "float", "cost_scbs_tx": "list",
+                  "deadline": "float", "prob_table": "list", "threshold": "float"}
+_ENTRY_KEYS = {"file": "int", "areas": "list", "prob": "float"}
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,10 @@ class SppInstance(Record):
 
     @classmethod
     def from_dict(cls, data: dict) -> "SppInstance":
-        check_keys(cls.__name__, data, ("elements", "subsets", "target"))
+        keys = {"elements": "list", "subsets": "list", "target": "int"}
+        check_keys(cls.__name__, data, keys, kinds=keys)
+        if not all(isinstance(s, list) for s in data["subsets"]):
+            raise ValueError(f"{cls.__name__}: every subset must be a list")
         return cls(
             elements=frozenset(data["elements"]),
             subsets=tuple(frozenset(s) for s in data["subsets"]),
@@ -151,12 +156,12 @@ class DecisionInstance(Record):
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecisionInstance":
-        check_keys(cls.__name__, data, _DECISION_KEYS)
+        check_keys(cls.__name__, data, _DECISION_KEYS, kinds=_DECISION_KEYS)
         table: list[list[tuple[frozenset[int], float]]] = [
             [] for _ in range(data["num_files"])
         ]
         for entry in data["prob_table"]:
-            check_keys(f"{cls.__name__} prob_table entry", entry, ("file", "areas", "prob"))
+            check_keys(f"{cls.__name__} prob_table entry", entry, _ENTRY_KEYS, kinds=_ENTRY_KEYS)
             if not 0 <= entry["file"] < len(table):
                 raise ValueError(
                     f"{cls.__name__}: prob_table file {entry['file']} outside 0..{len(table) - 1}"

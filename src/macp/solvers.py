@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .cost import _area_rates, _cached_split, _file_terms, cost_closed_form
+from .cost import _area_rates, _cached_split, _file_terms, _split_cost
 from .errors import CapacityError
 from .model import CachingPolicy, Instance
 
@@ -50,13 +50,14 @@ def greedy_macp(instance: Instance) -> SolverReport:
 
     The objective is a sum of per-file terms, so the gain of caching file
     f at SCBS n depends on file f's column only.  Each file's term is kept
-    in the rate-sum form of ``_file_terms``: the rate outside its
-    cached set and the local cost of its cached SCBSs.  The gain matrix is
-    evaluated once; a commit of (n, f) then recomputes file f's rate and
-    local cost from fresh sums over its column (not running differences) and
-    re-evaluates column f only.  When the commit fills SCBS n, row n leaves
-    the running.  That is O(N * I) work once and O(N + I) per commit, plus
-    O(N * I) for each of at most N rows that fill.
+    in the rate-sum form of ``_file_terms``: the rate outside its cached set
+    and the local cost of its cached SCBSs.  After the gain matrix is
+    evaluated once, commits come in runs of one file f: while no other
+    file's best gain is within the tie limit and no SCBS fills, f is
+    committed again at its first row within the limit and only column f is
+    re-scored, in plain Python, from fresh sums (not running differences).
+    A fill, a tie or a NaN ends the run; the next pick is global.  That is
+    O(N * I) work once, O(N + I) per commit and O(N * I) per filled row.
 
     Tie rule: the eligible candidates are those whose gain is within
     ``1e-12 * max(1, |objective|)`` of the minimal gain, the objective
@@ -90,9 +91,9 @@ def greedy_macp(instance: Instance) -> SolverReport:
     best = gain.min(axis=1)
     evaluations = int(np.count_nonzero(allowed))
 
-    rate_rows, local_rows = rate.tolist(), local_cost.tolist()
+    rate_mbs, rate_rows, local_rows = rate_mbs.tolist(), rate.tolist(), local_cost.tolist()
     trace: list[tuple[int, int, int, float]] = []
-    for iteration in range(1, sum(sizes) + 1):
+    while len(trace) < sum(sizes):
         file = int(best.argmin())
         limit = best[file] + 1e-12 * max(1.0, abs(total))
         # another file within the limit is rare; only then scan them all
@@ -103,38 +104,41 @@ def greedy_macp(instance: Instance) -> SolverReport:
                 (int((gain[f] <= limit).argmax()), f)
                 for f in np.flatnonzero(best <= limit).tolist()
             )
-        cached[file, row] = True
-        allowed[file, row] = False
-        fill[row] += 1
-
-        # the file's term from fresh sums over its column: a running
-        # difference would keep a residue of every rate taken out
-        column_cached = cached[file]
-        rate_out_f = float(rate_mbs[file]) + math.fsum(rate[file][~column_cached].tolist())
-        local_f = math.fsum(local_cost[file][column_cached].tolist())
-        term_f = _file_terms(c_mbs, rate_out_f, local_f, math.expm1)
-        terms[file] = term_f
-        total = float(terms.sum())
-        trace.append((iteration, row + 1, file, total))
-
-        full = fill[row] == sizes[row]
+        # the other files' gains hold while only this file's column changes
+        best[file] = np.inf
+        others = float(best.min())
+        open_rows, rates, costs = allowed[file].tolist(), rate_rows[file], local_rows[file]
+        outside = [r for r, c in zip(rates, cached[file].tolist()) if not c]
+        inside = [v for v, c in zip(costs, cached[file].tolist()) if c]
+        while True:
+            cached[file, row], open_rows[row] = True, False
+            fill[row] += 1
+            outside.remove(rates[row])
+            inside.append(costs[row])
+            # the file's term from fresh sums over its column: a running
+            # difference would keep a residue of every rate taken out
+            rate_out_f = rate_mbs[file] + math.fsum(outside)
+            local_f = math.fsum(inside)
+            term_f = terms[file] = _file_terms(c_mbs, rate_out_f, local_f, math.expm1)
+            total = float(terms.sum())
+            trace.append((len(trace) + 1, row + 1, file, total))
+            # at most N cells, scored one by one: cheaper than numpy calls on them
+            column = [_file_terms(c_mbs, rate_out_f - r, local_f + v, math.expm1) - term_f
+                      if ok else math.inf for r, v, ok in zip(rates, costs, open_rows)]
+            evaluations += open_rows.count(True)
+            full = fill[row] == sizes[row]
+            best_f = min(column)
+            limit = best_f + 1e-12 * max(1.0, abs(total))
+            # the global path's pick while no other file is within the limit
+            if full or not others > limit:
+                break
+            # the first row within the limit; filter and index scan in C
+            row = column.index(next(filter(limit.__ge__, column)))
+        allowed[file], gain[file], best[file] = open_rows, column, best_f
         if full:
             allowed[:, row] = False
             gain[:, row] = np.inf
-        # at most N cells, scored one by one: cheaper than numpy calls on them
-        rates, costs = rate_rows[file], local_rows[file]
-        column = [math.inf] * n
-        for k, ok in enumerate(allowed[file].tolist()):
-            if ok:
-                column[k] = _file_terms(
-                    c_mbs, rate_out_f - rates[k], local_f + costs[k], math.expm1
-                ) - term_f
-                evaluations += 1
-        gain[file] = column
-        if full:
             best = gain.min(axis=1)
-        else:
-            best[file] = min(column)
 
     policy = CachingPolicy(cached.T.astype(np.int8))
     return SolverReport(policy=policy, trace=tuple(trace), evaluations=evaluations)
@@ -171,10 +175,13 @@ def local_search(instance: Instance, policy: CachingPolicy) -> CachingPolicy:
 
     Per-file terms are separable, so every move is scored exactly from each
     file's request rate outside the cached set and its local serving cost,
-    adding or removing one area's ``d * lambda``.  The best-scoring move is
-    taken only when it strictly lowers ``cost_closed_form``; otherwise the
-    search stops, so it always ends.  Ties go to a swap over a completion,
-    then to the smallest SCBS, then to the smallest file.
+    adding or removing one area's ``d * lambda``.  Those rates and costs,
+    the file terms and each cell's toggle change are kept between steps, and
+    a move recomputes only the columns it touched.  The best-scoring move is
+    taken only when it strictly lowers the objective, computed as
+    ``cost_closed_form`` does; otherwise the search stops, so it always ends.
+    Ties go to a swap over a completion, then to the smallest SCBS, then to
+    the smallest file.
     """
     policy.check_feasible(instance)
     c_mbs, rate_mbs, rate, local_cost = _area_rates(instance)
@@ -185,16 +192,16 @@ def local_search(instance: Instance, policy: CachingPolicy) -> CachingPolicy:
     rows = np.arange(instance.num_scbs)
 
     cached = policy.placement.astype(bool)
-    best = cost_closed_form(instance, policy).total
+    rate_out, local = _cached_split(rate_mbs, rate, local_cost, cached)
+    best = _split_cost(c_mbs, rate_out, local).total
+    terms, toggle, touched = np.empty_like(local), np.empty_like(rate), np.arange(local.size)
     while True:
-        rate_out, local = _cached_split(rate_mbs, rate, local_cost, cached)
-        terms = _file_terms(c_mbs, rate_out, local)
-        # change of each file's term when one cell is toggled
-        toggle = _file_terms(
-            c_mbs,
-            rate_out + np.where(cached, rate, -rate),
-            local + np.where(cached, -local_cost, local_cost),
-        ) - terms
+        # the touched files' terms, and their change when one cell is toggled
+        on, r, c = (a.take(touched, axis=1) for a in (cached, rate, local_cost))
+        t = terms[touched] = _file_terms(c_mbs, rate_out[touched], local[touched])
+        toggle[:, touched] = _file_terms(
+            c_mbs, rate_out[touched] + np.where(on, r, -r), local[touched] + np.where(on, -c, c)
+        ) - t
         drop = np.where(cached, toggle, np.inf)
         add = np.where(cached, np.inf, toggle)
 
@@ -213,10 +220,10 @@ def local_search(instance: Instance, policy: CachingPolicy) -> CachingPolicy:
             c_mbs, rate_bare, local + np.where(lacks, local_cost, 0.0).sum(axis=0)
         ) - terms
         freed = np.unique(out[full & has_cache])
-        dropping = (lacks & full[:, None]).astype(np.float64)
+        dropping = (lacks & full[:, None]).astype(np.float64).T
         onehot = out[:, None] == freed
-        extra_rate = np.einsum("nf,nk->fk", dropping, onehot * rate[rows, out][:, None])
-        extra_local = np.einsum("nf,nk->fk", dropping, onehot * local_cost[rows, out][:, None])
+        extra_rate = dropping @ (onehot * rate[rows, out][:, None])
+        extra_local = dropping @ (onehot * local_cost[rows, out][:, None])
         cover += (
             _file_terms(c_mbs, rate_out[freed] + extra_rate, local[freed] - extra_local)
             - terms[freed]
@@ -228,6 +235,7 @@ def local_search(instance: Instance, policy: CachingPolicy) -> CachingPolicy:
         if swap[row] <= cover[file]:
             if not swap[row] < 0.0:
                 break
+            moved = {into[row], out[row]}
             if not use_free[row]:
                 x[row, out[row]] = False
             x[row, into[row]] = True
@@ -235,9 +243,16 @@ def local_search(instance: Instance, policy: CachingPolicy) -> CachingPolicy:
             if not cover[file] < 0.0:
                 break
             drops = full & lacks[:, file]
+            moved = {file, *out[drops]}
             x[drops, out[drops]] = False
             x[lacks[:, file], file] = True
-        cost = cost_closed_form(instance, CachingPolicy(x.astype(np.int8))).total
+        assert (x.sum(axis=1) <= sizes).all(), "a move overfilled a cache"
+        # as in a full split: numpy adds 2+ C-ordered columns row by row (``_row_sum``)
+        touched = np.array(sorted(moved | {0, local.size - 1}))
+        rate_out[touched], local[touched] = _cached_split(
+            rate_mbs[touched], *(a.take(touched, axis=1) for a in (rate, local_cost, x))
+        )
+        cost = _split_cost(c_mbs, rate_out, local).total
         if not cost < best:
             break
         cached, best = x, cost
@@ -284,8 +299,9 @@ def _placement_blocks(tables) -> Iterator[tuple[int, list[np.ndarray]]]:
         k = np.arange(start, min(start + _BLOCK, space))
         rows = []
         for r in reversed(radix):
-            k, digit = np.divmod(k, r)
-            rows.append(digit)
+            quotient = k // r  # numpy divides by a scalar with libdivide; divmod does not
+            rows.append(k - quotient * r)
+            k = quotient
         yield min(_BLOCK, space - start), rows[::-1]
 
 

@@ -5,8 +5,8 @@ import math
 
 import numpy as np
 
-from macp import CachingPolicy, DecisionInstance, Instance, SppInstance
-from macp.cost import _area_rates, _cached_split, _file_terms
+from macp import CachingPolicy, DecisionInstance, Instance, SolverReport, SppInstance
+from macp.cost import _area_rates, _cached_split, _file_terms, cost_closed_form
 from macp.reduction import COST_SLACK
 
 # Two-SCBS, three-file walkthrough instance: unit macro cost, free SCBS
@@ -224,3 +224,154 @@ def random_decision(
         probabilities=tuple(table),
         threshold=float(rng.uniform(0.4, 1.02)) * all_macro,
     )
+
+
+# Reference solvers: the step-by-step loops that ``greedy_macp`` and
+# ``local_search`` replaced.  The greedy re-picked globally after every
+# commit; the local search re-scored every column and called
+# ``cost_closed_form`` on a fresh policy each step.  The library must agree
+# with them bit for bit (greedy) and placement for placement (local search).
+
+
+def reference_greedy_macp(instance: Instance) -> SolverReport:
+    """The greedy loop that ``greedy_macp`` ran before it committed files in runs."""
+    n, i = instance.num_scbs, instance.num_files
+    sizes = instance.cache_size.tolist()
+    c_mbs, rate_mbs, rate, local_cost = _area_rates(instance)
+    # file-major (I, N) layout, so a file's column is one contiguous row
+    rate, local_cost = rate.T.copy(), local_cost.T.copy()
+    cached = np.zeros((i, n), dtype=bool)
+    fill = [0] * n
+    # allowed[f, n]: f is not cached at n and n's cache has room
+    has_cache = instance.cache_size > 0
+    allowed = np.zeros((i, n), dtype=bool)
+    allowed[:, has_cache] = True
+
+    rate_out = rate_mbs + rate.sum(axis=1)
+    terms = _file_terms(c_mbs, rate_out, 0.0)
+    total = float(terms.sum())
+    gain = np.full((i, n), np.inf)
+    gain[:, has_cache] = _file_terms(
+        c_mbs, rate_out[:, None] - rate[:, has_cache], local_cost[:, has_cache]
+    ) - terms[:, None]
+    best = gain.min(axis=1)
+    evaluations = int(np.count_nonzero(allowed))
+
+    rate_rows, local_rows = rate.tolist(), local_cost.tolist()
+    trace: list[tuple[int, int, int, float]] = []
+    for iteration in range(1, sum(sizes) + 1):
+        file = int(best.argmin())
+        limit = best[file] + 1e-12 * max(1.0, abs(total))
+        # another file within the limit is rare; only then scan them all
+        if np.count_nonzero(best <= limit) == 1:
+            row = int((gain[file] <= limit).argmax())
+        else:
+            row, file = min(
+                (int((gain[f] <= limit).argmax()), f)
+                for f in np.flatnonzero(best <= limit).tolist()
+            )
+        cached[file, row] = True
+        allowed[file, row] = False
+        fill[row] += 1
+
+        # the file's term from fresh sums over its column: a running
+        # difference would keep a residue of every rate taken out
+        column_cached = cached[file]
+        rate_out_f = float(rate_mbs[file]) + math.fsum(rate[file][~column_cached].tolist())
+        local_f = math.fsum(local_cost[file][column_cached].tolist())
+        term_f = _file_terms(c_mbs, rate_out_f, local_f, math.expm1)
+        terms[file] = term_f
+        total = float(terms.sum())
+        trace.append((iteration, row + 1, file, total))
+
+        full = fill[row] == sizes[row]
+        if full:
+            allowed[:, row] = False
+            gain[:, row] = np.inf
+        # at most N cells, scored one by one: cheaper than numpy calls on them
+        rates, costs = rate_rows[file], local_rows[file]
+        column = [math.inf] * n
+        for k, ok in enumerate(allowed[file].tolist()):
+            if ok:
+                column[k] = _file_terms(
+                    c_mbs, rate_out_f - rates[k], local_f + costs[k], math.expm1
+                ) - term_f
+                evaluations += 1
+        gain[file] = column
+        if full:
+            best = gain.min(axis=1)
+        else:
+            best[file] = min(column)
+
+    policy = CachingPolicy(cached.T.astype(np.int8))
+    return SolverReport(policy=policy, trace=tuple(trace), evaluations=evaluations)
+
+
+def reference_local_search(instance: Instance, policy: CachingPolicy) -> CachingPolicy:
+    """The full-rescore ``local_search``: every column and a fresh ``cost_closed_form`` per step."""
+    policy.check_feasible(instance)
+    c_mbs, rate_mbs, rate, local_cost = _area_rates(instance)
+    sizes = instance.cache_size
+    has_cache = sizes > 0
+    # rate no completion can cover: areas without any cache
+    rate_bare = rate_mbs + rate[~has_cache].sum(axis=0)
+    rows = np.arange(instance.num_scbs)
+
+    cached = policy.placement.astype(bool)
+    best = cost_closed_form(instance, policy).total
+    while True:
+        rate_out, local = _cached_split(rate_mbs, rate, local_cost, cached)
+        terms = _file_terms(c_mbs, rate_out, local)
+        # change of each file's term when one cell is toggled
+        toggle = _file_terms(
+            c_mbs,
+            rate_out + np.where(cached, rate, -rate),
+            local + np.where(cached, -local_cost, local_cost),
+        ) - terms
+        drop = np.where(cached, toggle, np.inf)
+        add = np.where(cached, np.inf, toggle)
+
+        # cheapest slot to free per SCBS; a free slot costs nothing
+        out = drop.argmin(axis=1)
+        out_delta = drop[rows, out]
+        full = cached.sum(axis=1) >= sizes
+        use_free = ~full & ~(out_delta < 0.0)
+        into = add.argmin(axis=1)
+        swap = np.where(use_free, 0.0, out_delta) + add[rows, into]
+
+        # completions: the full SCBSs lacking f each drop their file out[n],
+        # so the drops are grouped by file before scoring
+        lacks = ~cached & has_cache[:, None]
+        cover = _file_terms(
+            c_mbs, rate_bare, local + np.where(lacks, local_cost, 0.0).sum(axis=0)
+        ) - terms
+        freed = np.unique(out[full & has_cache])
+        dropping = (lacks & full[:, None]).astype(np.float64)
+        onehot = out[:, None] == freed
+        extra_rate = np.einsum("nf,nk->fk", dropping, onehot * rate[rows, out][:, None])
+        extra_local = np.einsum("nf,nk->fk", dropping, onehot * local_cost[rows, out][:, None])
+        cover += (
+            _file_terms(c_mbs, rate_out[freed] + extra_rate, local[freed] - extra_local)
+            - terms[freed]
+        ).sum(axis=1)
+
+        row = int(swap.argmin())
+        file = int(cover.argmin())
+        x = cached.copy()
+        if swap[row] <= cover[file]:
+            if not swap[row] < 0.0:
+                break
+            if not use_free[row]:
+                x[row, out[row]] = False
+            x[row, into[row]] = True
+        else:
+            if not cover[file] < 0.0:
+                break
+            drops = full & lacks[:, file]
+            x[drops, out[drops]] = False
+            x[lacks[:, file], file] = True
+        cost = cost_closed_form(instance, CachingPolicy(x.astype(np.int8))).total
+        if not cost < best:
+            break
+        cached, best = x, cost
+    return CachingPolicy(cached.astype(np.int8))

@@ -246,6 +246,39 @@ class TestInputErrors:
             "macp: error: DecisionInstance: unknown field 'probabilities'\n"
         )
 
+    def test_spp_subset_not_a_list_is_one_line_error(self, tmp_path, capsys):
+        spp = tmp_path / "spp.json"
+        spp.write_text(json.dumps({"elements": [0, 1, 2], "subsets": [1, 2], "target": 1}))
+        out = tmp_path / "dec.json"
+        assert main(["reduce", str(spp), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "macp: error: SppInstance: every subset must be a list\n"
+        assert not out.exists()
+
+    def test_decision_string_count_is_one_line_error(self, tmp_path, capsys):
+        spp = SppInstance(frozenset({1, 2}), (frozenset({1}), frozenset({2})), 1)
+        data = spp_to_macdp(spp).to_dict()
+        data["num_files"] = "2"
+        dec = tmp_path / "dec.json"
+        dec.write_text(json.dumps(data))
+        assert main(["decide", str(dec), "--problem", "macdp"]) == 2
+        assert capsys.readouterr().err == (
+            "macp: error: DecisionInstance: field 'num_files' must be int, got '2'\n"
+        )
+
+    @pytest.mark.parametrize("config, message", [
+        ({"seed": "x"}, "ScenarioConfig: field 'seed' must be int, got 'x'"),
+        ([1, 2], "ScenarioConfig: expected a JSON object, got list"),
+    ])
+    def test_sweep_config_of_wrong_type_is_one_line_error(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--config", str(cfg), "--axis", "cache_size", "--values", "1",
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"macp: error: {message}\n"
+        assert not out.exists()
+
 
 class TestParserReuse:
     def test_one_parser_gives_the_outputs_of_fresh_ones(self, tmp_path, capsys, instance_file):

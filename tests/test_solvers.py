@@ -16,8 +16,9 @@ from macp import (
     popularity_placement,
     spp_to_macdp,
 )
+import helpers
 import macp.solvers as solvers_module
-from macp.cost import _area_rates, _cached_split, _file_terms
+from macp.cost import _area_rates, _cached_split, _file_terms, _split_cost
 from macp.solvers import count_feasible_placements, iter_feasible_placements
 from helpers import (
     motivating_instance,
@@ -28,6 +29,8 @@ from helpers import (
     random_spp,
     reference_exact_optimal,
     reference_feasible_placements,
+    reference_greedy_macp,
+    reference_local_search,
 )
 
 
@@ -136,6 +139,28 @@ class TestGreedy:
         assert a.evaluations == b.evaluations
         assert np.array_equal(a.policy.placement, b.policy.placement)
 
+    def test_matches_stepwise_reference(self):
+        # committing a file's run without global picks gives the placement,
+        # trace and evaluations of the loop that re-picked after every commit
+        for inst in _equivalence_cases(61):
+            _assert_same_greedy(inst)
+
+    @pytest.mark.parametrize("event, inst", [
+        # file 1 then file 2 at SCBS 1, whose cache still has room
+        ("cut", Instance(2, 3, [2, 2], 0.5, 0.5, [0.0, 0.0],
+                         [[0, 0, 0], [2, 1, 0.3], [2, 0, 0.3]], 1.0)),
+        # file 0 at SCBS 1, which that commit fills, then at SCBS 2
+        ("fill", Instance(2, 2, [1, 2], 0.5, 0.5, [0.0, 0.0],
+                          [[0, 0], [0.5, 2], [0.5, 2]], 1.0)),
+        # after file 0 at SCBSs 1 and 2, its last cell (no demand at SCBS 3)
+        # gains exactly 0, as does every cell of the requestless file 1
+        ("tie", Instance(3, 2, [2, 2, 2], 0.5, 0.5, [0.1, 0.1, 0.1],
+                         [[0, 0], [2, 0], [2, 0], [0, 0]], 1.0)),
+    ])
+    def test_run_cut_filled_or_tied_mid_run(self, event, inst):
+        assert event in _run_events(inst)
+        _assert_same_greedy(inst)
+
 
 def _saturated(rng: np.random.Generator, inst: Instance) -> Instance:
     """The instance with about a third of its rates raised to lambda * d = 1e3."""
@@ -143,6 +168,78 @@ def _saturated(rng: np.random.Generator, inst: Instance) -> Instance:
     demand[rng.random(demand.shape) < 0.35] = 1e3 / inst.deadline
     return Instance(inst.num_scbs, inst.num_files, inst.cache_size, inst.cost_backhaul,
                     inst.cost_mbs_tx, inst.cost_scbs_tx, demand, inst.deadline)
+
+
+def _equivalence_cases(seed: int) -> list[Instance]:
+    """Instances on which a solver must match its step-by-step reference.
+
+    1,000 ``random_instance``s, half with heavy SCBS costs (caches are
+    drawn from 0..I, so zero and unequal caches are common); 200 of them
+    again with about a third of the rates saturated at lambda * d = 1e3;
+    100 with 9 to 14 SCBSs, where numpy sums a lone column pairwise, a
+    quarter of them with one file; and generated instances, the paper's
+    defaults among them.
+    """
+    rng = np.random.default_rng(seed)
+    cases = [random_instance(rng, heavy_scbs_costs=k % 2 == 1) for k in range(1000)]
+    cases += [_saturated(rng, inst) for inst in cases[:200]]
+    for k in range(100):
+        inst = random_instance(rng, max_scbs=14, heavy_scbs_costs=k % 2 == 1)
+        n = int(rng.integers(9, 15))
+        i = 1 if k % 4 == 0 else inst.num_files
+        cases.append(Instance(n, i, rng.integers(0, i + 1, size=n), inst.cost_backhaul,
+                              inst.cost_mbs_tx, rng.uniform(0.0, inst.cost_mbs_tx, size=n),
+                              rng.uniform(0.0, 2.0, size=(n + 1, i)), inst.deadline))
+    cases += [
+        generate_scenario(ScenarioConfig(num_scbs=5, num_files=30, cache_size=6, seed=s))
+        for s in range(3)
+    ]
+    cases.append(generate_scenario(ScenarioConfig(seed=0)))
+    return cases
+
+
+def _assert_same_greedy(inst: Instance) -> None:
+    report, reference = greedy_macp(inst), reference_greedy_macp(inst)
+    assert report.trace == reference.trace, inst
+    assert report.evaluations == reference.evaluations, inst
+    assert np.array_equal(report.policy.placement, reference.policy.placement), inst
+
+
+def _run_events(inst: Instance) -> set[str]:
+    """What ended or interrupted the greedy's runs, replayed with ``marginal_cost``.
+
+    After a commit of file f, the next commit is of another file although
+    f's commit left its SCBS room (``"cut"``), or is of f again although
+    f's commit filled its SCBS (``"fill"``), or f ties with another file
+    within the limit (``"tie"``).
+    """
+    events = set()
+    x = np.zeros((inst.num_scbs, inst.num_files), dtype=np.int8)
+    previous = None
+    for _, scbs, file, _ in greedy_macp(inst).trace:
+        pol = CachingPolicy(x)
+        base = cost_closed_form(inst, pol)
+        after = {
+            (row + 1, f): marginal_cost(inst, pol, row + 1, f, base=base)
+            for row in range(inst.num_scbs)
+            if x[row].sum() < inst.cache_size[row]
+            for f in range(inst.num_files)
+            if not x[row, f]
+        }
+        limit = min(after.values()) + 1e-12 * max(1.0, abs(base.total))
+        tied = {f for (_, f), v in after.items() if v <= limit}
+        x[scbs - 1, file] = 1
+        filled = x[scbs - 1].sum() == inst.cache_size[scbs - 1]
+        if previous is not None:
+            last_file, last_filled = previous
+            if last_file != file and not last_filled:
+                events.add("cut")
+            if last_file == file and last_filled:
+                events.add("fill")
+            if last_file in tied and len(tied) > 1:
+                events.add("tie")
+        previous = (file, filled)
+    return events
 
 
 def _check_against_marginal_oracle(inst: Instance) -> None:
@@ -315,6 +412,42 @@ class TestLocalSearch:
             a = local_search(inst, start)
             b = local_search(inst, start)
             assert np.array_equal(a.placement, b.placement)
+
+    def test_matches_full_rescore_reference(self, monkeypatch):
+        # Refreshing only the touched columns gives the moves of the search
+        # that re-scored everything, from greedy and from random starts.
+        # Every candidate's split, the input of its objective, equals a full
+        # _cached_split of the reference's candidate bit for bit, also when
+        # a move touches one file among nine or more SCBSs.
+        splits, candidates = [], []
+
+        def recording_split_cost(c_mbs, rate_out, local):
+            splits.append((rate_out.copy(), local.copy()))
+            return _split_cost(c_mbs, rate_out, local)
+
+        def recording_cost(instance, policy):
+            candidates.append(policy.placement.astype(bool))
+            return cost_closed_form(instance, policy)
+
+        monkeypatch.setattr(solvers_module, "_split_cost", recording_split_cost)
+        monkeypatch.setattr(helpers, "cost_closed_form", recording_cost)
+        rng = np.random.default_rng(67)
+        lone = 0
+        for inst in _equivalence_cases(61):
+            _, rate_mbs, rate, local_cost = _area_rates(inst)
+            for start in (greedy_macp(inst).policy, random_policy(rng, inst)):
+                splits.clear()
+                candidates.clear()
+                want = reference_local_search(inst, start)
+                assert np.array_equal(local_search(inst, start).placement, want.placement)
+                assert len(splits) == len(candidates)
+                for (rate_out, local), x in zip(splits, candidates):
+                    full = _cached_split(rate_mbs, rate, local_cost, x)
+                    assert np.array_equal(rate_out, full[0]) and np.array_equal(local, full[1])
+                if inst.num_scbs >= 9 and inst.num_files > 1:
+                    lone += sum(np.count_nonzero((a != b).any(axis=0)) == 1
+                                for a, b in zip(candidates, candidates[1:]))
+        assert lone >= 10
 
 
 def _exhaustive_cases(seed: int, count: int) -> list[Instance]:
