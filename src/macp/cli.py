@@ -26,7 +26,7 @@ from .scenario import (
     cost_reduction_summary,
 )
 from .sim import SimConfig, simulate
-from .solvers import exact_optimal, greedy_macp, popularity_placement
+from .solvers import DEFAULT_POLICY_CAP, SolverReport, exact_optimal, greedy_macp, popularity_placement
 
 _SCENARIO_FLAGS = (
     ("num_scbs", int),
@@ -83,32 +83,18 @@ def _cmd_solve(args) -> int:
     instance = _load_instance(args.instance)
     if args.algorithm == "greedy":
         report = greedy_macp(instance)
-        policy = report.policy
+    elif args.algorithm == "popularity":
+        report = SolverReport(popularity_placement(instance), (), 0)
+    else:
+        report = exact_optimal(instance, max_policies=args.max_policies)
+    _emit(report.policy.to_json(), args.out)
+    if args.report is not None:
         info = {
-            "algorithm": "greedy",
-            "objective": cost_closed_form(instance, policy).total,
+            "algorithm": args.algorithm,
+            "objective": cost_closed_form(instance, report.policy).total,
             "evaluations": report.evaluations,
             "trace": [list(entry) for entry in report.trace],
         }
-    elif args.algorithm == "popularity":
-        policy = popularity_placement(instance)
-        info = {
-            "algorithm": "popularity",
-            "objective": cost_closed_form(instance, policy).total,
-            "evaluations": 0,
-            "trace": [],
-        }
-    else:
-        report = exact_optimal(instance, max_policies=args.max_policies)
-        policy = report.policy
-        info = {
-            "algorithm": "exact",
-            "objective": cost_closed_form(instance, policy).total,
-            "evaluations": report.evaluations,
-            "trace": [],
-        }
-    _emit(policy.to_json(), args.out)
-    if args.report is not None:
         _emit(json.dumps(info, indent=2, sort_keys=True), args.report)
     return 0
 
@@ -195,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--algorithm", choices=("greedy", "popularity", "exact"), default="greedy"
     )
-    p.add_argument("--max-policies", type=int, default=10_000_000)
+    p.add_argument("--max-policies", type=int, default=DEFAULT_POLICY_CAP)
     p.add_argument("--out", type=Path, help="policy JSON output (default stdout)")
     p.add_argument("--report", type=Path, help="solver report JSON output")
     p.set_defaults(func=_cmd_solve)

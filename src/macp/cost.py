@@ -8,7 +8,8 @@ d * lambda of the areas outside the cached set, the file costs
 the cached SCBSs.  ``_file_terms`` is the one place that formula is
 written; ``cost_closed_form``, ``marginal_cost`` and the solvers are built
 on it.  ``cost_bruteforce`` literally enumerates all 2^(N+1) requesting
-subsets and is the independent ground truth for small N.  The unicast
+subsets with the model's own ``subset_probability`` and ``mbs_triggered``
+and is the independent ground truth for small N.  The unicast
 metric used by popularity/unicast baselines lives here too.
 """
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .model import CachingPolicy, Instance, Record
+from .model import CachingPolicy, Instance, Record, mbs_triggered, subset_probability
 
 DEFAULT_BRUTEFORCE_CAP = 16
 
@@ -61,8 +62,9 @@ def cost_bruteforce(
     """Exact objective by enumerating every non-empty requesting subset.
 
     For each file and each subset r of the N+1 areas, adds
-    ``P(r requests) * (cost_backhaul + cost_mbs_tx)`` when r triggers the
-    macro cell, else ``P(r requests) * sum of the requesters' SCBS costs``.
+    ``subset_probability(r) * (cost_backhaul + cost_mbs_tx)`` when
+    ``mbs_triggered`` says r makes the macro cell multicast, else
+    ``subset_probability(r) * sum of the requesters' SCBS costs``.
     Work is Theta(I * 2^(N+1)); refuses to run above ``max_scbs``.
     """
     n = instance.num_scbs
@@ -73,35 +75,22 @@ def cost_bruteforce(
         )
     policy.check_feasible(instance)
 
-    p = instance.request_probabilities()
     c = instance.cost_scbs_tx
     c_mbs = instance.cost_backhaul + instance.cost_mbs_tx
-    n_areas = n + 1
+    # bit a of the mask = "area a requested"; bit 0 is the macro-only area
+    subsets = [[a for a in range(n + 1) if (mask >> a) & 1] for mask in range(1, 1 << (n + 1))]
 
     mbs_pf = np.zeros(instance.num_files)
     scbs_pf = np.zeros(instance.num_files)
     for i in range(instance.num_files):
-        pi = p[:, i].tolist()
-        qi = [1.0 - v for v in pi]
-        # bit a of the mask = "area a requested"; bit 0 is the macro-only area
-        uncached_bits = 1
-        for a in range(1, n_areas):
-            if not policy.placement[a - 1, i]:
-                uncached_bits |= 1 << a
-        for mask in range(1, 1 << n_areas):
-            prob = 1.0
-            for a in range(n_areas):
-                prob *= pi[a] if (mask >> a) & 1 else qi[a]
+        for subset in subsets:
+            prob = subset_probability(instance, subset, i)
             if prob == 0.0:
                 continue
-            if mask & uncached_bits:
+            if mbs_triggered(policy, subset, i):
                 mbs_pf[i] += prob * c_mbs
             else:
-                local = 0.0
-                for a in range(1, n_areas):
-                    if (mask >> a) & 1:
-                        local += c[a - 1]
-                scbs_pf[i] += prob * local
+                scbs_pf[i] += prob * sum(c[a - 1] for a in subset)
     return _breakdown(mbs_pf, scbs_pf)
 
 

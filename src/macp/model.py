@@ -14,9 +14,12 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .reduction import DecisionInstance
 
 MBS_AREA = 0
 # The types of the JSON values a field of each kind takes (a bool is no number).
@@ -42,6 +45,18 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def numeric_array(name: str, value, dtype) -> np.ndarray:
+    """A writable ``dtype`` copy of ``value``; ValueError naming ``name`` unless it holds numbers.
+
+    Checks the dtype numpy infers, not each item, so strings and other
+    objects are refused before a cast could parse them or fail on them.
+    """
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold numbers only")
+    return arr.astype(dtype)
+
+
 def check_keys(kind: str, data: dict, required, optional=(), kinds=()) -> None:
     """Raise ValueError naming the first unknown, missing or (per ``kinds``) mistyped key."""
     if not isinstance(data, dict):
@@ -55,6 +70,13 @@ def check_keys(kind: str, data: dict, required, optional=(), kinds=()) -> None:
     for name, want in dict(kinds).items():
         if name in data and type(data[name]) not in _JSON_KINDS[want]:
             raise ValueError(f"{kind}: field {name!r} must be {want}, got {data[name]!r}")
+
+
+def check_ints(kind: str, name: str, values: list) -> None:
+    """Raise ValueError unless every item of the JSON array field ``name`` is an integer."""
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{kind}: field {name!r} must hold integers, got {v!r}")
 
 
 class Record:
@@ -138,7 +160,7 @@ class Instance(Record):
         object.__setattr__(self, "num_scbs", n)
         object.__setattr__(self, "num_files", i)
 
-        cache = np.array(self.cache_size, dtype=np.int64)
+        cache = numeric_array("cache_size", self.cache_size, np.int64)
         if cache.shape != (n,):
             raise ValueError(f"cache_size must have shape ({n},), got {cache.shape}")
         if (cache < 0).any():
@@ -155,7 +177,7 @@ class Instance(Record):
         if self.deadline <= 0:
             raise ValueError("deadline must be strictly positive")
 
-        c = np.array(self.cost_scbs_tx, dtype=np.float64)
+        c = numeric_array("cost_scbs_tx", self.cost_scbs_tx, np.float64)
         if c.shape != (n,):
             raise ValueError(f"cost_scbs_tx must have shape ({n},), got {c.shape}")
         if not np.isfinite(c).all() or (c < 0).any():
@@ -164,7 +186,7 @@ class Instance(Record):
             raise ValueError("SCBS transmission cost may not exceed the MBS cost")
         object.__setattr__(self, "cost_scbs_tx", _readonly(c))
 
-        dem = np.array(self.demand, dtype=np.float64)
+        dem = numeric_array("demand", self.demand, np.float64)
         if dem.shape != (n + 1, i):
             raise ValueError(f"demand must have shape ({n + 1}, {i}), got {dem.shape}")
         if not np.isfinite(dem).all() or (dem < 0).any():
@@ -222,8 +244,12 @@ class CachingPolicy:
         """Area ids (1..N) of the SCBSs holding ``file``."""
         return frozenset(int(n) + 1 for n in np.flatnonzero(self.placement[:, file]))
 
-    def check_feasible(self, instance: Instance) -> None:
-        """Raise ValueError unless this policy fits the instance's caches."""
+    def check_feasible(self, instance: Instance | DecisionInstance) -> None:
+        """Raise ValueError unless this policy fits the instance's caches.
+
+        Reads only ``num_scbs``, ``num_files`` and ``cache_size``, which a
+        cell ``Instance`` and a reduction's ``DecisionInstance`` both have.
+        """
         if self.placement.shape != (instance.num_scbs, instance.num_files):
             raise ValueError(
                 f"placement shape {self.placement.shape} does not match instance "
@@ -246,27 +272,31 @@ class CachingPolicy:
         return cls(json.loads(text))
 
 
-def _area_mask(num_scbs: int, subset: Iterable[int]) -> np.ndarray:
-    mask = np.zeros(num_scbs + 1, dtype=bool)
+def _check_areas(num_scbs: int, subset: Iterable[int]) -> set[int]:
+    """The area ids of ``subset`` as a set; ValueError naming the first outside 0..N."""
+    areas = set()
     for a in subset:
         if not 0 <= a <= num_scbs:
             raise ValueError(f"area id {a} outside 0..{num_scbs}")
-        mask[a] = True
-    return mask
+        areas.add(a)
+    return areas
 
 
 def subset_probability(instance: Instance, subset: Iterable[int], file: int) -> float:
     """Probability that exactly the areas in ``subset`` request ``file`` in a period.
 
-    Areas generate requests independently, so this is the product of each
-    member area's request probability and each non-member's complement.
-    Over all 2^(N+1) subsets the values sum to 1 for any fixed file.
+    Areas generate requests independently, so this is the product, over
+    areas 0..N in order, of each member area's request probability and
+    each non-member's complement.  Over all 2^(N+1) subsets the values sum
+    to 1 for any fixed file.
     """
     if not 0 <= file < instance.num_files:
         raise ValueError(f"file index {file} outside 0..{instance.num_files - 1}")
-    mask = _area_mask(instance.num_scbs, subset)
-    p = -np.expm1(-instance.demand[:, file] * instance.deadline)
-    return float(np.prod(np.where(mask, p, 1.0 - p)))
+    areas = _check_areas(instance.num_scbs, subset)
+    prob = 1.0
+    for a, p in enumerate((-np.expm1(-instance.demand[:, file] * instance.deadline)).tolist()):
+        prob *= p if a in areas else 1.0 - p
+    return prob
 
 
 def mbs_triggered(policy: CachingPolicy, subset: Iterable[int], file: int) -> bool:
@@ -277,11 +307,8 @@ def mbs_triggered(policy: CachingPolicy, subset: Iterable[int], file: int) -> bo
     """
     if not 0 <= file < policy.num_files:
         raise ValueError(f"file index {file} outside 0..{policy.num_files - 1}")
-    areas = list(subset)
+    areas = _check_areas(policy.num_scbs, subset)
     if not areas:
         raise ValueError("requesting subset must be non-empty")
-    _area_mask(policy.num_scbs, areas)
-    for a in areas:
-        if a == MBS_AREA or not policy.placement[a - 1, file]:
-            return True
-    return False
+    cached = policy.placement[:, file].tolist()
+    return any(a == MBS_AREA or not cached[a - 1] for a in areas)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .model import CachingPolicy, Record, check_keys
+from .model import CachingPolicy, Record, check_ints, check_keys, mbs_triggered, numeric_array
 from .solvers import DEFAULT_POLICY_CAP, _placement_blocks, _placement_tables
 
 DEFAULT_SELECTION_CAP = 20
@@ -65,11 +65,10 @@ class SppInstance(Record):
         check_keys(cls.__name__, data, keys, kinds=keys)
         if not all(isinstance(s, list) for s in data["subsets"]):
             raise ValueError(f"{cls.__name__}: every subset must be a list")
-        return cls(
-            elements=frozenset(data["elements"]),
-            subsets=tuple(frozenset(s) for s in data["subsets"]),
-            target=data["target"],
-        )
+        check_ints(cls.__name__, "elements", data["elements"])
+        for s in data["subsets"]:
+            check_ints(cls.__name__, "subsets", s)
+        return cls(**data)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,12 +98,12 @@ class DecisionInstance(Record):
             raise ValueError("need num_scbs >= 0 and num_files >= 1")
         object.__setattr__(self, "num_scbs", n)
         object.__setattr__(self, "num_files", i)
-        cache = np.array(self.cache_size, dtype=np.int64)
+        cache = numeric_array("cache_size", self.cache_size, np.int64)
         if cache.shape != (n,) or (cache < 0).any():
             raise ValueError(f"cache_size must be {n} non-negative integers")
         cache.setflags(write=False)
         object.__setattr__(self, "cache_size", cache)
-        c = np.array(self.cost_scbs_tx, dtype=np.float64)
+        c = numeric_array("cost_scbs_tx", self.cost_scbs_tx, np.float64)
         if c.shape != (n,) or not (c >= 0).all():
             raise ValueError(f"cost_scbs_tx must be {n} non-negative reals")
         c.setflags(write=False)
@@ -157,7 +156,7 @@ class DecisionInstance(Record):
     @classmethod
     def from_dict(cls, data: dict) -> "DecisionInstance":
         check_keys(cls.__name__, data, _DECISION_KEYS, kinds=_DECISION_KEYS)
-        table: list[list[tuple[frozenset[int], float]]] = [
+        table: list[list[tuple[list[int], float]]] = [
             [] for _ in range(data["num_files"])
         ]
         for entry in data["prob_table"]:
@@ -166,7 +165,8 @@ class DecisionInstance(Record):
                 raise ValueError(
                     f"{cls.__name__}: prob_table file {entry['file']} outside 0..{len(table) - 1}"
                 )
-            table[entry["file"]].append((frozenset(entry["areas"]), entry["prob"]))
+            check_ints(f"{cls.__name__} prob_table entry", "areas", entry["areas"])
+            table[entry["file"]].append((entry["areas"], entry["prob"]))
         return cls(
             num_scbs=data["num_scbs"],
             num_files=data["num_files"],
@@ -219,19 +219,12 @@ def spp_to_macdp(spp: SppInstance) -> DecisionInstance:
 def decision_cost(decision: DecisionInstance, policy: CachingPolicy) -> float:
     """Objective value of ``policy`` under the explicit probability table.
 
-    Empty requesting subsets never cost anything; any lingering mass on
-    them is ignored, matching an objective that sums over non-empty
-    requesting subsets only.
+    Each entry costs the macro transmission when ``mbs_triggered``, else
+    its requesters' SCBS costs.  Empty requesting subsets never cost
+    anything; any lingering mass on them is ignored, matching an objective
+    that sums over non-empty requesting subsets only.
     """
-    x = policy.placement
-    if x.shape != (decision.num_scbs, decision.num_files):
-        raise ValueError(
-            f"placement shape {x.shape} does not match "
-            f"({decision.num_scbs}, {decision.num_files})"
-        )
-    fill = x.sum(axis=1)
-    if (fill > decision.cache_size).any():
-        raise ValueError("placement exceeds a cache size")
+    policy.check_feasible(decision)
     c = decision.cost_scbs_tx
     c_mbs = decision.cost_backhaul + decision.cost_mbs_tx
     total = 0.0
@@ -239,8 +232,8 @@ def decision_cost(decision: DecisionInstance, policy: CachingPolicy) -> float:
         for areas, pr in entries:
             if not areas or pr == 0.0:
                 continue
-            triggered = 0 in areas or any(not x[a - 1, i] for a in areas if a != 0)
-            total += pr * (c_mbs if triggered else sum(c[a - 1] for a in areas if a != 0))
+            triggered = mbs_triggered(policy, areas, i)
+            total += pr * (c_mbs if triggered else sum(c[a - 1] for a in areas))
     return total
 
 

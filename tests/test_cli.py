@@ -265,6 +265,40 @@ class TestInputErrors:
             "macp: error: DecisionInstance: field 'num_files' must be int, got '2'\n"
         )
 
+    @pytest.mark.parametrize("kind, change, message", [
+        ("spp", {"elements": [[1], 2]}, "SppInstance: field 'elements' must hold integers, got [1]"),
+        ("spp", {"elements": [1, "a"]}, "SppInstance: field 'elements' must hold integers, got 'a'"),
+        ("spp", {"subsets": [[1], [2.0]]}, "SppInstance: field 'subsets' must hold integers, got 2.0"),
+        ("macdp", {"areas": [[1]]},
+         "DecisionInstance prob_table entry: field 'areas' must hold integers, got [1]"),
+        ("macdp", {"cache_size": [{}, 1]}, "cache_size must hold numbers only"),
+        ("macdp", {"cache_size": ["1", 2]}, "cache_size must hold numbers only"),
+        ("macdp", {"cost_scbs_tx": ["0", 0]}, "cost_scbs_tx must hold numbers only"),
+        ("instance", {"demand": [[0, 0, 0], [1, {}, 1], [0, 0, 0]]}, "demand must hold numbers only"),
+        ("instance", {"cache_size": ["1", 2]}, "cache_size must hold numbers only"),
+        ("instance", {"cost_scbs_tx": ["0", 0]}, "cost_scbs_tx must hold numbers only"),
+    ])
+    def test_array_item_of_wrong_type_is_one_line_error(self, tmp_path, capsys, instance_file,
+                                                        kind, change, message):
+        spp = {"elements": [1, 2], "subsets": [[1], [2]], "target": 1}
+        if kind == "spp":
+            data, command = {**spp, **change}, ["reduce"]
+        elif kind == "macdp":
+            data = spp_to_macdp(SppInstance.from_dict(spp)).to_dict()
+            entry = data["prob_table"][0]
+            for key, value in change.items():
+                (entry if key in entry else data)[key] = value
+            command = ["decide", "--problem", "macdp"]
+        else:
+            data = {**json.loads(instance_file.read_text()), **change}
+            command = ["solve"]
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out.json"
+        assert main([command[0], str(path), *command[1:], "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"macp: error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("config, message", [
         ({"seed": "x"}, "ScenarioConfig: field 'seed' must be int, got 'x'"),
         ([1, 2], "ScenarioConfig: expected a JSON object, got list"),

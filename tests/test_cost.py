@@ -198,6 +198,7 @@ class TestRateExtremes:
         cached = CachingPolicy([[1], [0]])
         got = {
             "closed form": cost_closed_form(inst, cached).total,
+            "brute force": cost_bruteforce(inst, cached).total,
             "marginal": marginal_cost(inst, CachingPolicy.empty(2, 1), 1, 0),
             "exact": cost_closed_form(inst, exact_optimal(inst).policy).total,
         }
@@ -221,8 +222,9 @@ class TestRateExtremes:
 
         empty, partial, full = [[0, 0, 0]] * 2, [[1, 1, 0], [0, 1, 0]], [[1, 1, 1]] * 2
         for x in (empty, partial, full):
-            breakdown = cost_closed_form(inst, CachingPolicy(x))
-            assert breakdown.total == pytest.approx(limit(x), rel=1e-15, abs=0)
+            for evaluate in (cost_closed_form, cost_bruteforce):
+                breakdown = evaluate(inst, CachingPolicy(x))
+                assert breakdown.total == pytest.approx(limit(x), rel=1e-15, abs=0), evaluate
         for x in (empty, partial):
             base = CachingPolicy(x)
             for row, f in zip(*np.nonzero(base.placement == 0)):

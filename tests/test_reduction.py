@@ -129,6 +129,12 @@ class TestDecisionCost:
         with pytest.raises(ValueError):
             decision_cost(dec, CachingPolicy([[1, 1, 0], [0, 0, 0], [0, 0, 0]]))
 
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (3, 4)])
+    def test_rejects_wrong_shape_placement(self, shape):
+        dec = spp_to_macdp(FIG_SPP)
+        with pytest.raises(ValueError, match="does not match"):
+            decision_cost(dec, CachingPolicy.empty(*shape))
+
 
 class TestFigureExample:
     def test_expected_witness(self):
