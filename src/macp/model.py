@@ -24,6 +24,7 @@ if TYPE_CHECKING:
 MBS_AREA = 0
 # The types of the JSON values a field of each kind takes (a bool is no number).
 _JSON_KINDS = {"int": (int,), "float": (int, float), "str": (str,), "list": (list,)}
+_BOOL_TYPES = frozenset((bool, np.bool_))
 
 
 def request_probability(rate: float, deadline: float) -> float:
@@ -48,13 +49,31 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 def numeric_array(name: str, value, dtype) -> np.ndarray:
     """A writable ``dtype`` copy of ``value``; ValueError naming ``name`` unless it holds numbers.
 
-    Checks the dtype numpy infers, not each item, so strings and other
-    objects are refused before a cast could parse them or fail on them.
+    Checks the dtype numpy infers, so strings and other objects are refused
+    before a cast could parse them or fail on them; then the items of a
+    nested list for booleans, which numpy reads as 0 and 1 among numbers;
+    and, for an integer ``dtype``, that every value is a whole number
+    rather than truncating it.
     """
-    arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf":
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        raise ValueError(f"{name} must be a regular array of numbers") from None
+    if arr.dtype.kind not in "iuf" or _holds_bool(value):
         raise ValueError(f"{name} must hold numbers only")
+    if np.dtype(dtype).kind in "iu" and arr.dtype.kind == "f":
+        whole = np.isfinite(arr) & (arr == np.floor(arr))
+        if not whole.all():
+            raise ValueError(f"{name} must hold whole numbers, got {arr[~whole][0].item()!r}")
     return arr.astype(dtype)
+
+
+def _holds_bool(value) -> bool:
+    """Whether a (nested) list holds a boolean among its items."""
+    if isinstance(value, np.ndarray):
+        return False  # a boolean dtype is refused by its kind
+    items = np.asarray(value, dtype=object).ravel().tolist()
+    return not _BOOL_TYPES.isdisjoint(map(type, items))
 
 
 def check_keys(kind: str, data: dict, required, optional=(), kinds=()) -> None:

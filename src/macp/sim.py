@@ -6,13 +6,23 @@ one deadline-batched multicast per requested file or one unicast per
 request.  Both modes draw only what their cost depends on:
 
 * multicast needs to know which areas request each file, so it draws the
-  presence of every (area, file) pair as Bernoulli(1 - exp(-lambda*d)),
-  one uniform variate per pair, and applies the macro-or-local rule to
-  the drawn presence pattern;
+  presence of every (area, file) pair as Bernoulli(p) with
+  p = 1 - exp(-lambda*d), and applies the macro-or-local rule to the
+  drawn presence pattern.  A presence draw reads one random byte u and
+  compares it with t = min(floor(256 p), 255): the pair is present if
+  u < t, absent if u > t, and on a tie (about one pair in 256) present if
+  a uniform double is below 256 p - t.  So P(present) is p to within
+  2**-61 while most pairs cost one byte, not a 64-bit double;
 * unicast cost is linear in the request counts, so by the superposition of
   independent Poisson processes it draws one count per period for the
   macro class (area 0 and every uncached request) and one per SCBS (its
   cached requests).
+
+Both modes seed ``default_rng(seed)``.  Unicast draws its Poisson counts
+from it; multicast takes its bytes from that generator's raw 64-bit PCG64
+output, each period's (N+1)*I bytes padded to whole words, and its tie
+uniforms from one stream spawned from it, in row-major (period, area,
+file) order.
 
 Nothing here is taken from the analytic cost model in ``cost.py``: the
 draws come from the per-pair rates alone, never from aggregate
@@ -33,10 +43,11 @@ from .model import CachingPolicy, Instance, Record
 
 MODES = ("unicast", "multicast")
 
-# Periods are drawn in fixed-size batches.  Each batch fills its variates in
-# row-major (period, area, file) order and every per-period reduction is
-# computed row by row, so the generated stream, the report and the trace
-# bytes are independent of the batch size.
+# Periods are drawn in fixed-size batches.  Each batch takes its variates in
+# row-major (period, area, file) order, a multicast period's bytes in whole
+# 64-bit words, and every per-period reduction is computed row by row, so
+# the generated streams, the report and the trace bytes are independent of
+# the batch size.
 _BATCH = 4096
 
 
@@ -108,14 +119,27 @@ def simulate(
 
     else:
         p = -np.expm1(-lam)
-        uncached = ~cached
-        # one buffer for every batch: a fresh 8*batch*(N+1)*I bytes per
-        # batch costs page faults and peak memory
-        uniform = np.empty((batch,) + lam.shape)
+        # P(u < t) + P(u == t) * P(uniform < frac) = t/256 + frac/256 = p for
+        # a uniform byte u; 256*p - t is exact, and p = 1 gives t = 255, frac = 1
+        t = np.minimum(np.floor(256.0 * p), 255.0)
+        frac = (256.0 * p - t).ravel()
+        t = t.astype(np.uint8)
+        pairs = p.size
+        # whole 64-bit words per period, so a batch boundary never splits a word
+        words = -(-pairs // 8)
+        bits = rng.bit_generator
+        refine = rng.spawn(1)[0]
+        # the areas whose request makes the macro cell send the file
+        trigger = np.vstack((np.ones_like(cached[0]), ~cached))
 
         def draw(m):
-            here = rng.random(out=uniform[:m]) < p
-            triggered = here[:, 0] | (here[:, 1:] & uncached).any(axis=1)
+            u = bits.random_raw(m * words).view(np.uint8).reshape(m, 8 * words)[:, :pairs]
+            u = u.reshape((m,) + lam.shape)
+            here = u < t
+            # ties refined from the second stream in row-major (period, area, file) order
+            tie = np.flatnonzero(u == t)
+            np.put(here, tie, refine.random(tie.size) < frac[tie % pairs])
+            triggered = (here & trigger).any(axis=1)
             # untriggered files are requested at caching SCBSs only
             local = here[:, 1:] & ~triggered[:, None, :]
             return triggered.sum(axis=1), local.sum(axis=2), np.zeros(m, dtype=np.int64)

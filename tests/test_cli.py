@@ -277,6 +277,12 @@ class TestInputErrors:
         ("instance", {"demand": [[0, 0, 0], [1, {}, 1], [0, 0, 0]]}, "demand must hold numbers only"),
         ("instance", {"cache_size": ["1", 2]}, "cache_size must hold numbers only"),
         ("instance", {"cost_scbs_tx": ["0", 0]}, "cost_scbs_tx must hold numbers only"),
+        ("macdp", {"cache_size": [1.5, 1]}, "cache_size must hold whole numbers, got 1.5"),
+        ("macdp", {"cost_scbs_tx": [True, 0]}, "cost_scbs_tx must hold numbers only"),
+        ("macdp", {"cache_size": [[1], 1]}, "cache_size must be a regular array of numbers"),
+        ("instance", {"cache_size": [1.5, 1]}, "cache_size must hold whole numbers, got 1.5"),
+        ("instance", {"cost_scbs_tx": [True, 0]}, "cost_scbs_tx must hold numbers only"),
+        ("instance", {"cache_size": [[1], 1]}, "cache_size must be a regular array of numbers"),
     ])
     def test_array_item_of_wrong_type_is_one_line_error(self, tmp_path, capsys, instance_file,
                                                         kind, change, message):
@@ -367,3 +373,17 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert Instance.from_json(out.read_text()).num_scbs == 2
+
+    def test_package_invocation(self, tmp_path):
+        out = tmp_path / "inst.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "macp", "generate", "--num-scbs", "3",
+             "--num-files", "4", "--seed", "1", "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert Instance.from_json(out.read_text()).num_scbs == 3
+        proc = subprocess.run([sys.executable, "-m", "macp", "solve", str(tmp_path / "missing.json")],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("macp: error: ")

@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from macp import (
     CachingPolicy,
     Instance,
     SimConfig,
+    SimReport,
     cost_closed_form,
     cost_unicast,
     simulate,
@@ -44,16 +48,42 @@ class TestDeterminism:
         rates[1:][missing] = 0.05
         inst = Instance(9, 4, [3] * 9, 0.7, 0.9, rng.uniform(0.0, 0.9, 9), rates, 1.3)
         pol = CachingPolicy(~missing)
+        # (N+1)*I = 15 pairs: a multicast period's bytes end inside a
+        # 64-bit word, so its padding is what keeps the batches aligned
+        small = Instance(2, 5, [2, 3], 0.7, 0.9, [0.3, 0.6], rng.uniform(0.1, 2.0, size=(3, 5)), 1.1)
+        small_pol = CachingPolicy([[1, 0, 0, 1, 0], [0, 1, 1, 0, 1]])
         default = sim_module._BATCH
-        for mode in ("multicast", "unicast"):
-            cfg = SimConfig(periods=4096 + 37, mode=mode, seed=5)
-            runs = []
-            for batch in (default, 1, 37):
-                monkeypatch.setattr(sim_module, "_BATCH", batch)
-                path = tmp_path / f"{mode}-{batch}.csv"
-                runs.append((simulate(inst, pol, cfg, trace_path=path), path.read_bytes()))
-            assert runs[1] == runs[0], f"{mode}: batch 1 differs from the default"
-            assert runs[2] == runs[0], f"{mode}: batch 37 differs from the default"
+        for name, inst, pol in (("10x4", inst, pol), ("3x5", small, small_pol)):
+            for mode in ("multicast", "unicast"):
+                cfg = SimConfig(periods=4096 + 37, mode=mode, seed=5)
+                runs = []
+                for batch in (default, 1, 37):
+                    monkeypatch.setattr(sim_module, "_BATCH", batch)
+                    path = tmp_path / f"{name}-{mode}-{batch}.csv"
+                    runs.append((simulate(inst, pol, cfg, trace_path=path), path.read_bytes()))
+                assert runs[1] == runs[0], f"{name} {mode}: batch 1 differs from the default"
+                assert runs[2] == runs[0], f"{name} {mode}: batch 37 differs from the default"
+
+    def test_unicast_stream_is_pinned(self, tmp_path):
+        # unicast draws its Poisson counts from default_rng(seed) alone, so a
+        # change to the multicast sampler must leave these values as they are
+        demand = [[0.3, 0.1, 0.0, 0.7], [1.2, 0.4, 0.9, 0.05],
+                  [0.6, 2.5, 0.2, 0.8], [0.0, 0.3, 1.1, 0.45]]
+        inst = Instance(3, 4, [2, 1, 3], 0.5, 1.0, [0.25, 0.5, 0.75], demand, 0.8)
+        pol = CachingPolicy([[1, 0, 1, 0], [0, 1, 0, 0], [1, 1, 0, 1]])
+        path = tmp_path / "trace.csv"
+        rep = simulate(inst, pol, SimConfig(5000, "unicast", 31), trace_path=path)
+        assert rep == SimReport(
+            mean_cost_per_period=7.01615,
+            std_error=0.04122645096963732,
+            periods=5000,
+            mbs_transmissions=17150,
+            scbs_transmissions=21341,
+            unicast_transmissions=38491,
+        )
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "2cad6822df076c265954c0382337f88d0aa7c556810b190cda61f610245d144c"
+        )
 
     def test_different_seeds_differ(self):
         inst = motivating_instance()
@@ -129,6 +159,35 @@ class TestUnbiasedness:
             assert rep.mean_cost_per_period == pytest.approx(analytic, abs=1e-12)
         else:
             assert abs(rep.mean_cost_per_period - analytic) <= 4.5 * rep.std_error
+
+
+class TestPresenceSampler:
+    PERIODS = 400_000
+
+    @pytest.mark.parametrize("rate, seed", [
+        (0.0, 301),
+        (1e-3, 302),  # p < 1/256: every presence comes from a tie's refinement
+        (-math.log1p(-37 / 256), 303),  # p = 37/256 exactly: a tie is never present
+        (-math.log1p(-1.5 / 256), 307),  # halfway between byte boundaries
+        (3.0, 304),
+        (40.0, 305),  # p rounds to 1.0
+        (800.0, 306),
+    ])
+    def test_one_pair_presence_rate_is_p(self, rate, seed):
+        # one uncached SCBS and no macro-area demand: each period triggers a
+        # macro transmission exactly when the lone pair is present
+        inst = Instance(1, 1, [0], 0.5, 1.0, [0.25], [[0.0], [rate]], 1.0)
+        rep = simulate(inst, CachingPolicy.empty(1, 1), SimConfig(self.PERIODS, "multicast", seed))
+        hits, n = rep.mbs_transmissions, self.PERIODS
+        assert rep.scbs_transmissions == 0
+        p = -np.expm1(-rate)
+        if p == 0.0:
+            assert hits == 0
+        elif p == 1.0:
+            assert hits == n
+        else:
+            z = (hits - n * p) / math.sqrt(n * p * (1 - p))
+            assert abs(z) <= 4.5, f"p={p!r}: {hits} hits in {n} periods, z={z:.2f}"
 
 
 class TestExtremeRates:
