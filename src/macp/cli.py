@@ -9,9 +9,11 @@ seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
+import typing
 from pathlib import Path
 
 from .cost import cost_bruteforce, cost_closed_form, cost_unicast
@@ -28,33 +30,21 @@ from .scenario import (
 from .sim import SimConfig, simulate
 from .solvers import DEFAULT_POLICY_CAP, SolverReport, exact_optimal, greedy_macp, popularity_placement
 
-_SCENARIO_FLAGS = (
-    ("num_scbs", int),
-    ("num_files", int),
-    ("cache_size", int),
-    ("deadline", float),
-    ("zipf_shape", float),
-    ("rate_low", float),
-    ("rate_high", float),
-    ("cost_backhaul", float),
-    ("cost_mbs_tx", float),
-    ("cost_scbs", float),
-    ("seed", int),
-    ("rate_mode", str),
-)
-
 
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
+    """``--config`` and one ``--field-name`` flag per ``ScenarioConfig`` field."""
     parser.add_argument("--config", type=Path, help="scenario config JSON file")
-    for name, typ in _SCENARIO_FLAGS:
-        flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, type=typ, dest=name, default=None)
+    types = typing.get_type_hints(ScenarioConfig)
+    for field in dataclasses.fields(ScenarioConfig):
+        flag = "--" + field.name.replace("_", "-")
+        parser.add_argument(flag, type=types[field.name], dest=field.name, default=None)
 
 
 def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
     data = json.loads(args.config.read_text()) if args.config is not None else {}
     if isinstance(data, dict):  # anything else fails ScenarioConfig's own check
-        data.update({k: v for k, _ in _SCENARIO_FLAGS if (v := getattr(args, k)) is not None})
+        data.update({f.name: v for f in dataclasses.fields(ScenarioConfig)
+                     if (v := getattr(args, f.name)) is not None})
     return ScenarioConfig.from_dict(data)
 
 

@@ -126,9 +126,16 @@ def _area_rates(instance: Instance, files=slice(None)):
 
 
 def _cached_split(rate_mbs, rate, local_cost, cached):
-    """Per-file rate outside the cached set and local cost of the cached SCBSs."""
-    rate_out = rate_mbs + np.where(cached, 0.0, rate).sum(axis=0)
-    return rate_out, np.where(cached, local_cost, 0.0).sum(axis=0)
+    """Per-file rate outside the cached set and local cost of the cached SCBSs.
+
+    Each file's SCBS values are added one row after another, SCBS 1 first:
+    a ``cumsum`` is sequential, where ``sum`` would reduce a lone or
+    F-ordered column pairwise.  So a file's sums do not depend on which
+    other columns are passed or on the array's layout, and a caller that
+    adds its per-SCBS rows in turn gets the same bits.
+    """
+    rate_out = rate_mbs + np.where(cached, 0.0, rate).cumsum(axis=0)[-1]
+    return rate_out, np.where(cached, local_cost, 0.0).cumsum(axis=0)[-1]
 
 
 def _split_cost(c_mbs: float, rate_out, local) -> CostBreakdown:

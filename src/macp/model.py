@@ -52,16 +52,24 @@ def numeric_array(name: str, value, dtype) -> np.ndarray:
     Checks the dtype numpy infers, so strings and other objects are refused
     before a cast could parse them or fail on them; then the items of a
     nested list for booleans, which numpy reads as 0 and 1 among numbers;
-    and, for an integer ``dtype``, that every value is a whole number
-    rather than truncating it.
+    and, for an integer ``dtype``, that every value is a whole number in its
+    range rather than truncating or wrapping it.
     """
     try:
         arr = np.asarray(value)
     except ValueError:  # ragged nesting
         raise ValueError(f"{name} must be a regular array of numbers") from None
+    integral = np.dtype(dtype).kind in "iu"
+    if integral:
+        # on the items: numpy holds an int beyond 64 bits as an object, reads
+        # 2**63 among ints as a float, and casts a float out of range with a warning
+        info = np.iinfo(dtype)
+        for v in np.asarray(value, dtype=object).ravel().tolist():
+            if isinstance(v, (int, float)) and abs(v) < math.inf and not info.min <= v <= info.max:
+                raise ValueError(f"{name} value {v!r} is outside the {info.bits}-bit integer range")
     if arr.dtype.kind not in "iuf" or _holds_bool(value):
         raise ValueError(f"{name} must hold numbers only")
-    if np.dtype(dtype).kind in "iu" and arr.dtype.kind == "f":
+    if integral and arr.dtype.kind == "f":
         whole = np.isfinite(arr) & (arr == np.floor(arr))
         if not whole.all():
             raise ValueError(f"{name} must hold whole numbers, got {arr[~whole][0].item()!r}")
@@ -256,6 +264,8 @@ class CachingPolicy:
         for scbs, file in pairs:
             if not 1 <= scbs <= num_scbs:
                 raise ValueError(f"scbs id {scbs} outside 1..{num_scbs}")
+            if not 0 <= file < num_files:
+                raise ValueError(f"file index {file} outside 0..{num_files - 1}")
             x[scbs - 1, file] = 1
         return cls(x)
 

@@ -177,9 +177,11 @@ def local_search(instance: Instance, policy: CachingPolicy) -> CachingPolicy:
     file's request rate outside the cached set and its local serving cost,
     adding or removing one area's ``d * lambda``.  Those rates and costs,
     the file terms and each cell's toggle change are kept between steps, and
-    a move recomputes only the columns it touched.  The best-scoring move is
-    taken only when it strictly lowers the objective, computed as
-    ``cost_closed_form`` does; otherwise the search stops, so it always ends.
+    a move recomputes only the columns it touched, with ``_cached_split`` on
+    those columns alone: its sums do not depend on the other columns, so
+    they equal a full split's.  The best-scoring move is taken only when it
+    strictly lowers the objective, computed as ``cost_closed_form`` does;
+    otherwise the search stops, so it always ends.
     Ties go to a swap over a completion, then to the smallest SCBS, then to
     the smallest file.
     """
@@ -247,8 +249,7 @@ def local_search(instance: Instance, policy: CachingPolicy) -> CachingPolicy:
             x[drops, out[drops]] = False
             x[lacks[:, file], file] = True
         assert (x.sum(axis=1) <= sizes).all(), "a move overfilled a cache"
-        # as in a full split: numpy adds 2+ C-ordered columns row by row (``_row_sum``)
-        touched = np.array(sorted(moved | {0, local.size - 1}))
+        touched = np.array(sorted(moved))
         rate_out[touched], local[touched] = _cached_split(
             rate_mbs[touched], *(a.take(touched, axis=1) for a in (rate, local_cost, x))
         )
@@ -329,19 +330,6 @@ def count_feasible_placements(num_files: int, cache_sizes) -> int:
     )
 
 
-def _row_sum(options, rows) -> np.ndarray:
-    """Per-placement sum over SCBSs of ``options[n][rows[n]]`` in numpy's order.
-
-    ``_cached_split``'s ``sum(axis=0)`` adds the rows of an (N, I) array one
-    after another, but with one file it reduces the N values pairwise, as
-    ``sum(axis=1)`` of a (block, N) array does.
-    """
-    parts = (o.take(r, axis=0) for o, r in zip(options, rows))
-    if options[0].shape[1] == 1:
-        return np.hstack(list(parts)).sum(axis=1, keepdims=True)
-    return sum(parts)
-
-
 def exact_optimal(instance: Instance, max_policies: int = DEFAULT_POLICY_CAP) -> SolverReport:
     """Minimize the objective by exhaustive search over feasible placements.
 
@@ -349,12 +337,12 @@ def exact_optimal(instance: Instance, max_policies: int = DEFAULT_POLICY_CAP) ->
     space cardinality when it exceeds ``max_policies``, before any table is
     built.  Scores the placements of ``iter_feasible_placements`` in numpy
     blocks of ``_BLOCK`` (O(_BLOCK x max(N, I)) values held at once), adding
-    each SCBS's per-option rate outside and local cost in ``_cached_split``'s
-    order, so each policy's cost equals ``_file_terms(...).sum()`` of its own
-    ``_cached_split`` bit for bit.  Among equal-cost optima the
-    lexicographically smallest placement wins: the first minimum of a block,
-    and a later block only if strictly cheaper.  ``evaluations`` counts
-    every policy.
+    each SCBS's per-option rate outside and local cost in turn, SCBS 1 first,
+    as ``_cached_split`` does; so each policy's cost equals
+    ``_file_terms(...).sum()`` of its own ``_cached_split`` bit for bit.
+    Among equal-cost optima the lexicographically smallest placement wins:
+    the first minimum of a block, and a later block only if strictly
+    cheaper.  ``evaluations`` counts every policy.
     """
     tables = _placement_tables(instance.num_files, instance.cache_size, max_policies)
     c_mbs, rate_mbs, rate, local_cost = _area_rates(instance)
@@ -363,8 +351,9 @@ def exact_optimal(instance: Instance, max_policies: int = DEFAULT_POLICY_CAP) ->
     best_cost = math.inf
     best: np.ndarray | None = None
     for _, rows in _placement_blocks(tables):
-        rate_out = rate_mbs + _row_sum(rate_options, rows)
-        cost = _file_terms(c_mbs, rate_out, _row_sum(local_options, rows)).sum(axis=1)
+        outside, local = (sum(o.take(r, axis=0) for o, r in zip(options, rows))
+                          for options in (rate_options, local_options))
+        cost = _file_terms(c_mbs, rate_mbs + outside, local).sum(axis=1)
         j = int(cost.argmin())
         if cost[j] < best_cost:
             best_cost = float(cost[j])

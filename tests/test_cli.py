@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from macp import CachingPolicy, Instance, SppInstance, cost_closed_form, spp_to_macdp
-from macp.cli import build_parser, main
+from macp import CachingPolicy, Instance, ScenarioConfig, SppInstance, cost_closed_form, spp_to_macdp
+from macp.cli import _scenario_config, build_parser, main
 from helpers import motivating_instance, motivating_optimal_policy
 
 
@@ -283,6 +284,15 @@ class TestInputErrors:
         ("instance", {"cache_size": [1.5, 1]}, "cache_size must hold whole numbers, got 1.5"),
         ("instance", {"cost_scbs_tx": [True, 0]}, "cost_scbs_tx must hold numbers only"),
         ("instance", {"cache_size": [[1], 1]}, "cache_size must be a regular array of numbers"),
+        # numpy reads 1e300 and 2**63 as floats and 2**64 as an object, not as int64
+        ("instance", {"cache_size": [1e300, 1, 1]},
+         "cache_size value 1e+300 is outside the 64-bit integer range"),
+        ("instance", {"cache_size": [2**63, 1, 1]},
+         "cache_size value 9223372036854775808 is outside the 64-bit integer range"),
+        ("instance", {"cache_size": [2**64, 1, 1]},
+         "cache_size value 18446744073709551616 is outside the 64-bit integer range"),
+        ("macdp", {"cache_size": [2**63, 1]},
+         "cache_size value 9223372036854775808 is outside the 64-bit integer range"),
     ])
     def test_array_item_of_wrong_type_is_one_line_error(self, tmp_path, capsys, instance_file,
                                                         kind, change, message):
@@ -318,6 +328,30 @@ class TestInputErrors:
         assert rc == 2
         assert capsys.readouterr().err == f"macp: error: {message}\n"
         assert not out.exists()
+
+
+def _bumped(value):
+    """A valid config value other than ``value``, of its type."""
+    if isinstance(value, str):
+        return {"per_pair": "per_scbs_total", "per_scbs_total": "per_pair"}[value]
+    return value + (1 if isinstance(value, int) else 0.5)
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(ScenarioConfig), ids=lambda f: f.name)
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+def test_every_config_field_has_a_flag_that_overrides_the_file(tmp_path, command, field):
+    in_file = _bumped(field.default)
+    on_flag = _bumped(in_file)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({field.name: in_file}))
+    argv = [command, "--config", str(cfg)]
+    if command == "sweep":
+        argv += ["--axis", "cache_size", "--values", "1"]
+    flag = "--" + field.name.replace("_", "-")
+    assert getattr(_scenario_config(build_parser().parse_args(argv)), field.name) == in_file
+    config = _scenario_config(build_parser().parse_args(argv + [flag, str(on_flag)]))
+    assert getattr(config, field.name) == on_flag
+    assert type(getattr(config, field.name)) is type(field.default)
 
 
 class TestParserReuse:

@@ -13,6 +13,7 @@ from macp import (
     exact_optimal,
     marginal_cost,
 )
+from macp.cost import _area_rates, _cached_split
 from helpers import (
     motivating_instance,
     motivating_optimal_policy,
@@ -238,6 +239,36 @@ class TestRateExtremes:
         expected = 6.0 if macro else 0.75 + 2.0 + 2.0
         assert limit(best.placement) == expected
         assert cost_closed_form(small, best).total == pytest.approx(expected, rel=1e-15, abs=0)
+
+
+class TestSplitOrder:
+    def test_column_subsets_match_the_full_split(self):
+        # a file's sums are the same bits whatever columns come with it and
+        # whatever the layout: a lone column, an F-ordered copy, reversed
+        # columns; numpy's sum would add a lone column of 8+ values pairwise
+        rng = np.random.default_rng(97)
+        for _ in range(300):
+            n, i = int(rng.integers(9, 17)), int(rng.integers(1, 7))
+            demand = rng.uniform(0.0, 2.0, size=(n + 1, i)) * 10.0 ** rng.integers(-6, 1, (n + 1, i))
+            inst = Instance(n, i, np.zeros(n, dtype=int), 0.4, 0.8, rng.uniform(0.0, 0.8, size=n),
+                            demand, float(rng.uniform(0.2, 3.0)))
+            _, rate_mbs, rate, local_cost = _area_rates(inst)
+            cached = rng.random((n, i)) < 0.4
+            full = _cached_split(rate_mbs, rate, local_cost, cached)
+            f = int(rng.integers(i))
+            some = rng.permutation(i)[: int(rng.integers(1, i + 1))]
+            for cols, layout in [
+                ([f], np.array),
+                (some, np.array),
+                (some, np.asfortranarray),
+                (slice(None, None, -1), lambda a: a),
+                (slice(None, None, -1), np.asfortranarray),
+            ]:
+                part = _cached_split(
+                    rate_mbs[cols], *(layout(a[:, cols]) for a in (rate, local_cost, cached))
+                )
+                assert np.array_equal(part[0], full[0][cols]), (n, i, cols)
+                assert np.array_equal(part[1], full[1][cols]), (n, i, cols)
 
 
 class TestUnicast:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import subprocess
 import sys
 
@@ -160,6 +161,16 @@ class TestCachingPolicy:
         assert proc.returncode != 0
         assert "placement entries must be 0 or 1" in proc.stderr
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("pair, message", [
+        ((0, 1), "scbs id 0 outside 1..2"),
+        ((3, 1), "scbs id 3 outside 1..2"),
+        ((1, -1), "file index -1 outside 0..2"),
+        ((1, 3), "file index 3 outside 0..2"),
+    ])
+    def test_from_pairs_rejects_bad_indices(self, pair, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CachingPolicy.from_pairs(2, 3, [pair])
 
     def test_feasibility_check(self):
         inst = motivating_instance()

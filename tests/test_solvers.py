@@ -176,9 +176,9 @@ def _equivalence_cases(seed: int) -> list[Instance]:
     1,000 ``random_instance``s, half with heavy SCBS costs (caches are
     drawn from 0..I, so zero and unequal caches are common); 200 of them
     again with about a third of the rates saturated at lambda * d = 1e3;
-    100 with 9 to 14 SCBSs, where numpy sums a lone column pairwise, a
-    quarter of them with one file; and generated instances, the paper's
-    defaults among them.
+    100 with 9 to 14 SCBSs, enough rows that numpy's ``sum`` would add a
+    lone column pairwise, a quarter of them with one file; and generated
+    instances, the paper's defaults among them.
     """
     rng = np.random.default_rng(seed)
     cases = [random_instance(rng, heavy_scbs_costs=k % 2 == 1) for k in range(1000)]
@@ -418,7 +418,8 @@ class TestLocalSearch:
         # that re-scored everything, from greedy and from random starts.
         # Every candidate's split, the input of its objective, equals a full
         # _cached_split of the reference's candidate bit for bit, also when
-        # a move touches one file among nine or more SCBSs.
+        # a move touches one file among nine or more SCBSs and the refresh
+        # splits that lone column.
         splits, candidates = [], []
 
         def recording_split_cost(c_mbs, rate_out, local):
@@ -456,7 +457,7 @@ def _exhaustive_cases(seed: int, count: int) -> list[Instance]:
     Caches are capped at 2 and may be 0; a few instances have every cache
     at 0, a few duplicate a file (exact ties between mirror placements),
     two have no demand at all (every placement ties), and a few have one
-    file and nine SCBSs, where numpy sums the rates pairwise.
+    file and nine SCBSs, where numpy's ``sum`` would add the rates pairwise.
     """
     rng = np.random.default_rng(seed)
     cases = [
@@ -498,7 +499,7 @@ class TestExhaustiveBlocks:
 
     def test_every_policy_scored_as_the_scalar_split(self, monkeypatch):
         # the per-policy inputs of _file_terms equal _cached_split's for the
-        # same placement bit for bit, including the pairwise single-file sum
+        # same placement bit for bit, also with one file among nine SCBSs
         seen = []
 
         def recording(c_mbs, rate_out, local, *rest):
