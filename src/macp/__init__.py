@@ -20,12 +20,12 @@ from .cost import (
     cost_bruteforce,
     cost_closed_form,
     cost_unicast,
-    marginal_cost,
 )
 from .solvers import (
     SolverReport,
     exact_optimal,
     greedy_macp,
+    greedy_macp_ladder,
     local_search,
     popularity_placement,
 )
@@ -67,9 +67,9 @@ __all__ = [
     "cost_bruteforce",
     "cost_closed_form",
     "cost_unicast",
-    "marginal_cost",
     "SolverReport",
     "greedy_macp",
+    "greedy_macp_ladder",
     "local_search",
     "popularity_placement",
     "exact_optimal",

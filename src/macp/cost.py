@@ -6,11 +6,11 @@ locally.  Areas request independently, so with ``rate_out`` the summed
 d * lambda of the areas outside the cached set, the file costs
 ``c_mbs * (1 - exp(-rate_out)) + exp(-rate_out) * sum of c_n * p_n`` over
 the cached SCBSs.  ``_file_terms`` is the one place that formula is
-written; ``cost_closed_form``, ``marginal_cost`` and the solvers are built
-on it.  ``cost_bruteforce`` literally enumerates all 2^(N+1) requesting
-subsets with the model's own ``subset_probability`` and ``mbs_triggered``
-and is the independent ground truth for small N.  The unicast
-metric used by popularity/unicast baselines lives here too.
+written; ``cost_closed_form`` and the solvers are built on it.
+``cost_bruteforce`` literally enumerates all 2^(N+1) requesting subsets
+with the model's own ``subset_probability`` and ``mbs_triggered`` and is
+the independent ground truth for small N.  The unicast metric used by
+popularity/unicast baselines lives here too.
 """
 
 from __future__ import annotations
@@ -156,38 +156,6 @@ def cost_closed_form(instance: Instance, policy: CachingPolicy) -> CostBreakdown
     c_mbs, rate_mbs, rate, local_cost = _area_rates(instance)
     rate_out, local = _cached_split(rate_mbs, rate, local_cost, policy.placement.astype(bool))
     return _split_cost(c_mbs, rate_out, local)
-
-
-def marginal_cost(
-    instance: Instance,
-    policy: CachingPolicy,
-    scbs: int,
-    file: int,
-    base: CostBreakdown | None = None,
-) -> float:
-    """Objective value after additionally caching ``file`` at SCBS ``scbs``.
-
-    Only the placed file's term is recomputed; all other per-file terms are
-    reused from ``base`` (the closed-form breakdown of ``policy``, computed
-    here when not supplied).
-    """
-    n = instance.num_scbs
-    if not 1 <= scbs <= n:
-        raise ValueError(f"scbs id {scbs} outside 1..{n}")
-    if not 0 <= file < instance.num_files:
-        raise ValueError(f"file index {file} outside 0..{instance.num_files - 1}")
-    row = scbs - 1
-    if policy.placement[row, file]:
-        raise ValueError(f"file {file} is already cached at SCBS {scbs}")
-    if policy.placement[row].sum() >= instance.cache_size[row]:
-        raise ValueError(f"cache of SCBS {scbs} is full")
-    if base is None:
-        base = cost_closed_form(instance, policy)
-    cached = policy.placement[:, [file]].astype(bool)
-    cached[row] = True
-    c_mbs, rate_mbs, rate, local_cost = _area_rates(instance, [file])
-    term = _file_terms(c_mbs, *_cached_split(rate_mbs, rate, local_cost, cached))
-    return base.total - float(base.per_file[file]) + float(term[0])
 
 
 def cost_unicast(instance: Instance, policy: CachingPolicy) -> CostBreakdown:

@@ -53,7 +53,8 @@ def numeric_array(name: str, value, dtype) -> np.ndarray:
     before a cast could parse them or fail on them; then the items of a
     nested list for booleans, which numpy reads as 0 and 1 among numbers;
     and, for an integer ``dtype``, that every value is a whole number in its
-    range rather than truncating or wrapping it.
+    range rather than truncating or wrapping it.  A float ``dtype`` takes a
+    Python int beyond 64 bits as the float it is.
     """
     try:
         arr = np.asarray(value)
@@ -67,6 +68,14 @@ def numeric_array(name: str, value, dtype) -> np.ndarray:
         for v in np.asarray(value, dtype=object).ravel().tolist():
             if isinstance(v, (int, float)) and abs(v) < math.inf and not info.min <= v <= info.max:
                 raise ValueError(f"{name} value {v!r} is outside the {info.bits}-bit integer range")
+    elif arr.dtype.kind == "O":
+        # numpy holds an int beyond 64 bits as an object; a float field takes its float
+        items = np.asarray(value, dtype=object).ravel().tolist()
+        if all(type(v) in (int, float) for v in items):
+            try:
+                arr = np.array(items, dtype=np.float64).reshape(arr.shape)
+            except OverflowError:
+                raise ValueError(f"{name} holds an integer beyond the float range") from None
     if arr.dtype.kind not in "iuf" or _holds_bool(value):
         raise ValueError(f"{name} must hold numbers only")
     if integral and arr.dtype.kind == "f":
@@ -268,10 +277,6 @@ class CachingPolicy:
                 raise ValueError(f"file index {file} outside 0..{num_files - 1}")
             x[scbs - 1, file] = 1
         return cls(x)
-
-    def cached_areas(self, file: int) -> frozenset[int]:
-        """Area ids (1..N) of the SCBSs holding ``file``."""
-        return frozenset(int(n) + 1 for n in np.flatnonzero(self.placement[:, file]))
 
     def check_feasible(self, instance: Instance | DecisionInstance) -> None:
         """Raise ValueError unless this policy fits the instance's caches.

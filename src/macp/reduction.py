@@ -245,8 +245,8 @@ def macdp_decide(
     Returns ``(True, witness)`` for the first (lexicographically smallest)
     policy with objective <= threshold + 1e-9, or ``(False, None)`` after
     scanning the whole space.  The scan runs over the numpy blocks of
-    ``exact_optimal``, O(block x max(N, I)) values at a time, in the order of
-    ``iter_feasible_placements``: a policy's cost is the fixed part plus each
+    ``exact_optimal``, O(block x max(N, I)) values at a time, in their
+    lexicographic order: a policy's cost is the fixed part plus each
     entry's local or macro term, added in table order as a scalar loop
     would.  Every term is >= 0 and IEEE addition of a non-negative number
     never lowers a sum, so the first policy whose full cost is within the

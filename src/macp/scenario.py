@@ -24,7 +24,13 @@ import numpy as np
 from .cost import cost_closed_form, cost_unicast
 from .model import CachingPolicy, Instance, Record
 from .sim import SimConfig, simulate
-from .solvers import greedy_macp, local_search, popularity_placement
+from .solvers import (
+    SolverReport,
+    greedy_macp,
+    greedy_macp_ladder,
+    local_search,
+    popularity_placement,
+)
 
 SCHEMES = ("PAC-UT", "PAC-MT", "MAC-MT")
 SWEEP_AXES = ("cache_size", "zipf_shape", "deadline")
@@ -142,10 +148,19 @@ def run_comparison(
     The two popularity schemes share a placement and differ only in the
     delivery metric.  MAC-MT's placement is ``greedy_macp``'s, improved by
     ``local_search``.  With ``sim_config`` set, each scheme is additionally
-    simulated in its own delivery mode.
+    simulated in its own delivery mode.  ``sweep`` gives each point the
+    same results, with the greedy start taken from a ladder on the
+    cache-size axis.
     """
+    return _compare(instance, greedy_macp(instance).policy, sim_config)
+
+
+def _compare(
+    instance: Instance, greedy: CachingPolicy, sim_config: SimConfig | None
+) -> list[SchemeResult]:
+    """``run_comparison`` with MAC-MT's greedy start given."""
     popularity = popularity_placement(instance)
-    multicast_aware = local_search(instance, greedy_macp(instance).policy)
+    multicast_aware = local_search(instance, greedy)
     plan = (
         ("PAC-UT", popularity, cost_unicast),
         ("PAC-MT", popularity, cost_closed_form),
@@ -216,6 +231,12 @@ def sweep(
     config's master seed; the same replication reuses its draw at every
     axis value, so points along the axis are directly comparable.  Rows
     are emitted deterministically given the master seed.
+
+    Every point's rows equal ``run_comparison`` on that point's instance.
+    On the cache-size axis a replication's points differ only in cache
+    size, so MAC-MT's greedy starts come from one ``greedy_macp_ladder``
+    over the non-zero sizes, which shares the greedy's work up to each
+    size's first fill.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -238,9 +259,15 @@ def sweep(
     rep_seeds = _replication_seeds(config.seed, replications)
     rows: list[SweepRow] = []
     for rep in range(replications):
-        for vi, value in enumerate(values):
-            cfg = dataclasses.replace(config, **{axis: value}, seed=rep_seeds[rep])
-            instance = generate_scenario(cfg)
+        instances = [
+            generate_scenario(dataclasses.replace(config, **{axis: value}, seed=rep_seeds[rep]))
+            for value in values
+        ]
+        # MAC-MT's greedy starts; only the placements are kept, not the traces
+        starts = [report.policy for report in (
+            _cache_ladder(instances) if axis == "cache_size" else map(greedy_macp, instances)
+        )]
+        for vi, (value, instance, start) in enumerate(zip(values, instances, starts)):
             sim_cfg = None
             if sim_config is not None:
                 sim_seed = int(
@@ -249,7 +276,7 @@ def sweep(
                     )[0]
                 )
                 sim_cfg = dataclasses.replace(sim_config, seed=sim_seed)
-            for res in run_comparison(instance, sim_cfg):
+            for res in _compare(instance, start, sim_cfg):
                 rows.append(
                     SweepRow(
                         axis=axis,
@@ -263,6 +290,18 @@ def sweep(
                     )
                 )
     return SweepResult(axis=axis, values=tuple(values), replications=replications, rows=tuple(rows))
+
+
+def _cache_ladder(instances: list[Instance]) -> list[SolverReport]:
+    """``greedy_macp`` of each point of a cache-size sweep, in order.
+
+    The points share their demand, so the non-zero caches form one ladder;
+    a zero cache has no SCBS with a cache and gets its own (empty) greedy.
+    """
+    sized = [k for k, instance in enumerate(instances) if instance.cache_size.any()]
+    reports = dict(zip(sized, greedy_macp_ladder([instances[k] for k in sized])))
+    return [reports[k] if k in reports else greedy_macp(instance)
+            for k, instance in enumerate(instances)]
 
 
 def _fmt(value) -> str:

@@ -1,11 +1,12 @@
 """Cache placement solvers.
 
 ``greedy_macp`` is the multicast-aware heuristic (commit the single best
-placement until every cache is full), ``local_search`` improves a given
-placement by swaps and coverage completions, ``popularity_placement`` is
-the conventional per-SCBS top-k baseline, and ``exact_optimal``
-exhaustively enumerates feasible placements as an optimality oracle for
-tiny instances.
+placement until every cache is full), ``greedy_macp_ladder`` runs it once
+for instances that differ only in nested cache sizes, ``local_search``
+improves a given placement by swaps and coverage completions,
+``popularity_placement`` is the conventional per-SCBS top-k baseline, and
+``exact_optimal`` exhaustively enumerates feasible placements as an
+optimality oracle for tiny instances.
 """
 
 from __future__ import annotations
@@ -69,30 +70,113 @@ def greedy_macp(instance: Instance) -> SolverReport:
     cell once at the start, then the allowed cells of the committed file's
     column after each commit.  It is 0 when no SCBS has a cache.
     """
-    n, i = instance.num_scbs, instance.num_files
-    sizes = instance.cache_size.tolist()
-    c_mbs, rate_mbs, rate, local_cost = _area_rates(instance)
+    return greedy_macp_ladder([instance])[0]
+
+
+def greedy_macp_ladder(instances) -> list[SolverReport]:
+    """``greedy_macp`` of instances that differ only in their cache sizes.
+
+    The greedy's picks read the cache sizes only through fills: until a
+    commit fills an SCBS, its state is the same for any sizes with caches
+    at the same SCBSs.  So the ladder runs one greedy at the largest sizes
+    and, on the commit that fills a smaller member's cache first, copies
+    the state, ends the run and closes the row there, and finishes that
+    member from the copy; members with equal sizes share one run.  The
+    reports equal ``greedy_macp``'s on each instance, trace and
+    ``evaluations`` included, in input order (none for no instances);
+    apart from the copies it does no work that separate calls would not.
+
+    Raises ValueError unless the instances agree in everything but
+    ``cache_size``, have caches at the same SCBSs, and have size vectors
+    that are nested elementwise.
+    """
+    instances = list(instances)
+    if not instances:
+        return []
+    first = instances[0]
+    for inst in instances[1:]:
+        if (
+            (inst.num_scbs, inst.num_files, inst.cost_backhaul, inst.cost_mbs_tx, inst.deadline)
+            != (first.num_scbs, first.num_files, first.cost_backhaul, first.cost_mbs_tx,
+                first.deadline)
+            or not np.array_equal(inst.cost_scbs_tx, first.cost_scbs_tx)
+            or not np.array_equal(inst.demand, first.demand)
+        ):
+            raise ValueError("ladder instances may differ in cache_size only")
+        if not np.array_equal(inst.cache_size > 0, first.cache_size > 0):
+            raise ValueError("ladder instances must have caches at the same SCBSs")
+    sizes = [tuple(inst.cache_size.tolist()) for inst in instances]
+    ladder = sorted(set(sizes), key=sum)
+    for small, large in zip(ladder, ladder[1:]):
+        if not all(a <= b for a, b in zip(small, large)):
+            raise ValueError(f"cache sizes {list(small)} and {list(large)} are not nested")
+
+    n, i = first.num_scbs, first.num_files
+    c_mbs, rate_mbs, rate, local_cost = _area_rates(first)
     # file-major (I, N) layout, so a file's column is one contiguous row
     rate, local_cost = rate.T.copy(), local_cost.T.copy()
-    cached = np.zeros((i, n), dtype=bool)
-    fill = [0] * n
     # allowed[f, n]: f is not cached at n and n's cache has room
-    has_cache = instance.cache_size > 0
+    has_cache = first.cache_size > 0
     allowed = np.zeros((i, n), dtype=bool)
     allowed[:, has_cache] = True
 
     rate_out = rate_mbs + rate.sum(axis=1)
     terms = _file_terms(c_mbs, rate_out, 0.0)
-    total = float(terms.sum())
     gain = np.full((i, n), np.inf)
     gain[:, has_cache] = _file_terms(
         c_mbs, rate_out[:, None] - rate[:, has_cache], local_cost[:, has_cache]
     ) - terms[:, None]
-    best = gain.min(axis=1)
-    evaluations = int(np.count_nonzero(allowed))
+    start = _GreedyState(
+        cached=np.zeros((i, n), dtype=bool), fill=[0] * n, allowed=allowed, gain=gain,
+        best=gain.min(axis=1), terms=terms, total=float(terms.sum()), trace=[],
+        evaluations=int(np.count_nonzero(allowed)),
+    )
+    data = (c_mbs, rate_mbs.tolist(), rate.tolist(), local_cost.tolist())
+    done: dict[tuple[int, ...], SolverReport] = {}
+    pending = [(start, ladder)]
+    while pending:
+        _greedy_finish(*pending.pop(), data, pending, done)
+    return [done[s] for s in sizes]
 
-    rate_mbs, rate_rows, local_rows = rate_mbs.tolist(), rate.tolist(), local_cost.tolist()
-    trace: list[tuple[int, int, int, float]] = []
+
+@dataclass
+class _GreedyState:
+    """What the greedy carries from one global pick to the next (file-major arrays)."""
+
+    cached: np.ndarray
+    fill: list[int]
+    allowed: np.ndarray
+    gain: np.ndarray
+    best: np.ndarray
+    terms: np.ndarray
+    total: float
+    trace: list[tuple[int, int, int, float]]
+    evaluations: int
+
+
+def _end_run(state: _GreedyState, file: int, row: int, open_rows, column, best_f, full) -> None:
+    """Store the run's last column; on a fill, close the row to every file."""
+    state.allowed[file], state.gain[file], state.best[file] = open_rows, column, best_f
+    if full:
+        state.allowed[:, row] = False
+        state.gain[:, row] = np.inf
+        state.gain.min(axis=1, out=state.best)
+
+
+def _greedy_finish(state: _GreedyState, ladder, data, pending, done) -> None:
+    """Run the greedy from ``state`` for the nested sizes ``ladder``, smallest first.
+
+    The loop runs at the largest sizes.  A commit that fills the smallest
+    member's cache below the largest's forks: the members whose cache fills
+    there go into ``pending`` with a copy that ends the run and closes the
+    row, and the rest go on.  The remaining members' report goes into ``done``.
+    """
+    c_mbs, rate_mbs, rate_rows, local_rows = data
+    sizes = ladder[-1]
+    stop = ladder[0]  # where the next fill of some member comes
+    cached, fill, allowed, gain, best, terms = (
+        state.cached, state.fill, state.allowed, state.gain, state.best, state.terms)
+    total, trace, evaluations = state.total, state.trace, state.evaluations
     while len(trace) < sum(sizes):
         file = int(best.argmin())
         limit = best[file] + 1e-12 * max(1.0, abs(total))
@@ -126,22 +210,29 @@ def greedy_macp(instance: Instance) -> SolverReport:
             column = [_file_terms(c_mbs, rate_out_f - r, local_f + v, math.expm1) - term_f
                       if ok else math.inf for r, v, ok in zip(rates, costs, open_rows)]
             evaluations += open_rows.count(True)
-            full = fill[row] == sizes[row]
             best_f = min(column)
+            full = fill[row] == stop[row]
+            if full and stop[row] < sizes[row]:
+                # the members whose cache at this row fills here go on alone
+                k = sum(member[row] == fill[row] for member in ladder)
+                fork = _GreedyState(cached.copy(), fill.copy(), allowed.copy(), gain.copy(),
+                                    best.copy(), terms.copy(), total, trace.copy(), evaluations)
+                _end_run(fork, file, row, open_rows, column, best_f, True)
+                pending.append((fork, ladder[:k]))
+                ladder = ladder[k:]
+                stop, full = ladder[0], False
             limit = best_f + 1e-12 * max(1.0, abs(total))
             # the global path's pick while no other file is within the limit
             if full or not others > limit:
                 break
             # the first row within the limit; filter and index scan in C
             row = column.index(next(filter(limit.__ge__, column)))
-        allowed[file], gain[file], best[file] = open_rows, column, best_f
-        if full:
-            allowed[:, row] = False
-            gain[:, row] = np.inf
-            best = gain.min(axis=1)
+        _end_run(state, file, row, open_rows, column, best_f, full)
 
-    policy = CachingPolicy(cached.T.astype(np.int8))
-    return SolverReport(policy=policy, trace=tuple(trace), evaluations=evaluations)
+    report = SolverReport(policy=CachingPolicy(cached.T.astype(np.int8)), trace=tuple(trace),
+                          evaluations=evaluations)
+    for member in ladder:
+        done[member] = report
 
 
 def popularity_placement(instance: Instance) -> CachingPolicy:
@@ -183,7 +274,10 @@ def local_search(instance: Instance, policy: CachingPolicy) -> CachingPolicy:
     strictly lowers the objective, computed as ``cost_closed_form`` does;
     otherwise the search stops, so it always ends.
     Ties go to a swap over a completion, then to the smallest SCBS, then to
-    the smallest file.
+    the smallest file.  A completion's rate outside is a separate sum
+    (``rate_bare``), so the best swap counts as tied with the best
+    completion when it scores within the greedy's tie limit,
+    ``1e-12 * max(1, |objective|)``, of it.
     """
     policy.check_feasible(instance)
     c_mbs, rate_mbs, rate, local_cost = _area_rates(instance)
@@ -234,7 +328,8 @@ def local_search(instance: Instance, policy: CachingPolicy) -> CachingPolicy:
         row = int(swap.argmin())
         file = int(cover.argmin())
         x = cached.copy()
-        if swap[row] <= cover[file]:
+        # the two are scored from different sums: a tie is a tie within the greedy's limit
+        if swap[row] <= cover[file] + 1e-12 * max(1.0, abs(best)):
             if not swap[row] < 0.0:
                 break
             moved = {into[row], out[row]}
@@ -292,7 +387,10 @@ def _placement_blocks(tables) -> Iterator[tuple[int, list[np.ndarray]]]:
     """Yield ``(size, rows)`` for consecutive blocks of the enumeration.
 
     Placement k is the mixed-radix number whose digit n, ``rows[n]``, indexes
-    ``tables[n]``; the last SCBS varies fastest.
+    ``tables[n]``; the last SCBS varies fastest.  Each table is sorted, so
+    the placements come in lexicographic row-major order (all-zeros first),
+    and a first-strict-minimum scan picks the lexicographically smallest
+    optimum.
     """
     radix = [len(t) for t in tables]
     space = math.prod(radix)
@@ -306,24 +404,8 @@ def _placement_blocks(tables) -> Iterator[tuple[int, list[np.ndarray]]]:
         yield min(_BLOCK, space - start), rows[::-1]
 
 
-def iter_feasible_placements(
-    num_files: int, cache_sizes
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield every 0/1 placement matrix with row sums within the cache sizes.
-
-    Each matrix is a tuple of rows, each row a tuple of 0/1 ints, in
-    lexicographic row-major order (all-zeros first): each SCBS's options
-    are sorted, and the last SCBS varies fastest, so a first-strict-minimum
-    scan picks the lexicographically smallest optimum.  This is the tuple
-    view of the tables whose blocks ``exact_optimal`` and ``macdp_decide``
-    scan, O(_BLOCK x max(N, I)) values at a time.
-    """
-    tables = _placement_tables(num_files, cache_sizes)
-    return itertools.product(*([tuple(r) for r in t.astype(int).tolist()] for t in tables))
-
-
 def count_feasible_placements(num_files: int, cache_sizes) -> int:
-    """Number of matrices ``iter_feasible_placements`` would yield."""
+    """Number of 0/1 placement matrices with row sums within the cache sizes."""
     return math.prod(
         sum(math.comb(num_files, k) for k in range(min(int(s), num_files) + 1))
         for s in cache_sizes
@@ -335,8 +417,8 @@ def exact_optimal(instance: Instance, max_policies: int = DEFAULT_POLICY_CAP) ->
 
     Only viable on tiny instances; raises CapacityError with the search
     space cardinality when it exceeds ``max_policies``, before any table is
-    built.  Scores the placements of ``iter_feasible_placements`` in numpy
-    blocks of ``_BLOCK`` (O(_BLOCK x max(N, I)) values held at once), adding
+    built.  Scores the feasible placements in the numpy blocks of
+    ``_placement_blocks`` (O(_BLOCK x max(N, I)) values held at once), adding
     each SCBS's per-option rate outside and local cost in turn, SCBS 1 first,
     as ``_cached_split`` does; so each policy's cost equals
     ``_file_terms(...).sum()`` of its own ``_cached_split`` bit for bit.

@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 
-from macp import CachingPolicy, DecisionInstance, Instance, SolverReport, SppInstance
+from macp import CachingPolicy, CostBreakdown, DecisionInstance, Instance, SolverReport, SppInstance
 from macp.cost import _area_rates, _cached_split, _file_terms, cost_closed_form
 from macp.reduction import COST_SLACK
+from macp.solvers import _placement_tables
 
 # Two-SCBS, three-file walkthrough instance: unit macro cost, free SCBS
 # transmissions, one cache slot each, one-second period.
@@ -99,6 +100,57 @@ def random_spp(rng: np.random.Generator, max_elements: int = 6, max_subsets: int
         mask = rng.random(n) < rng.uniform(0.2, 0.8)
         subsets.append(frozenset(e for e, hit in zip(universe, mask) if hit))
     return SppInstance(frozenset(universe), tuple(subsets), int(rng.integers(0, count + 1)))
+
+
+# Test-only views of the library: no library, CLI or demo code needs them.
+
+
+def marginal_cost(
+    instance: Instance,
+    policy: CachingPolicy,
+    scbs: int,
+    file: int,
+    base: CostBreakdown | None = None,
+) -> float:
+    """Objective value after additionally caching ``file`` at SCBS ``scbs``.
+
+    Only the placed file's term is recomputed; all other per-file terms are
+    reused from ``base`` (the closed-form breakdown of ``policy``, computed
+    here when not supplied).
+    """
+    n = instance.num_scbs
+    if not 1 <= scbs <= n:
+        raise ValueError(f"scbs id {scbs} outside 1..{n}")
+    if not 0 <= file < instance.num_files:
+        raise ValueError(f"file index {file} outside 0..{instance.num_files - 1}")
+    row = scbs - 1
+    if policy.placement[row, file]:
+        raise ValueError(f"file {file} is already cached at SCBS {scbs}")
+    if policy.placement[row].sum() >= instance.cache_size[row]:
+        raise ValueError(f"cache of SCBS {scbs} is full")
+    if base is None:
+        base = cost_closed_form(instance, policy)
+    cached = policy.placement[:, [file]].astype(bool)
+    cached[row] = True
+    c_mbs, rate_mbs, rate, local_cost = _area_rates(instance, [file])
+    term = _file_terms(c_mbs, *_cached_split(rate_mbs, rate, local_cost, cached))
+    return base.total - float(base.per_file[file]) + float(term[0])
+
+
+def cached_areas(policy: CachingPolicy, file: int) -> frozenset[int]:
+    """Area ids (1..N) of the SCBSs holding ``file``."""
+    return frozenset(int(n) + 1 for n in np.flatnonzero(policy.placement[:, file]))
+
+
+def iter_feasible_placements(num_files: int, cache_sizes):
+    """The placements ``exact_optimal`` and ``macdp_decide`` scan, as tuples.
+
+    Each matrix is a tuple of rows, each row a tuple of 0/1 ints, in the
+    order of the library's block scans: the tuple view of its per-SCBS
+    option tables, the last SCBS varying fastest.
+    """
+    tables = _placement_tables(num_files, cache_sizes)
+    return itertools.product(*([tuple(r) for r in t.astype(int).tolist()] for t in tables))
 
 
 # Reference oracles: the scalar per-policy scans that the block scans of
@@ -358,7 +410,8 @@ def reference_local_search(instance: Instance, policy: CachingPolicy) -> Caching
         row = int(swap.argmin())
         file = int(cover.argmin())
         x = cached.copy()
-        if swap[row] <= cover[file]:
+        # the two are scored from different sums: a tie is a tie within the greedy's limit
+        if swap[row] <= cover[file] + 1e-12 * max(1.0, abs(best)):
             if not swap[row] < 0.0:
                 break
             if not use_free[row]:

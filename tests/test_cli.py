@@ -88,6 +88,23 @@ class TestSolveEvaluate:
         assert data["total"] == pytest.approx(expect, abs=5e-4)
 
 
+    def test_int_beyond_64_bits_in_float_field_is_a_number(self, tmp_path, instance_file):
+        # numpy holds 2**64 as an object; as a rate or a cost it is a finite float
+        data = json.loads(instance_file.read_text())
+        data["cost_mbs_tx"] = 2**65
+        data["cost_scbs_tx"] = [2**64, 0]
+        data["demand"][1][0] = 2**64
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(data))
+        rep_path = tmp_path / "rep.json"
+        assert main(["solve", str(path), "--out", str(tmp_path / "pol.json"),
+                     "--report", str(rep_path)]) == 0
+        inst = Instance.from_json(path.read_text())
+        assert inst.cost_scbs_tx.tolist() == [2.0**64, 0.0]
+        assert inst.demand[1, 0] == 2.0**64
+        assert np.isfinite(json.loads(rep_path.read_text())["objective"])
+
+
 class TestSimulateCommand:
     def test_report_and_trace(self, tmp_path, instance_file, policy_file):
         out = tmp_path / "report.json"
@@ -293,6 +310,9 @@ class TestInputErrors:
          "cache_size value 18446744073709551616 is outside the 64-bit integer range"),
         ("macdp", {"cache_size": [2**63, 1]},
          "cache_size value 9223372036854775808 is outside the 64-bit integer range"),
+        # a float field takes an int beyond 64 bits, but not one beyond the float range
+        ("instance", {"demand": [[0, 0, 0], [1, 10**400, 1], [0, 0, 0]]},
+         "demand holds an integer beyond the float range"),
     ])
     def test_array_item_of_wrong_type_is_one_line_error(self, tmp_path, capsys, instance_file,
                                                         kind, change, message):

@@ -11,10 +11,10 @@ from macp import (
     cost_closed_form,
     cost_unicast,
     exact_optimal,
-    marginal_cost,
 )
 from macp.cost import _area_rates, _cached_split
 from helpers import (
+    marginal_cost,
     motivating_instance,
     motivating_optimal_policy,
     motivating_popular_policy,

@@ -20,7 +20,7 @@ from macp import (
 from macp.cost import CostBreakdown
 from macp.reduction import DecisionInstance
 from macp.sim import SimReport
-from helpers import motivating_instance, random_instance
+from helpers import cached_areas, motivating_instance, random_instance
 
 
 class TestRequestProbability:
@@ -185,8 +185,8 @@ class TestCachingPolicy:
 
     def test_cached_areas(self):
         pol = CachingPolicy([[1, 0], [1, 1]])
-        assert pol.cached_areas(0) == {1, 2}
-        assert pol.cached_areas(1) == {2}
+        assert cached_areas(pol, 0) == {1, 2}
+        assert cached_areas(pol, 1) == {2}
 
 
 class TestSubsetProbability:

@@ -17,7 +17,7 @@ from macp import (
 )
 
 from macp.solvers import count_feasible_placements
-from helpers import random_decision, random_spp, reference_macdp_decide
+from helpers import iter_feasible_placements, random_decision, random_spp, reference_macdp_decide
 
 FIG_SPP = SppInstance(
     elements=frozenset({1, 2, 3}),
@@ -116,8 +116,6 @@ class TestDecisionCost:
             spp = random_spp(rng, max_elements=4, max_subsets=4)
             dec = spp_to_macdp(spp)
             count = len(spp.subsets)
-            from macp.solvers import iter_feasible_placements
-
             for rows in iter_feasible_placements(dec.num_files, dec.cache_size):
                 x = np.array(rows, dtype=np.int8).reshape(dec.num_scbs, dec.num_files)
                 cost = decision_cost(dec, CachingPolicy(x))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,13 @@ from macp import (
     sweep_csv,
     zipf_weights,
 )
-from macp.scenario import SWEEP_CSV_COLUMNS, cost_reduction_summary
+from macp.scenario import (
+    SWEEP_CSV_COLUMNS,
+    SweepResult,
+    SweepRow,
+    _replication_seeds,
+    cost_reduction_summary,
+)
 
 
 class TestZipfWeights:
@@ -171,6 +179,29 @@ class TestSweep:
         a = sweep_csv(sweep(cfg, "zipf_shape", [0.4, 0.8], replications=2))
         b = sweep_csv(sweep(cfg, "zipf_shape", [0.4, 0.8], replications=2))
         assert a == b
+
+    @pytest.mark.parametrize("axis, values, sim", [
+        ("cache_size", [30, 0, 10, 30, 200], None),
+        ("cache_size", [3, 1, 0, 3], SimConfig(periods=300, mode="multicast", seed=0)),
+        ("deadline", [2.0, 0.5], None),
+    ])
+    def test_csv_equals_per_point_comparison(self, axis, values, sim):
+        # the cache-size axis takes its greedy starts from one ladder over the
+        # non-zero sizes (unsorted, repeated, above num_files); every point's
+        # rows, and so the CSV bytes, are still run_comparison's on that point
+        cfg = ScenarioConfig(num_scbs=6, num_files=40, seed=61)
+        rows = []
+        for rep, seed in enumerate(_replication_seeds(cfg.seed, 2)):
+            for vi, value in enumerate(values):
+                inst = generate_scenario(dataclasses.replace(cfg, **{axis: value}, seed=seed))
+                sim_cfg = None
+                if sim is not None:
+                    sim_seed = np.random.SeedSequence([seed, vi]).generate_state(1, np.uint64)[0]
+                    sim_cfg = dataclasses.replace(sim, seed=int(sim_seed))
+                rows += [SweepRow(axis, value, r.scheme, r.analytic_cost, r.sim_cost,
+                                  r.sim_stderr, rep, seed) for r in run_comparison(inst, sim_cfg)]
+        want = sweep_csv(SweepResult(axis, tuple(values), 2, tuple(rows)))
+        assert sweep_csv(sweep(cfg, axis, values, replications=2, sim_config=sim)) == want
 
     def test_csv_columns(self):
         cfg = ScenarioConfig(num_scbs=3, num_files=10, seed=47)

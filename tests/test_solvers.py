@@ -12,15 +12,16 @@ from macp import (
     greedy_macp,
     local_search,
     macdp_decide,
-    marginal_cost,
     popularity_placement,
     spp_to_macdp,
 )
 import helpers
 import macp.solvers as solvers_module
 from macp.cost import _area_rates, _cached_split, _file_terms, _split_cost
-from macp.solvers import count_feasible_placements, iter_feasible_placements
+from macp.solvers import count_feasible_placements, greedy_macp_ladder
 from helpers import (
+    iter_feasible_placements,
+    marginal_cost,
     motivating_instance,
     motivating_optimal_policy,
     random_decision,
@@ -160,6 +161,83 @@ class TestGreedy:
     def test_run_cut_filled_or_tied_mid_run(self, event, inst):
         assert event in _run_events(inst)
         _assert_same_greedy(inst)
+
+
+def _with_sizes(inst: Instance, sizes) -> Instance:
+    return Instance(inst.num_scbs, inst.num_files, sizes, inst.cost_backhaul, inst.cost_mbs_tx,
+                    inst.cost_scbs_tx, inst.demand, inst.deadline)
+
+
+class TestGreedyLadder:
+    def test_matches_per_size_reference(self):
+        # Random nested ladders on 1 to 8 SCBSs, caches at the same SCBSs:
+        # up to five members in random order, equal members, sizes above
+        # num_files (clamped to it), and forks that cut the largest member's
+        # run of one file short; plus cache-size sweeps of generated scenarios.
+        rng = np.random.default_rng(71)
+        ladders = []
+        for k in range(400):
+            inst = random_instance(rng, heavy_scbs_costs=k % 2 == 1)
+            on = inst.cache_size > 0
+            size = np.where(on, 1, 0)
+            members = []
+            for _ in range(int(rng.integers(1, 6))):
+                drawn = rng.integers(1, inst.num_files + 4, size=on.size)
+                size = np.maximum(size, np.where(on, drawn, 0))
+                members.append(_with_sizes(inst, size))
+            if rng.random() < 0.3:
+                members.append(members[int(rng.integers(len(members)))])
+            ladders.append([members[j] for j in rng.permutation(len(members))])
+        for seed in range(2):
+            base = generate_scenario(ScenarioConfig(num_scbs=5, num_files=30, seed=seed))
+            ladders.append([_with_sizes(base, [c] * 5) for c in (12, 3, 30, 6, 3, 45)])
+        cut = 0
+        for members in ladders:
+            reports = greedy_macp_ladder(members)
+            assert len(reports) == len(members)
+            for inst, report in zip(members, reports):
+                want = reference_greedy_macp(inst)
+                assert report.trace == want.trace, inst
+                assert report.evaluations == want.evaluations, inst
+                assert np.array_equal(report.policy.placement, want.policy.placement), inst
+            cut += _runs_cut_by_forks(members, reports)
+        assert cut >= 20
+
+    def test_one_instance_and_none(self):
+        inst = motivating_instance()
+        (report,) = greedy_macp_ladder([inst])
+        assert report.trace == greedy_macp(inst).trace
+        assert greedy_macp_ladder([]) == []
+
+    @pytest.mark.parametrize("change, message", [
+        ({"cache_size": [2, 1, 2]}, "not nested"),
+        ({"demand": np.full((4, 4), 0.6)}, "differ in cache_size only"),
+        ({"deadline": 2.0}, "differ in cache_size only"),
+        ({"cache_size": [0, 2, 2]}, "caches at the same SCBSs"),
+    ])
+    def test_rejects_other_differences(self, change, message):
+        fields = dict(num_scbs=3, num_files=4, cache_size=[1, 2, 2], cost_backhaul=0.5,
+                      cost_mbs_tx=0.5, cost_scbs_tx=[0.1, 0.1, 0.1],
+                      demand=np.full((4, 4), 0.5), deadline=1.0)
+        base = Instance(**fields)
+        other = Instance(**{**fields, **change})
+        with pytest.raises(ValueError, match=message):
+            greedy_macp_ladder([base, other])
+
+
+def _runs_cut_by_forks(members: list[Instance], reports) -> int:
+    """Members whose first fill came while the largest member kept committing the same file."""
+    largest = max(range(len(members)), key=lambda k: int(members[k].cache_size.sum()))
+    top, top_trace = members[largest].cache_size, reports[largest].trace
+    cut = 0
+    for inst, report in zip(members, reports):
+        fill = np.zeros(inst.num_scbs, dtype=int)
+        for t, (_, scbs, file, _) in enumerate(report.trace):
+            fill[scbs - 1] += 1
+            if fill[scbs - 1] == inst.cache_size[scbs - 1] < top[scbs - 1]:
+                cut += top_trace[t + 1][2] == file
+                break
+    return cut
 
 
 def _saturated(rng: np.random.Generator, inst: Instance) -> Instance:
@@ -367,6 +445,19 @@ class TestLocalSearch:
         ):
             assert np.array_equal(policy.placement, [[1, 0], [1, 0]])
             assert cost_closed_form(inst, policy).total == pytest.approx(1.3, abs=1e-12)
+
+    @pytest.mark.parametrize("rate_mbs, rate", [(0.1, 0.2), (0.3, 0.7), (0.6, 1.1)])
+    def test_exact_swap_completion_tie_goes_to_the_swap(self, rate_mbs, rate):
+        # One file, requested at SCBS 1 and in the macro-only area; SCBS 2
+        # has no demand.  Caching it at SCBS 1 alone (a free-slot swap) and
+        # at both SCBSs (a completion) give the same cost, but the swap's
+        # rate outside is (rate_mbs + rate) - rate, one rounding step above
+        # the completion's rate_mbs, so it scores a last bit worse.
+        assert (rate_mbs + rate) - rate > rate_mbs
+        inst = Instance(2, 1, [1, 1], 0.5, 0.5, [0.25, 0.25], [[rate_mbs], [rate], [0.0]], 1.0)
+        for search in (local_search, reference_local_search):
+            got = search(inst, CachingPolicy.empty(2, 1))
+            assert np.array_equal(got.placement, [[1], [0]])
 
     def test_between_start_and_exact_optimum(self):
         rng = np.random.default_rng(47)
