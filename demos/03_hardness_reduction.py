@@ -32,9 +32,8 @@ print("Ground set {1, 2, 3}; listed subsets {1}, {1,2}, {2,3}; want 2 disjoint."
 decision = spp_to_macdp(spp)
 print(f"\nReduced placement question: {decision.num_scbs} unit-cache SCBSs, "
       f"{decision.num_files} files, threshold Q = {decision.threshold:.4f}")
-for i, entries in enumerate(decision.probabilities):
-    areas, prob = entries[0]
-    print(f"  file {i}: requested by areas {sorted(areas)} with probability {prob:.4f}")
+for file, areas, prob in decision.prob_table:
+    print(f"  file {file}: requested by areas {sorted(areas)} with probability {prob:.4f}")
 
 answer, witness = macdp_decide(decision)
 print(f"\nPlacement side answer: {answer}")

@@ -22,7 +22,8 @@ import numpy as np
 from .errors import CapacityError
 from .model import CachingPolicy, Instance, Record, mbs_triggered, subset_probability
 
-DEFAULT_BRUTEFORCE_CAP = 16
+# Most SCBSs ``cost_bruteforce`` enumerates the requesting subsets of.
+BRUTEFORCE_CAP = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,24 +55,20 @@ def _breakdown(mbs_pf: np.ndarray, scbs_pf: np.ndarray) -> CostBreakdown:
     )
 
 
-def cost_bruteforce(
-    instance: Instance,
-    policy: CachingPolicy,
-    max_scbs: int = DEFAULT_BRUTEFORCE_CAP,
-) -> CostBreakdown:
+def cost_bruteforce(instance: Instance, policy: CachingPolicy) -> CostBreakdown:
     """Exact objective by enumerating every non-empty requesting subset.
 
     For each file and each subset r of the N+1 areas, adds
     ``subset_probability(r) * (cost_backhaul + cost_mbs_tx)`` when
     ``mbs_triggered`` says r makes the macro cell multicast, else
     ``subset_probability(r) * sum of the requesters' SCBS costs``.
-    Work is Theta(I * 2^(N+1)); refuses to run above ``max_scbs``.
+    Work is Theta(I * 2^(N+1)); refuses to run above ``BRUTEFORCE_CAP`` SCBSs.
     """
     n = instance.num_scbs
-    if n > max_scbs:
+    if n > BRUTEFORCE_CAP:
         raise CapacityError(
             f"brute-force enumeration over 2^{n + 1} subsets exceeds the cap of "
-            f"{max_scbs} SCBSs; use cost_closed_form instead"
+            f"{BRUTEFORCE_CAP} SCBSs; use cost_closed_form instead"
         )
     policy.check_feasible(instance)
 
@@ -112,15 +109,15 @@ def _file_terms(c_mbs: float, rate_out, local, expm1=np.expm1):
     return local + e * (local - c_mbs)
 
 
-def _area_rates(instance: Instance, files=slice(None)):
-    """Per-area inputs of the objective for ``files`` (every file by default).
+def _area_rates(instance: Instance):
+    """Per-area inputs of the objective.
 
     Returns ``(c_mbs, rate_mbs, rate, local_cost)``: the cost of one macro
     transmission (backhaul plus macro cell), the macro-only area's
-    d * lambda per file, the (N, files) SCBS rates d * lambda, and the
-    (N, files) expected cost c_n * p_n of SCBS n serving its own requests.
+    d * lambda per file, the (N, I) SCBS rates d * lambda, and the (N, I)
+    expected cost c_n * p_n of SCBS n serving its own requests.
     """
-    rate = instance.demand[:, files] * instance.deadline
+    rate = instance.demand * instance.deadline
     local_cost = instance.cost_scbs_tx[:, None] * -np.expm1(-rate[1:])
     return instance.cost_backhaul + instance.cost_mbs_tx, rate[0], rate[1:], local_cost
 

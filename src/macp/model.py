@@ -229,6 +229,18 @@ class Instance(Record):
             raise ValueError("demand rates must be finite and non-negative")
         object.__setattr__(self, "demand", _readonly(dem))
 
+        # bounds every term and total of the objective, so none overflows
+        with np.errstate(over="ignore"):
+            rate_sums = (dem * self.deadline).sum(axis=0)
+            cost_bound = i * (self.cost_backhaul + self.cost_mbs_tx + c.sum())
+        if not np.isfinite(rate_sums).all():
+            f = int(np.flatnonzero(~np.isfinite(rate_sums))[0])
+            raise ValueError(f"file {f}: demand * deadline summed over the areas is not finite")
+        if not np.isfinite(cost_bound):
+            raise ValueError(
+                "num_files * (cost_backhaul + cost_mbs_tx + sum of cost_scbs_tx) is not finite"
+            )
+
     def request_probabilities(self) -> np.ndarray:
         """Per-area, per-file probability of at least one request in a period.
 
@@ -259,10 +271,6 @@ class CachingPolicy:
     @property
     def num_files(self) -> int:
         return self.placement.shape[1]
-
-    @classmethod
-    def empty(cls, num_scbs: int, num_files: int) -> "CachingPolicy":
-        return cls(np.zeros((num_scbs, num_files), dtype=np.int8))
 
     @classmethod
     def from_pairs(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +21,11 @@ from .errors import CapacityError
 from .model import CachingPolicy, Record, check_ints, check_keys, mbs_triggered, numeric_array
 from .solvers import DEFAULT_POLICY_CAP, _placement_blocks, _placement_tables
 
-DEFAULT_SELECTION_CAP = 20
+# Most subsets ``spp_decide`` enumerates selections of.
+SELECTION_CAP = 20
 COST_SLACK = 1e-9
-# The JSON keys of a decision instance (``to_dict``), which names its table
-# ``prob_table``, and of one table entry, with the kind of each value.
+# The JSON keys of a decision instance and of one table entry, with the kind
+# of each value.
 _DECISION_KEYS = {"num_scbs": "int", "num_files": "int", "cache_size": "list",
                   "cost_backhaul": "float", "cost_mbs_tx": "float", "cost_scbs_tx": "list",
                   "deadline": "float", "prob_table": "list", "threshold": "float"}
@@ -75,8 +77,9 @@ class SppInstance(Record):
 class DecisionInstance(Record):
     """Threshold question over an explicit request-probability table.
 
-    ``probabilities[i]`` lists ``(areas, prob)`` pairs for file i; the
-    table is taken literally, so a file's listed masses may sum to less
+    ``prob_table`` lists ``(file, areas, prob)`` entries in the order given:
+    with probability ``prob``, exactly the areas ``areas`` request ``file``.
+    The table is taken literally, so a file's listed masses may sum to less
     than 1 (the remainder is the no-request event).  Asks whether some
     feasible policy has objective value at most ``threshold``.
     """
@@ -88,7 +91,7 @@ class DecisionInstance(Record):
     cost_mbs_tx: float
     cost_scbs_tx: np.ndarray
     deadline: float
-    probabilities: tuple[tuple[tuple[frozenset[int], float], ...], ...]
+    prob_table: tuple[tuple[int, frozenset[int], float], ...]
     threshold: float
 
     def __post_init__(self):
@@ -118,66 +121,35 @@ class DecisionInstance(Record):
         if math.isnan(self.threshold):
             raise ValueError("threshold must be a number")
 
-        table = tuple(
-            tuple((frozenset(r), float(pr)) for r, pr in entries)
-            for entries in self.probabilities
-        )
-        if len(table) != i:
-            raise ValueError(f"probabilities must list {i} files, got {len(table)}")
-        for file, entries in enumerate(table):
-            mass = 0.0
-            for areas, pr in entries:
-                if not 0.0 <= pr <= 1.0:
-                    raise ValueError(f"file {file}: probability {pr} outside [0, 1]")
-                if any(not 0 <= a <= n for a in areas):
-                    raise ValueError(f"file {file}: area id outside 0..{n}")
-                mass += pr
-            if mass > 1.0 + 1e-9:
-                raise ValueError(f"file {file}: listed probabilities sum to {mass} > 1")
-        object.__setattr__(self, "probabilities", table)
+        table = tuple((operator.index(f), frozenset(r), float(pr)) for f, r, pr in self.prob_table)
+        mass = [0.0] * i
+        for file, areas, pr in table:
+            if not 0 <= file < i:
+                raise ValueError(
+                    f"{type(self).__name__}: prob_table file {file} outside 0..{i - 1}"
+                )
+            if not 0.0 <= pr <= 1.0:
+                raise ValueError(f"file {file}: probability {pr} outside [0, 1]")
+            if any(not 0 <= a <= n for a in areas):
+                raise ValueError(f"file {file}: area id outside 0..{n}")
+            mass[file] += pr
+        for file, total in enumerate(mass):
+            if total > 1.0 + 1e-9:
+                raise ValueError(f"file {file}: listed probabilities sum to {total} > 1")
+        object.__setattr__(self, "prob_table", table)
 
     def to_dict(self) -> dict:
-        return {
-            "num_scbs": self.num_scbs,
-            "num_files": self.num_files,
-            "cache_size": self.cache_size.tolist(),
-            "cost_backhaul": self.cost_backhaul,
-            "cost_mbs_tx": self.cost_mbs_tx,
-            "cost_scbs_tx": self.cost_scbs_tx.tolist(),
-            "deadline": self.deadline,
-            "prob_table": [
-                {"file": i, "areas": sorted(areas), "prob": pr}
-                for i, entries in enumerate(self.probabilities)
-                for areas, pr in entries
-            ],
-            "threshold": self.threshold,
-        }
+        table = [{"file": f, "areas": sorted(r), "prob": pr} for f, r, pr in self.prob_table]
+        return {**Record.to_dict(self), "prob_table": table}
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecisionInstance":
         check_keys(cls.__name__, data, _DECISION_KEYS, kinds=_DECISION_KEYS)
-        table: list[list[tuple[list[int], float]]] = [
-            [] for _ in range(data["num_files"])
-        ]
         for entry in data["prob_table"]:
             check_keys(f"{cls.__name__} prob_table entry", entry, _ENTRY_KEYS, kinds=_ENTRY_KEYS)
-            if not 0 <= entry["file"] < len(table):
-                raise ValueError(
-                    f"{cls.__name__}: prob_table file {entry['file']} outside 0..{len(table) - 1}"
-                )
             check_ints(f"{cls.__name__} prob_table entry", "areas", entry["areas"])
-            table[entry["file"]].append((entry["areas"], entry["prob"]))
-        return cls(
-            num_scbs=data["num_scbs"],
-            num_files=data["num_files"],
-            cache_size=data["cache_size"],
-            cost_backhaul=data["cost_backhaul"],
-            cost_mbs_tx=data["cost_mbs_tx"],
-            cost_scbs_tx=data["cost_scbs_tx"],
-            deadline=data["deadline"],
-            probabilities=tuple(tuple(e) for e in table),
-            threshold=data["threshold"],
-        )
+        table = [(e["file"], e["areas"], e["prob"]) for e in data["prob_table"]]
+        return cls(**{**data, "prob_table": table})
 
 
 def _element_areas(spp: SppInstance) -> dict:
@@ -200,9 +172,7 @@ def spp_to_macdp(spp: SppInstance) -> DecisionInstance:
     n = len(area)
     count = len(spp.subsets)
     mass = 1.0 / count
-    table = tuple(
-        ((frozenset(area[e] for e in s), mass),) for s in spp.subsets
-    )
+    table = tuple((i, frozenset(area[e] for e in s), mass) for i, s in enumerate(spp.subsets))
     return DecisionInstance(
         num_scbs=n,
         num_files=count,
@@ -211,7 +181,7 @@ def spp_to_macdp(spp: SppInstance) -> DecisionInstance:
         cost_mbs_tx=1.0,
         cost_scbs_tx=np.zeros(n),
         deadline=1.0,
-        probabilities=table,
+        prob_table=table,
         threshold=1.0 - spp.target / count,
     )
 
@@ -228,12 +198,11 @@ def decision_cost(decision: DecisionInstance, policy: CachingPolicy) -> float:
     c = decision.cost_scbs_tx
     c_mbs = decision.cost_backhaul + decision.cost_mbs_tx
     total = 0.0
-    for i, entries in enumerate(decision.probabilities):
-        for areas, pr in entries:
-            if not areas or pr == 0.0:
-                continue
-            triggered = mbs_triggered(policy, areas, i)
-            total += pr * (c_mbs if triggered else sum(c[a - 1] for a in areas))
+    for file, areas, pr in decision.prob_table:
+        if not areas or pr == 0.0:
+            continue
+        triggered = mbs_triggered(policy, areas, file)
+        total += pr * (c_mbs if triggered else sum(c[a - 1] for a in areas))
     return total
 
 
@@ -262,16 +231,15 @@ def macdp_decide(
     # Entries touching the macro-only area cost c_mbs under any policy.
     fixed = 0.0
     dynamic: list[tuple[int, tuple[int, ...], float, float]] = []
-    for file, entries in enumerate(decision.probabilities):
-        for areas, pr in entries:
-            if not areas or pr == 0.0:
-                continue
-            if 0 in areas:
-                fixed += pr * c_mbs
-            else:
-                rows = tuple(a - 1 for a in sorted(areas))
-                local = pr * sum(c[r] for r in rows)
-                dynamic.append((file, rows, pr * c_mbs, local))
+    for file, areas, pr in decision.prob_table:
+        if not areas or pr == 0.0:
+            continue
+        if 0 in areas:
+            fixed += pr * c_mbs
+        else:
+            rows = tuple(a - 1 for a in sorted(areas))
+            local = pr * sum(c[r] for r in rows)
+            dynamic.append((file, rows, pr * c_mbs, local))
 
     if fixed > limit:
         return False, None
@@ -289,19 +257,18 @@ def macdp_decide(
     return False, None
 
 
-def spp_decide(
-    spp: SppInstance, max_subsets: int = DEFAULT_SELECTION_CAP
-) -> tuple[bool, tuple[int, ...] | None]:
+def spp_decide(spp: SppInstance) -> tuple[bool, tuple[int, ...] | None]:
     """Exhaustively decide set packing; returns the witness index selection.
 
     ``(True, indices)`` lists ``target`` pairwise-disjoint subsets (the
     lexicographically first such selection); ``(False, None)`` means none
-    exists.  A target of zero is vacuously satisfied.
+    exists.  A target of zero is vacuously satisfied.  Refuses more than
+    ``SELECTION_CAP`` subsets.
     """
     count = len(spp.subsets)
-    if count > max_subsets:
+    if count > SELECTION_CAP:
         raise CapacityError(
-            f"{count} subsets exceed the exhaustive selection cap of {max_subsets}"
+            f"{count} subsets exceed the exhaustive selection cap of {SELECTION_CAP}"
         )
     if spp.target == 0:
         return True, ()

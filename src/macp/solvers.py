@@ -57,7 +57,7 @@ def greedy_macp(instance: Instance) -> SolverReport:
     file's best gain is within the tie limit and no SCBS fills, f is
     committed again at its first row within the limit and only column f is
     re-scored, in plain Python, from fresh sums (not running differences).
-    A fill, a tie or a NaN ends the run; the next pick is global.  That is
+    A fill or a tie ends the run; the next pick is global.  That is
     O(N * I) work once, O(N + I) per commit and O(N * I) per filled row.
 
     Tie rule: the eligible candidates are those whose gain is within

@@ -80,6 +80,11 @@ def random_instance(
     )
 
 
+def empty_policy(num_scbs: int, num_files: int) -> CachingPolicy:
+    """The policy that caches nothing."""
+    return CachingPolicy(np.zeros((num_scbs, num_files), dtype=np.int8))
+
+
 def random_policy(rng: np.random.Generator, instance: Instance) -> CachingPolicy:
     """Uniformly random feasible placement for the instance."""
     x = np.zeros((instance.num_scbs, instance.num_files), dtype=np.int8)
@@ -132,8 +137,8 @@ def marginal_cost(
         base = cost_closed_form(instance, policy)
     cached = policy.placement[:, [file]].astype(bool)
     cached[row] = True
-    c_mbs, rate_mbs, rate, local_cost = _area_rates(instance, [file])
-    term = _file_terms(c_mbs, *_cached_split(rate_mbs, rate, local_cost, cached))
+    c_mbs, *rates = _area_rates(instance)
+    term = _file_terms(c_mbs, *_cached_split(*(r[..., [file]] for r in rates), cached))
     return base.total - float(base.per_file[file]) + float(term[0])
 
 
@@ -203,16 +208,15 @@ def reference_macdp_decide(decision: DecisionInstance):
     # Entries touching the macro-only area cost c_mbs under any policy.
     fixed = 0.0
     dynamic = []
-    for file, entries in enumerate(decision.probabilities):
-        for areas, pr in entries:
-            if not areas or pr == 0.0:
-                continue
-            if 0 in areas:
-                fixed += pr * c_mbs
-            else:
-                rows = tuple(a - 1 for a in sorted(areas))
-                local = pr * sum(c[r] for r in rows)
-                dynamic.append((file, rows, pr * c_mbs, local))
+    for file, areas, pr in decision.prob_table:
+        if not areas or pr == 0.0:
+            continue
+        if 0 in areas:
+            fixed += pr * c_mbs
+        else:
+            rows = tuple(a - 1 for a in sorted(areas))
+            local = pr * sum(c[r] for r in rows)
+            dynamic.append((file, rows, pr * c_mbs, local))
 
     if fixed > limit:
         return False, None
@@ -245,8 +249,7 @@ def random_decision(
     n = int(rng.integers(1, max_scbs + 1))
     i = int(rng.integers(1, max_files + 1))
     table = []
-    for _ in range(i):
-        entries = []
+    for file in range(i):
         mass = 0.0
         for _ in range(int(rng.integers(0, 4))):
             k = int(rng.integers(1, n + 1))
@@ -258,13 +261,12 @@ def random_decision(
             areas = frozenset(areas)
             pr = 0.0 if rng.random() < 0.15 else float(rng.uniform(0.0, 1.0 - mass))
             mass += pr
-            entries.append((areas, pr))
-        table.append(tuple(entries))
+            table.append((file, areas, pr))
     cost_w = float(rng.uniform(0.2, 1.5))
     c_mbs = float(rng.uniform(0.0, 1.0)) + cost_w
     c = rng.uniform(0.05, 1.0, size=n) * cost_w / n
     # the cost of caching nothing, which every other policy can only undercut
-    all_macro = sum(pr * c_mbs for entries in table for areas, pr in entries if areas)
+    all_macro = sum(pr * c_mbs for _, areas, pr in table if areas)
     return DecisionInstance(
         num_scbs=n,
         num_files=i,
@@ -273,7 +275,7 @@ def random_decision(
         cost_mbs_tx=cost_w,
         cost_scbs_tx=c,
         deadline=1.0,
-        probabilities=tuple(table),
+        prob_table=tuple(table),
         threshold=float(rng.uniform(0.4, 1.02)) * all_macro,
     )
 

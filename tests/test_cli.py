@@ -11,6 +11,77 @@ from macp.cli import _scenario_config, build_parser, main
 from helpers import motivating_instance, motivating_optimal_policy
 
 
+# What ``macp reduce`` and then ``macp decide --problem macdp`` write for the
+# three-subset figure instance, byte for byte.
+FIGURE_DECISION_JSON = """\
+{
+  "cache_size": [
+    1,
+    1,
+    1
+  ],
+  "cost_backhaul": 0.0,
+  "cost_mbs_tx": 1.0,
+  "cost_scbs_tx": [
+    0.0,
+    0.0,
+    0.0
+  ],
+  "deadline": 1.0,
+  "num_files": 3,
+  "num_scbs": 3,
+  "prob_table": [
+    {
+      "areas": [
+        1
+      ],
+      "file": 0,
+      "prob": 0.3333333333333333
+    },
+    {
+      "areas": [
+        1,
+        2
+      ],
+      "file": 1,
+      "prob": 0.3333333333333333
+    },
+    {
+      "areas": [
+        2,
+        3
+      ],
+      "file": 2,
+      "prob": 0.3333333333333333
+    }
+  ],
+  "threshold": 0.33333333333333337
+}
+"""
+FIGURE_ANSWER_JSON = """\
+{
+  "answer": true,
+  "witness": [
+    [
+      1,
+      0,
+      0
+    ],
+    [
+      0,
+      0,
+      1
+    ],
+    [
+      0,
+      0,
+      1
+    ]
+  ]
+}
+"""
+
+
 @pytest.fixture
 def instance_file(tmp_path):
     path = tmp_path / "instance.json"
@@ -133,6 +204,16 @@ class TestSimulateCommand:
 
 
 class TestReduceDecide:
+    def test_outputs_are_pinned(self, tmp_path):
+        spp_path = tmp_path / "spp.json"
+        spp_path.write_text(json.dumps({"elements": [1, 2, 3], "subsets": [[1], [1, 2], [2, 3]],
+                                        "target": 2}))
+        dec_path, out = tmp_path / "dec.json", tmp_path / "macdp.json"
+        assert main(["reduce", str(spp_path), "--out", str(dec_path)]) == 0
+        assert dec_path.read_bytes() == FIGURE_DECISION_JSON.encode()
+        assert main(["decide", str(dec_path), "--problem", "macdp", "--out", str(out)]) == 0
+        assert out.read_bytes() == FIGURE_ANSWER_JSON.encode()
+
     def test_round_trip(self, tmp_path):
         spp_path = tmp_path / "spp.json"
         spp_path.write_text(json.dumps({
@@ -333,6 +414,32 @@ class TestInputErrors:
         out = tmp_path / "out.json"
         assert main([command[0], str(path), *command[1:], "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"macp: error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm", ["greedy", "exact", "popularity"])
+    @pytest.mark.parametrize("change, message", [
+        ({"cost_backhaul": 1e308, "cost_mbs_tx": 1e308},
+         "num_files * (cost_backhaul + cost_mbs_tx + sum of cost_scbs_tx) is not finite"),
+        ({"num_scbs": 3, "cache_size": [1, 1, 1], "cost_scbs_tx": [0, 0, 0],
+          "demand": [[0, 0, 0], [1e308, 1, 0], [1e308, 0, 1], [1e308, 0, 0]]},
+         "file 0: demand * deadline summed over the areas is not finite"),
+    ], ids=["costs", "rates"])
+    def test_objective_overflow_is_one_line_error(self, tmp_path, capsys, instance_file,
+                                                  algorithm, change, message):
+        instance_file.write_text(json.dumps({**json.loads(instance_file.read_text()), **change}))
+        out, report = tmp_path / "policy.json", tmp_path / "report.json"
+        assert main(["solve", str(instance_file), "--algorithm", algorithm, "--out", str(out),
+                     "--report", str(report)]) == 2
+        assert capsys.readouterr().err == f"macp: error: {message}\n"
+        assert not out.exists() and not report.exists()
+
+    def test_sweep_deadline_overflow_is_one_line_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--axis", "deadline", "--values", "1e308", "--num-scbs", "2",
+                     "--num-files", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "macp: error: file 0: demand * deadline summed over the areas is not finite\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("config, message", [

@@ -14,6 +14,7 @@ from macp import (
 )
 from macp.cost import _area_rates, _cached_split
 from helpers import (
+    empty_policy,
     marginal_cost,
     motivating_instance,
     motivating_optimal_policy,
@@ -50,7 +51,7 @@ class TestBruteforce:
         n = 17
         inst = Instance(n, 1, [1] * n, 1, 1, [0] * n, np.ones((n + 1, 1)), 1.0)
         with pytest.raises(CapacityError, match="cost_closed_form"):
-            cost_bruteforce(inst, CachingPolicy.empty(n, 1))
+            cost_bruteforce(inst, empty_policy(n, 1))
 
     def test_rejects_infeasible_policy(self):
         inst = motivating_instance()
@@ -89,7 +90,7 @@ class TestClosedFormEquivalence:
         inst = random_instance(rng, max_scbs=6, max_files=5)
         q = 1.0 - inst.request_probabilities()
         expected = (inst.cost_backhaul + inst.cost_mbs_tx) * (1.0 - q.prod(axis=0))
-        out = cost_closed_form(inst, CachingPolicy.empty(inst.num_scbs, inst.num_files))
+        out = cost_closed_form(inst, empty_policy(inst.num_scbs, inst.num_files))
         assert np.allclose(out.per_file, expected, atol=1e-12)
         assert out.scbs_component == 0.0
 
@@ -158,7 +159,7 @@ class TestMarginalCost:
 
     def test_base_snapshot_reused(self):
         inst = motivating_instance()
-        pol = CachingPolicy.empty(2, 3)
+        pol = empty_policy(2, 3)
         base = cost_closed_form(inst, pol)
         direct = marginal_cost(inst, pol, 1, 1)
         with_base = marginal_cost(inst, pol, 1, 1, base=base)
@@ -168,7 +169,7 @@ class TestMarginalCost:
 
     def test_zero_demand_file_changes_nothing(self):
         inst = motivating_instance()
-        pol = CachingPolicy.empty(2, 3)
+        pol = empty_policy(2, 3)
         base = cost_closed_form(inst, pol)
         # the third file has no demand at the first SCBS's area or elsewhere
         # except the second SCBS; placing it where demand is zero is free
@@ -184,7 +185,7 @@ class TestMarginalCost:
 
     def test_rejects_bad_indices(self):
         inst = motivating_instance()
-        pol = CachingPolicy.empty(2, 3)
+        pol = empty_policy(2, 3)
         with pytest.raises(ValueError):
             marginal_cost(inst, pol, 0, 0)
         with pytest.raises(ValueError):
@@ -200,7 +201,7 @@ class TestRateExtremes:
         got = {
             "closed form": cost_closed_form(inst, cached).total,
             "brute force": cost_bruteforce(inst, cached).total,
-            "marginal": marginal_cost(inst, CachingPolicy.empty(2, 1), 1, 0),
+            "marginal": marginal_cost(inst, empty_policy(2, 1), 1, 0),
             "exact": cost_closed_form(inst, exact_optimal(inst).policy).total,
         }
         for name, value in got.items():
@@ -274,7 +275,7 @@ class TestSplitOrder:
 class TestUnicast:
     def test_zero_demand(self):
         inst = Instance(1, 1, [1], 1, 1, [0], np.zeros((2, 1)), 5.0)
-        assert cost_unicast(inst, CachingPolicy.empty(1, 1)).total == 0.0
+        assert cost_unicast(inst, empty_policy(1, 1)).total == 0.0
 
     def test_cached_requests_at_free_scbs_cost_nothing(self):
         inst = Instance(1, 1, [1], 1, 1, [0.0], [[0.0], [2.0]], 10.0)

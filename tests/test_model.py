@@ -73,6 +73,17 @@ class TestInstance:
         with pytest.raises(ValueError):
             Instance(1, 1, [1], 1, 1, [0], [[0], [1]], 0)
 
+    def test_rejects_an_objective_bound_that_overflows(self):
+        # bounds just below the float range pass
+        Instance(1, 1, [1], 0.0, 2.0**1023, [2.0**1022], [[0], [1]], 1)
+        Instance(1, 1, [1], 1, 1, [0], [[2.0**1023], [2.0**1022]], 1)
+        with pytest.raises(ValueError, match="cost_scbs_tx\\) is not finite"):
+            Instance(1, 2, [1], 0.0, 2.0**1023, [2.0**1022], [[0, 0], [1, 1]], 1)
+        with pytest.raises(ValueError, match="file 1: demand"):
+            Instance(1, 2, [1], 1, 1, [0], [[0, 2.0**1023], [1, 2.0**1023]], 1)
+        with pytest.raises(ValueError, match="file 0: demand"):
+            Instance(1, 1, [1], 1, 1, [0], [[2.0**1023], [2.0**1022]], 2)
+
     def test_immutable_arrays(self):
         inst = motivating_instance()
         with pytest.raises(ValueError):

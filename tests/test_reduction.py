@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -17,7 +18,13 @@ from macp import (
 )
 
 from macp.solvers import count_feasible_placements
-from helpers import iter_feasible_placements, random_decision, random_spp, reference_macdp_decide
+from helpers import (
+    empty_policy,
+    iter_feasible_placements,
+    random_decision,
+    random_spp,
+    reference_macdp_decide,
+)
 
 FIG_SPP = SppInstance(
     elements=frozenset({1, 2, 3}),
@@ -53,10 +60,10 @@ class TestConstruction:
 
     def test_probability_table_is_one_subset_per_file(self):
         dec = spp_to_macdp(FIG_SPP)
-        assert dec.probabilities == (
-            ((frozenset({1}), 1 / 3),),
-            ((frozenset({1, 2}), 1 / 3),),
-            ((frozenset({2, 3}), 1 / 3),),
+        assert dec.prob_table == (
+            (0, frozenset({1}), 1 / 3),
+            (1, frozenset({1, 2}), 1 / 3),
+            (2, frozenset({2, 3}), 1 / 3),
         )
 
     def test_zero_target_threshold_one(self):
@@ -82,8 +89,24 @@ class TestConstruction:
     def test_json_round_trip(self):
         dec = spp_to_macdp(FIG_SPP)
         back = type(dec).from_json(dec.to_json())
-        assert back.probabilities == dec.probabilities
+        assert back.prob_table == dec.prob_table
         assert back.threshold == dec.threshold
+
+    def test_interleaved_table_keeps_its_order(self):
+        # entries of different files alternate; nothing regroups them
+        table = ((1, frozenset({1}), 0.25), (0, frozenset({2}), 0.5),
+                 (1, frozenset({0, 2}), 0.125), (0, frozenset({1, 2}), 0.25))
+        dec = DecisionInstance(2, 2, [1, 1], 0.5, 1.0, [0.25, 0.5], 1.0, table, 0.9)
+        assert dec.prob_table == table
+        back = DecisionInstance.from_json(dec.to_json())
+        assert back.prob_table == table
+        assert [e["file"] for e in dec.to_dict()["prob_table"]] == [1, 0, 1, 0]
+        answer, witness = macdp_decide(back)
+        expect, placement = reference_macdp_decide(back)
+        assert answer is expect is True
+        assert np.array_equal(witness.placement, placement)
+        assert witness.placement.tolist() == [[0, 1], [1, 0]]
+        assert decision_cost(back, witness) == 0.875
 
 
 class TestDecisionValidation:
@@ -97,16 +120,21 @@ class TestDecisionValidation:
 
     @pytest.mark.parametrize("file", [-1, 3])
     def test_rejects_table_file_out_of_range(self, file):
-        data = spp_to_macdp(FIG_SPP).to_dict()
+        dec = spp_to_macdp(FIG_SPP)
+        data = dec.to_dict()
         data["prob_table"][0]["file"] = file
         with pytest.raises(ValueError, match=f"prob_table file {file} outside 0..2"):
             DecisionInstance.from_dict(data)
+        # the constructor checks, not only the JSON reader
+        table = ((file, frozenset({1}), 1 / 3),) + dec.prob_table[1:]
+        with pytest.raises(ValueError, match=f"prob_table file {file} outside 0..2"):
+            dataclasses.replace(dec, prob_table=table)
 
 
 class TestDecisionCost:
     def test_worst_case_cost_is_one(self):
         dec = spp_to_macdp(FIG_SPP)
-        empty = CachingPolicy.empty(3, 3)
+        empty = empty_policy(3, 3)
         assert decision_cost(dec, empty) == pytest.approx(1.0)
 
     def test_quantized_costs(self):
@@ -131,7 +159,7 @@ class TestDecisionCost:
     def test_rejects_wrong_shape_placement(self, shape):
         dec = spp_to_macdp(FIG_SPP)
         with pytest.raises(ValueError, match="does not match"):
-            decision_cost(dec, CachingPolicy.empty(*shape))
+            decision_cost(dec, empty_policy(*shape))
 
 
 class TestFigureExample:
@@ -172,11 +200,11 @@ class TestMacdpDecide:
                 assert decision_cost(dec, witness) <= dec.threshold + 1e-9
         assert 60 <= yes <= 240
         # the draws cover what the reduction never produces
-        entries = [e for dec in decisions for file in dec.probabilities for e in file]
-        assert sum(0 in areas for areas, pr in entries if pr > 0) >= 30
-        assert sum(pr == 0.0 for areas, pr in entries) >= 10
-        assert sum(sum(pr for _, pr in file) < 0.9 for dec in decisions
-                   for file in dec.probabilities) >= 30
+        entries = [e for dec in decisions for e in dec.prob_table]
+        assert sum(0 in areas for _, areas, pr in entries if pr > 0) >= 30
+        assert sum(pr == 0.0 for _, _, pr in entries) >= 10
+        assert sum(sum(pr for f, _, pr in dec.prob_table if f == file) < 0.9
+                   for dec in decisions for file in range(dec.num_files)) >= 30
         assert sum((dec.cache_size > 1).any() for dec in decisions) >= 30
         assert all((dec.cost_scbs_tx > 0).all() for dec in decisions)
 

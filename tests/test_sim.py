@@ -14,7 +14,7 @@ from macp import (
     simulate,
 )
 import macp.sim as sim_module
-from helpers import motivating_instance, random_instance, random_policy
+from helpers import empty_policy, motivating_instance, random_instance, random_policy
 
 
 class TestConfig:
@@ -87,7 +87,7 @@ class TestDeterminism:
 
     def test_different_seeds_differ(self):
         inst = motivating_instance()
-        pol = CachingPolicy.empty(2, 3)
+        pol = empty_policy(2, 3)
         a = simulate(inst, pol, SimConfig(2000, "multicast", 1))
         b = simulate(inst, pol, SimConfig(2000, "multicast", 2))
         assert a.mean_cost_per_period != b.mean_cost_per_period
@@ -96,7 +96,7 @@ class TestDeterminism:
 class TestEdgeCases:
     def test_zero_demand(self):
         inst = Instance(2, 2, [1, 1], 1, 1, [0, 0], np.zeros((3, 2)), 1.0)
-        rep = simulate(inst, CachingPolicy.empty(2, 2), SimConfig(500, "multicast", 3))
+        rep = simulate(inst, empty_policy(2, 2), SimConfig(500, "multicast", 3))
         assert rep.mean_cost_per_period == 0.0
         assert rep.std_error == 0.0
         assert rep.mbs_transmissions == 0
@@ -110,7 +110,7 @@ class TestEdgeCases:
 
     def test_single_period_has_zero_stderr(self):
         inst = motivating_instance()
-        rep = simulate(inst, CachingPolicy.empty(2, 3), SimConfig(1, "multicast", 0))
+        rep = simulate(inst, empty_policy(2, 3), SimConfig(1, "multicast", 0))
         assert rep.std_error == 0.0
 
 
@@ -177,7 +177,7 @@ class TestPresenceSampler:
         # one uncached SCBS and no macro-area demand: each period triggers a
         # macro transmission exactly when the lone pair is present
         inst = Instance(1, 1, [0], 0.5, 1.0, [0.25], [[0.0], [rate]], 1.0)
-        rep = simulate(inst, CachingPolicy.empty(1, 1), SimConfig(self.PERIODS, "multicast", seed))
+        rep = simulate(inst, empty_policy(1, 1), SimConfig(self.PERIODS, "multicast", seed))
         hits, n = rep.mbs_transmissions, self.PERIODS
         assert rep.scbs_transmissions == 0
         p = -np.expm1(-rate)

@@ -20,6 +20,7 @@ import macp.solvers as solvers_module
 from macp.cost import _area_rates, _cached_split, _file_terms, _split_cost
 from macp.solvers import count_feasible_placements, greedy_macp_ladder
 from helpers import (
+    empty_policy,
     iter_feasible_placements,
     marginal_cost,
     motivating_instance,
@@ -456,7 +457,7 @@ class TestLocalSearch:
         assert (rate_mbs + rate) - rate > rate_mbs
         inst = Instance(2, 1, [1, 1], 0.5, 0.5, [0.25, 0.25], [[rate_mbs], [rate], [0.0]], 1.0)
         for search in (local_search, reference_local_search):
-            got = search(inst, CachingPolicy.empty(2, 1))
+            got = search(inst, empty_policy(2, 1))
             assert np.array_equal(got.placement, [[1], [0]])
 
     def test_between_start_and_exact_optimum(self):
