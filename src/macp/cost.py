@@ -6,7 +6,8 @@ locally.  Areas request independently, so with ``rate_out`` the summed
 d * lambda of the areas outside the cached set, the file costs
 ``c_mbs * (1 - exp(-rate_out)) + exp(-rate_out) * sum of c_n * p_n`` over
 the cached SCBSs.  ``_file_terms`` is the one place that formula is
-written; ``cost_closed_form`` and the solvers are built on it.
+written; ``cost_closed_form`` and the solvers are built on it, and every
+objective they report is ``per_file.sum()`` of its terms over ``_cached_split``.
 ``cost_bruteforce`` literally enumerates all 2^(N+1) requesting subsets
 with the model's own ``subset_probability`` and ``mbs_triggered`` and is
 the independent ground truth for small N.  The unicast metric used by
@@ -15,6 +16,7 @@ popularity/unicast baselines lives here too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,15 +46,9 @@ class CostBreakdown(Record):
         object.__setattr__(self, "scbs_component", float(self.scbs_component))
 
 
-def _breakdown(mbs_pf: np.ndarray, scbs_pf: np.ndarray) -> CostBreakdown:
-    mbs = float(mbs_pf.sum())
-    scbs = float(scbs_pf.sum())
-    return CostBreakdown(
-        total=mbs + scbs,
-        per_file=mbs_pf + scbs_pf,
-        mbs_component=mbs,
-        scbs_component=scbs,
-    )
+def _breakdown(per_file: np.ndarray, mbs_pf: np.ndarray, scbs_pf: np.ndarray) -> CostBreakdown:
+    """The breakdown whose total is ``per_file.sum()``, the one sum every solver reports."""
+    return CostBreakdown(per_file.sum(), per_file, mbs_pf.sum(), scbs_pf.sum())
 
 
 def cost_bruteforce(instance: Instance, policy: CachingPolicy) -> CostBreakdown:
@@ -88,7 +84,7 @@ def cost_bruteforce(instance: Instance, policy: CachingPolicy) -> CostBreakdown:
                 mbs_pf[i] += prob * c_mbs
             else:
                 scbs_pf[i] += prob * sum(c[a - 1] for a in subset)
-    return _breakdown(mbs_pf, scbs_pf)
+    return _breakdown(mbs_pf + scbs_pf, mbs_pf, scbs_pf)
 
 
 def _file_terms(c_mbs: float, rate_out, local, expm1=np.expm1):
@@ -101,9 +97,10 @@ def _file_terms(c_mbs: float, rate_out, local, expm1=np.expm1):
     ``expm1`` so small rates keep their digits, and it never divides by a
     no-request probability, so rates large enough to make one 0 need no
     special case.  It is linear in ``c_mbs`` and ``local``: passing 0 for
-    one gives the other transmitter's share.  Arrays take numpy's
-    ``expm1``; a caller scoring single Python floats passes ``math.expm1``,
-    several times cheaper per call.
+    one gives the other transmitter's share.  Every reported objective
+    takes numpy's ``expm1``; a caller scoring single Python floats as mere
+    scores may pass ``math.expm1``, several times cheaper per call but not
+    always equal to numpy's in the last bit.
     """
     e = expm1(-rate_out)
     return local + e * (local - c_mbs)
@@ -137,7 +134,8 @@ def _cached_split(rate_mbs, rate, local_cost, cached):
 
 def _split_cost(c_mbs: float, rate_out, local) -> CostBreakdown:
     """The objective, split by transmitter, from a ``_cached_split``."""
-    return _breakdown(_file_terms(c_mbs, rate_out, 0.0), _file_terms(0.0, rate_out, local))
+    return _breakdown(_file_terms(c_mbs, rate_out, local), _file_terms(c_mbs, rate_out, 0.0),
+                      _file_terms(0.0, rate_out, local))
 
 
 def cost_closed_form(instance: Instance, policy: CachingPolicy) -> CostBreakdown:
@@ -160,7 +158,8 @@ def cost_unicast(instance: Instance, policy: CachingPolicy) -> CostBreakdown:
 
     Each of the lambda*d expected requests costs the local SCBS rate when
     the file is cached there, and a backhaul-plus-macro transmission
-    otherwise; macro-only-area requests always pay the latter.
+    otherwise; macro-only-area requests always pay the latter.  Raises
+    ValueError when the total overflows the float range.
     """
     policy.check_feasible(instance)
     lam = instance.demand * instance.deadline
@@ -168,6 +167,10 @@ def cost_unicast(instance: Instance, policy: CachingPolicy) -> CostBreakdown:
     c = instance.cost_scbs_tx
     c_mbs = instance.cost_backhaul + instance.cost_mbs_tx
 
-    scbs_pf = (lam[1:] * cached * c[:, None]).sum(axis=0)
-    mbs_pf = c_mbs * ((lam[1:] * ~cached).sum(axis=0) + lam[0])
-    return _breakdown(mbs_pf, scbs_pf)
+    with np.errstate(over="ignore"):
+        scbs_pf = (lam[1:] * cached * c[:, None]).sum(axis=0)
+        mbs_pf = c_mbs * ((lam[1:] * ~cached).sum(axis=0) + lam[0])
+        out = _breakdown(mbs_pf + scbs_pf, mbs_pf, scbs_pf)
+    if not math.isfinite(out.total):
+        raise ValueError("the expected unicast cost is not finite")
+    return out

@@ -34,16 +34,6 @@ from .solvers import (
 
 SCHEMES = ("PAC-UT", "PAC-MT", "MAC-MT")
 SWEEP_AXES = ("cache_size", "zipf_shape", "deadline")
-SWEEP_CSV_COLUMNS = (
-    "axis",
-    "value",
-    "scheme",
-    "analytic_cost",
-    "sim_cost",
-    "sim_stderr",
-    "replication",
-    "seed",
-)
 
 
 @dataclass(frozen=True)
@@ -181,6 +171,8 @@ def _compare(
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One sweep CSV row; its fields are the CSV columns, in order."""
+
     axis: str
     value: float
     scheme: str
@@ -189,6 +181,9 @@ class SweepRow:
     sim_stderr: float | None
     replication: int
     seed: int
+
+
+SWEEP_CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
 
 
 @dataclass(frozen=True)
@@ -268,27 +263,13 @@ def sweep(
             _cache_ladder(instances) if axis == "cache_size" else map(greedy_macp, instances)
         )]
         for vi, (value, instance, start) in enumerate(zip(values, instances, starts)):
-            sim_cfg = None
-            if sim_config is not None:
-                sim_seed = int(
-                    np.random.SeedSequence([rep_seeds[rep], vi]).generate_state(
-                        1, np.uint64
-                    )[0]
-                )
-                sim_cfg = dataclasses.replace(sim_config, seed=sim_seed)
-            for res in _compare(instance, start, sim_cfg):
-                rows.append(
-                    SweepRow(
-                        axis=axis,
-                        value=value,
-                        scheme=res.scheme,
-                        analytic_cost=res.analytic_cost,
-                        sim_cost=res.sim_cost,
-                        sim_stderr=res.sim_stderr,
-                        replication=rep,
-                        seed=rep_seeds[rep],
-                    )
-                )
+            sim_cfg = None if sim_config is None else dataclasses.replace(sim_config, seed=int(
+                np.random.SeedSequence([rep_seeds[rep], vi]).generate_state(1, np.uint64)[0]))
+            rows.extend(
+                SweepRow(axis, value, res.scheme, res.analytic_cost, res.sim_cost,
+                         res.sim_stderr, rep, rep_seeds[rep])
+                for res in _compare(instance, start, sim_cfg)
+            )
     return SweepResult(axis=axis, values=tuple(values), replications=replications, rows=tuple(rows))
 
 
@@ -304,30 +285,20 @@ def _cache_ladder(instances: list[Instance]) -> list[SolverReport]:
             for k, instance in enumerate(instances)]
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
-
-
 def sweep_csv(result: SweepResult) -> str:
-    """Render a sweep as CSV with the normative column set."""
+    """Render a sweep as CSV with the normative column set.
+
+    A missing value is an empty cell and a float its shortest round-trip
+    ``repr``; every other cell is written as is.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_CSV_COLUMNS)
-    for r in result.rows:
-        writer.writerow(
-            [
-                r.axis,
-                _fmt(r.value) if isinstance(r.value, float) else r.value,
-                r.scheme,
-                _fmt(r.analytic_cost),
-                _fmt(r.sim_cost),
-                _fmt(r.sim_stderr),
-                r.replication,
-                r.seed,
-            ]
-        )
+    writer.writerows(
+        ["" if v is None else repr(float(v)) if isinstance(v, float) else v
+         for v in map(row.__getattribute__, SWEEP_CSV_COLUMNS)]
+        for row in result.rows
+    )
     return buf.getvalue()
 
 

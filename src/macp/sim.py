@@ -97,6 +97,10 @@ def simulate(
     the macro class and of each SCBS, and charge every request
     individually.  ``trace_path`` optionally writes a per-period CSV
     (period,cost,mbs_tx,scbs_tx,unicast_tx).
+
+    Raises ValueError when a unicast run expects 2**62 requests or more
+    (checked before drawing, so no 64-bit count or sum of counts wraps),
+    and when a period's cost overflows the float range.
     """
     policy.check_feasible(instance)
     lam = instance.demand * instance.deadline
@@ -112,6 +116,10 @@ def simulate(
             [lam[0].sum() + lam[1:][~cached].sum()],
             np.where(cached, lam[1:], 0.0).sum(axis=1),
         ))
+        expected = float(rates.sum()) * total  # a Python float: inf, not a warning
+        if not expected < 2.0**62:
+            raise ValueError(f"{expected:.3g} expected unicast requests in {total} periods "
+                             "overflow the 64-bit request counts")
 
         def draw(m):
             k = rng.poisson(rates, size=(m, rates.size))
@@ -159,7 +167,10 @@ def simulate(
             scbs_counts = per_scbs.sum(axis=1)
             # a row-wise sum, not ``per_scbs @ c``: BLAS sums a row in an
             # order that depends on its position in the batch
-            batch_costs = c_mbs * mbs_counts + (per_scbs * c).sum(axis=1)
+            with np.errstate(over="ignore"):
+                batch_costs = c_mbs * mbs_counts + (per_scbs * c).sum(axis=1)
+            if not np.isfinite(batch_costs).all():
+                raise ValueError("a simulated period's cost overflows the float range")
 
             costs[done : done + m] = batch_costs
             mbs_tx += int(mbs_counts.sum())
@@ -181,8 +192,13 @@ def simulate(
         if trace is not None:
             trace.close()
 
-    mean = float(costs.mean())
-    stderr = float(costs.std(ddof=1) / math.sqrt(total)) if total > 1 else 0.0
+    # moments of the (non-negative) costs scaled by a power of two, so no
+    # square overflows; while the scaled costs stay normal, scaling is
+    # exact and the moments have the unscaled computation's bits
+    exp = math.frexp(costs.max())[1]
+    scaled = np.ldexp(costs, -exp, out=costs)
+    mean = math.ldexp(scaled.mean(), exp)
+    stderr = math.ldexp(scaled.std(ddof=1), exp) / math.sqrt(total) if total > 1 else 0.0
     return SimReport(
         mean_cost_per_period=mean,
         std_error=stderr,

@@ -56,9 +56,14 @@ def greedy_macp(instance: Instance) -> SolverReport:
     evaluated once, commits come in runs of one file f: while no other
     file's best gain is within the tie limit and no SCBS fills, f is
     committed again at its first row within the limit and only column f is
-    re-scored, in plain Python, from fresh sums (not running differences).
-    A fill or a tie ends the run; the next pick is global.  That is
-    O(N * I) work once, O(N + I) per commit and O(N * I) per filled row.
+    re-scored, in plain Python.  A fill or a tie ends the run; the next
+    pick is global.  That is O(N * I) work once, O(N + I) per commit and
+    O(N * I) per filled row.
+
+    Each trace objective is ``cost_closed_form``'s total of the placement so
+    far, bit for bit: a committed file's sums are added as ``_cached_split``
+    adds them and its term takes numpy's ``expm1``.  Candidate gains are
+    scores, never reported: running differences taken with ``math.expm1``.
 
     Tie rule: the eligible candidates are those whose gain is within
     ``1e-12 * max(1, |objective|)`` of the minimal gain, the objective
@@ -113,6 +118,8 @@ def greedy_macp_ladder(instances) -> list[SolverReport]:
 
     n, i = first.num_scbs, first.num_files
     c_mbs, rate_mbs, rate, local_cost = _area_rates(first)
+    rate_out, local = _cached_split(rate_mbs, rate, local_cost, np.zeros((n, i), dtype=bool))
+    terms = _file_terms(c_mbs, rate_out, local)
     # file-major (I, N) layout, so a file's column is one contiguous row
     rate, local_cost = rate.T.copy(), local_cost.T.copy()
     # allowed[f, n]: f is not cached at n and n's cache has room
@@ -120,8 +127,6 @@ def greedy_macp_ladder(instances) -> list[SolverReport]:
     allowed = np.zeros((i, n), dtype=bool)
     allowed[:, has_cache] = True
 
-    rate_out = rate_mbs + rate.sum(axis=1)
-    terms = _file_terms(c_mbs, rate_out, 0.0)
     gain = np.full((i, n), np.inf)
     gain[:, has_cache] = _file_terms(
         c_mbs, rate_out[:, None] - rate[:, has_cache], local_cost[:, has_cache]
@@ -192,18 +197,21 @@ def _greedy_finish(state: _GreedyState, ladder, data, pending, done) -> None:
         best[file] = np.inf
         others = float(best.min())
         open_rows, rates, costs = allowed[file].tolist(), rate_rows[file], local_rows[file]
-        outside = [r for r, c in zip(rates, cached[file].tolist()) if not c]
-        inside = [v for v, c in zip(costs, cached[file].tolist()) if c]
+        on = cached[file].tolist()
         while True:
-            cached[file, row], open_rows[row] = True, False
+            cached[file, row] = on[row] = True
+            open_rows[row] = False
             fill[row] += 1
-            outside.remove(rates[row])
-            inside.append(costs[row])
-            # the file's term from fresh sums over its column: a running
-            # difference would keep a residue of every rate taken out
-            rate_out_f = rate_mbs[file] + math.fsum(outside)
-            local_f = math.fsum(inside)
-            term_f = terms[file] = _file_terms(c_mbs, rate_out_f, local_f, math.expm1)
+            # the file's sums SCBS by SCBS, as ``_cached_split`` adds them, and
+            # its term with numpy's expm1: the closed form's term, bit for bit
+            outside = local_f = 0.0
+            for r, v, c in zip(rates, costs, on):
+                if c:
+                    local_f += v
+                else:
+                    outside += r
+            rate_out_f = rate_mbs[file] + outside
+            term_f = terms[file] = float(_file_terms(c_mbs, rate_out_f, local_f))
             total = float(terms.sum())
             trace.append((len(trace) + 1, row + 1, file, total))
             # at most N cells, scored one by one: cheaper than numpy calls on them

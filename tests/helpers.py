@@ -292,6 +292,8 @@ def reference_greedy_macp(instance: Instance) -> SolverReport:
     n, i = instance.num_scbs, instance.num_files
     sizes = instance.cache_size.tolist()
     c_mbs, rate_mbs, rate, local_cost = _area_rates(instance)
+    rate_out, local = _cached_split(rate_mbs, rate, local_cost, np.zeros((n, i), dtype=bool))
+    terms = _file_terms(c_mbs, rate_out, local)
     # file-major (I, N) layout, so a file's column is one contiguous row
     rate, local_cost = rate.T.copy(), local_cost.T.copy()
     cached = np.zeros((i, n), dtype=bool)
@@ -301,8 +303,6 @@ def reference_greedy_macp(instance: Instance) -> SolverReport:
     allowed = np.zeros((i, n), dtype=bool)
     allowed[:, has_cache] = True
 
-    rate_out = rate_mbs + rate.sum(axis=1)
-    terms = _file_terms(c_mbs, rate_out, 0.0)
     total = float(terms.sum())
     gain = np.full((i, n), np.inf)
     gain[:, has_cache] = _file_terms(
@@ -328,12 +328,16 @@ def reference_greedy_macp(instance: Instance) -> SolverReport:
         allowed[file, row] = False
         fill[row] += 1
 
-        # the file's term from fresh sums over its column: a running
-        # difference would keep a residue of every rate taken out
-        column_cached = cached[file]
-        rate_out_f = float(rate_mbs[file]) + math.fsum(rate[file][~column_cached].tolist())
-        local_f = math.fsum(local_cost[file][column_cached].tolist())
-        term_f = _file_terms(c_mbs, rate_out_f, local_f, math.expm1)
+        # the file's sums SCBS by SCBS, as ``_cached_split`` adds them, and
+        # its term with numpy's expm1: the closed form's term, bit for bit
+        outside = local_f = 0.0
+        for r, v, c in zip(rate[file].tolist(), local_cost[file].tolist(), cached[file].tolist()):
+            if c:
+                local_f += v
+            else:
+                outside += r
+        rate_out_f = float(rate_mbs[file]) + outside
+        term_f = float(_file_terms(c_mbs, rate_out_f, local_f))
         terms[file] = term_f
         total = float(terms.sum())
         trace.append((iteration, row + 1, file, total))

@@ -136,6 +136,15 @@ class TestSolveEvaluate:
         if algorithm == "greedy":
             assert len(report["trace"]) == 2
 
+    def test_report_objective_is_the_trace_end(self, tmp_path):
+        # with costly SCBSs, the report's objective and the greedy trace's
+        # last entry are one float
+        inst, pol, rep = (tmp_path / name for name in ("inst.json", "pol.json", "rep.json"))
+        assert main(["generate", "--seed", "6", "--cost-scbs", "0.3", "--out", str(inst)]) == 0
+        assert main(["solve", str(inst), "--out", str(pol), "--report", str(rep)]) == 0
+        report = json.loads(rep.read_text())
+        assert report["objective"] == report["trace"][-1][3]
+
     def test_popularity_solve(self, tmp_path, instance_file):
         pol_path = tmp_path / "pol.json"
         assert main([
@@ -432,6 +441,23 @@ class TestInputErrors:
                      "--report", str(report)]) == 2
         assert capsys.readouterr().err == f"macp: error: {message}\n"
         assert not out.exists() and not report.exists()
+
+    @pytest.mark.parametrize("argv, demand, cost, message", [
+        (["simulate", "--mode", "unicast", "--periods", "10"], [[5e18], [0.0]], 1.0,
+         "5e+19 expected unicast requests in 10 periods overflow the 64-bit request counts"),
+        (["simulate", "--mode", "unicast", "--periods", "10"], [[1e308], [0.0]], 1.0,
+         "inf expected unicast requests in 10 periods overflow the 64-bit request counts"),
+        (["evaluate", "--evaluator", "unicast"], [[1e200], [1e200]], 1e200,
+         "the expected unicast cost is not finite"),
+    ], ids=["simulate-counts", "simulate-counts-inf", "evaluate-cost"])
+    def test_unicast_overflow_is_one_line_error(self, tmp_path, capsys, argv, demand, cost,
+                                                message):
+        inst, pol, out = tmp_path / "inst.json", tmp_path / "pol.json", tmp_path / "out.json"
+        inst.write_text(Instance(1, 1, [1], cost, cost, [cost], demand, 1.0).to_json())
+        pol.write_text(CachingPolicy([[1]]).to_json())
+        assert main([argv[0], str(inst), str(pol), *argv[1:], "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"macp: error: {message}\n"
+        assert not out.exists()
 
     def test_sweep_deadline_overflow_is_one_line_error(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -59,13 +59,17 @@ class TestBruteforce:
             cost_bruteforce(inst, CachingPolicy([[1, 1, 0], [0, 0, 0]]))
 
     def test_breakdown_identities(self):
+        # every evaluator's total is the numpy sum of its per-file terms, exactly
         rng = np.random.default_rng(11)
         for _ in range(20):
             inst = random_instance(rng, max_scbs=5, max_files=4, heavy_scbs_costs=True)
-            out = cost_bruteforce(inst, random_policy(rng, inst))
-            assert out.total == pytest.approx(out.per_file.sum(), abs=1e-9)
-            assert out.total == pytest.approx(out.mbs_component + out.scbs_component, abs=1e-9)
-            assert out.total >= 0
+            pol = random_policy(rng, inst)
+            for evaluator in (cost_bruteforce, cost_closed_form, cost_unicast):
+                out = evaluator(inst, pol)
+                assert out.total == out.per_file.sum(), evaluator
+                assert out.total == pytest.approx(out.mbs_component + out.scbs_component,
+                                                  abs=1e-9)
+                assert out.total >= 0
 
 
 class TestClosedFormEquivalence:
@@ -273,6 +277,13 @@ class TestSplitOrder:
 
 
 class TestUnicast:
+    def test_overflowing_total_is_refused(self):
+        # each cost and rate is finite, and so is the multicast objective
+        inst = Instance(1, 1, [1], 1e200, 1e200, [1e200], [[1e200], [1e200]], 1.0)
+        assert np.isfinite(cost_closed_form(inst, CachingPolicy([[1]])).total)
+        with pytest.raises(ValueError, match="expected unicast cost is not finite"):
+            cost_unicast(inst, CachingPolicy([[1]]))
+
     def test_zero_demand(self):
         inst = Instance(1, 1, [1], 1, 1, [0], np.zeros((2, 1)), 5.0)
         assert cost_unicast(inst, empty_policy(1, 1)).total == 0.0

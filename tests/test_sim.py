@@ -113,6 +113,33 @@ class TestEdgeCases:
         rep = simulate(inst, empty_policy(2, 3), SimConfig(1, "multicast", 0))
         assert rep.std_error == 0.0
 
+    def test_costly_periods_keep_a_finite_stderr(self):
+        # period costs near 1e200 square past the float range; the presence
+        # draws do not read the costs, so unit costs give the same periods
+        def run(cost):
+            inst = Instance(2, 2, [1, 1], cost, cost, [cost, cost], np.full((3, 2), 0.7), 1.0)
+            return simulate(inst, CachingPolicy([[1, 0], [0, 1]]), SimConfig(10, "multicast", 5))
+
+        costly, unit = run(1e200), run(1.0)
+        assert math.isfinite(costly.std_error) and costly.std_error > 0
+        assert costly.std_error == pytest.approx(unit.std_error * 1e200, rel=1e-12)
+        assert costly.mean_cost_per_period == pytest.approx(
+            unit.mean_cost_per_period * 1e200, rel=1e-12)
+
+    def test_unicast_count_overflow_is_refused(self):
+        # ten periods at 5e18 requests each would wrap a 64-bit count sum
+        inst = Instance(1, 1, [1], 1, 1, [0.5], [[5e18], [1.0]], 1.0)
+        with pytest.raises(ValueError, match="overflow the 64-bit request counts"):
+            simulate(inst, CachingPolicy([[1]]), SimConfig(10, "unicast", 0))
+
+    def test_unicast_period_cost_overflow_is_refused(self, tmp_path):
+        # the counts fit, but a macro transmission costs 2e300
+        inst = Instance(1, 1, [1], 1e300, 1e300, [0.0], [[1e10], [1.0]], 1.0)
+        with pytest.raises(ValueError, match="cost overflows the float range"):
+            simulate(inst, CachingPolicy([[1]]), SimConfig(10, "unicast", 0),
+                     trace_path=tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_text() == "period,cost,mbs_tx,scbs_tx,unicast_tx\n"
+
 
 class TestCounters:
     def test_multicast_at_most_one_macro_tx_per_file_period(self):

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -91,6 +94,32 @@ class TestGreedy:
             assert value == pytest.approx(
                 cost_closed_form(inst, CachingPolicy(x)).total, abs=1e-9
             )
+
+    def test_every_trace_entry_is_the_closed_form_total(self):
+        # entry k is cost_closed_form's total after the first k commits, bit
+        # for bit, for greedy_macp and for every ladder member: zero and heavy
+        # SCBS costs, up to twelve SCBSs, and generated scenarios
+        rng = np.random.default_rng(97)
+        ladders = []
+        for k in range(90):
+            inst = random_instance(rng, max_scbs=12, max_files=8, heavy_scbs_costs=k % 3 == 1)
+            if k % 3 == 0:
+                inst = dataclasses.replace(inst, cost_scbs_tx=np.zeros(inst.num_scbs))
+            on = inst.cache_size > 0
+            ladders.append([_with_sizes(inst, np.where(on, s, 0)) for s in (3, 1, 6)])
+        for seed, cost in itertools.product(range(3), (0.0, 0.3)):
+            base = generate_scenario(ScenarioConfig(num_scbs=10, num_files=40, cost_scbs=cost,
+                                                    seed=seed))
+            ladders.append([_with_sizes(base, [c] * 10) for c in (8, 2, 20)])
+        assert sum(members[0].num_scbs >= 9 for members in ladders) >= 20
+        for members in ladders:
+            for inst, report in zip(members, greedy_macp_ladder(members)):
+                x = np.zeros((inst.num_scbs, inst.num_files), dtype=np.int8)
+                alone = greedy_macp(inst)
+                assert alone.trace == report.trace
+                for _, scbs, file, value in report.trace:
+                    x[scbs - 1, file] = 1
+                    assert value == cost_closed_form(inst, CachingPolicy(x)).total, inst
 
     def test_matches_stepwise_marginal_argmin(self):
         # every committed placement against direct marginal evaluation under
@@ -397,6 +426,21 @@ class TestExactOptimal:
         space = count_feasible_placements(10, [5] * 6)
         with pytest.raises(CapacityError, match=str(space)):
             exact_optimal(inst)
+
+    def test_cost_is_the_least_closed_form_total(self):
+        # the placement is the first in enumeration order whose
+        # cost_closed_form total is the least, compared exactly
+        rng = np.random.default_rng(89)
+        for _ in range(25):
+            inst = _capped(random_instance(rng, max_scbs=3, max_files=4, heavy_scbs_costs=True), 2)
+            placements = list(iter_feasible_placements(inst.num_files, inst.cache_size))
+            totals = [cost_closed_form(inst, CachingPolicy(np.array(rows, dtype=np.int8))).total
+                      for rows in placements]
+            report = exact_optimal(inst)
+            assert cost_closed_form(inst, report.policy).total == min(totals), inst
+            assert report.policy.placement.tolist() == [
+                list(row) for row in placements[totals.index(min(totals))]
+            ], inst
 
     def test_never_beaten_by_greedy(self):
         rng = np.random.default_rng(43)
