@@ -122,20 +122,27 @@ def _area_rates(instance: Instance):
 def _cached_split(rate_mbs, rate, local_cost, cached):
     """Per-file rate outside the cached set and local cost of the cached SCBSs.
 
-    Each file's SCBS values are added one row after another, SCBS 1 first:
-    a ``cumsum`` is sequential, where ``sum`` would reduce a lone or
-    F-ordered column pairwise.  So a file's sums do not depend on which
-    other columns are passed or on the array's layout, and a caller that
-    adds its per-SCBS rows in turn gets the same bits.
+    ``rate``, ``local_cost`` and ``cached`` are (..., N, I): SCBSs on the
+    second-to-last axis, optionally behind a batch axis.  The sums are
+    ``_scbs_sum``'s, so a file's sums do not depend on which other columns
+    or instances are passed or on the array's layout.
     """
-    rate_out = rate_mbs + np.where(cached, 0.0, rate).cumsum(axis=0)[-1]
-    return rate_out, np.where(cached, local_cost, 0.0).cumsum(axis=0)[-1]
+    rate_out = rate_mbs + _scbs_sum(np.where(cached, 0.0, rate))
+    return rate_out, _scbs_sum(np.where(cached, local_cost, 0.0))
 
 
-def _split_cost(c_mbs: float, rate_out, local) -> CostBreakdown:
-    """The objective, split by transmitter, from a ``_cached_split``."""
-    return _breakdown(_file_terms(c_mbs, rate_out, local), _file_terms(c_mbs, rate_out, 0.0),
-                      _file_terms(0.0, rate_out, local))
+def _scbs_sum(values):
+    """Sum of (..., N, I) values over the SCBS axis, one row after another, SCBS 1 first.
+
+    numpy's ``sum`` would reduce a lone or F-ordered column pairwise, and
+    its ``cumsum`` over an inner axis runs element by element; row-wise
+    adds are sequential whatever the shape, so a caller that adds its
+    per-SCBS rows in turn gets the same bits.
+    """
+    total = values[..., 0, :].copy()
+    for row in range(1, values.shape[-2]):
+        total += values[..., row, :]
+    return total
 
 
 def cost_closed_form(instance: Instance, policy: CachingPolicy) -> CostBreakdown:
@@ -150,7 +157,8 @@ def cost_closed_form(instance: Instance, policy: CachingPolicy) -> CostBreakdown
     policy.check_feasible(instance)
     c_mbs, rate_mbs, rate, local_cost = _area_rates(instance)
     rate_out, local = _cached_split(rate_mbs, rate, local_cost, policy.placement.astype(bool))
-    return _split_cost(c_mbs, rate_out, local)
+    return _breakdown(_file_terms(c_mbs, rate_out, local), _file_terms(c_mbs, rate_out, 0.0),
+                      _file_terms(0.0, rate_out, local))
 
 
 def cost_unicast(instance: Instance, policy: CachingPolicy) -> CostBreakdown:

@@ -25,10 +25,10 @@ from .cost import cost_closed_form, cost_unicast
 from .model import CachingPolicy, Instance, Record
 from .sim import SimConfig, simulate
 from .solvers import (
-    SolverReport,
     greedy_macp,
-    greedy_macp_ladder,
+    greedy_macp_batch,
     local_search,
+    local_search_batch,
     popularity_placement,
 )
 
@@ -139,18 +139,17 @@ def run_comparison(
     delivery metric.  MAC-MT's placement is ``greedy_macp``'s, improved by
     ``local_search``.  With ``sim_config`` set, each scheme is additionally
     simulated in its own delivery mode.  ``sweep`` gives each point the
-    same results, with the greedy start taken from a ladder on the
-    cache-size axis.
+    same results, with MAC-MT's placements solved in batches.
     """
-    return _compare(instance, greedy_macp(instance).policy, sim_config)
+    multicast_aware = local_search(instance, greedy_macp(instance).policy)
+    return _compare(instance, multicast_aware, sim_config)
 
 
 def _compare(
-    instance: Instance, greedy: CachingPolicy, sim_config: SimConfig | None
+    instance: Instance, multicast_aware: CachingPolicy, sim_config: SimConfig | None
 ) -> list[SchemeResult]:
-    """``run_comparison`` with MAC-MT's greedy start given."""
+    """``run_comparison`` with MAC-MT's placement given."""
     popularity = popularity_placement(instance)
-    multicast_aware = local_search(instance, greedy)
     plan = (
         ("PAC-UT", popularity, cost_unicast),
         ("PAC-MT", popularity, cost_closed_form),
@@ -228,10 +227,9 @@ def sweep(
     are emitted deterministically given the master seed.
 
     Every point's rows equal ``run_comparison`` on that point's instance.
-    On the cache-size axis a replication's points differ only in cache
-    size, so MAC-MT's greedy starts come from one ``greedy_macp_ladder``
-    over the non-zero sizes, which shares the greedy's work up to each
-    size's first fill.
+    The points all have the config's shape, so MAC-MT's placements of the
+    whole axis come from one ``greedy_macp_batch`` and one
+    ``local_search_batch`` over every replication and value.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -252,37 +250,22 @@ def sweep(
             raise ValueError("deadlines must be positive")
 
     rep_seeds = _replication_seeds(config.seed, replications)
+    points = [(rep, vi, value) for rep in range(replications) for vi, value in enumerate(values)]
+    instances = [
+        generate_scenario(dataclasses.replace(config, **{axis: value}, seed=rep_seeds[rep]))
+        for rep, _, value in points
+    ]
+    placements = local_search_batch(instances, greedy_macp_batch(instances))
     rows: list[SweepRow] = []
-    for rep in range(replications):
-        instances = [
-            generate_scenario(dataclasses.replace(config, **{axis: value}, seed=rep_seeds[rep]))
-            for value in values
-        ]
-        # MAC-MT's greedy starts; only the placements are kept, not the traces
-        starts = [report.policy for report in (
-            _cache_ladder(instances) if axis == "cache_size" else map(greedy_macp, instances)
-        )]
-        for vi, (value, instance, start) in enumerate(zip(values, instances, starts)):
-            sim_cfg = None if sim_config is None else dataclasses.replace(sim_config, seed=int(
-                np.random.SeedSequence([rep_seeds[rep], vi]).generate_state(1, np.uint64)[0]))
-            rows.extend(
-                SweepRow(axis, value, res.scheme, res.analytic_cost, res.sim_cost,
-                         res.sim_stderr, rep, rep_seeds[rep])
-                for res in _compare(instance, start, sim_cfg)
-            )
+    for (rep, vi, value), instance, placement in zip(points, instances, placements):
+        sim_cfg = None if sim_config is None else dataclasses.replace(sim_config, seed=int(
+            np.random.SeedSequence([rep_seeds[rep], vi]).generate_state(1, np.uint64)[0]))
+        rows.extend(
+            SweepRow(axis, value, res.scheme, res.analytic_cost, res.sim_cost,
+                     res.sim_stderr, rep, rep_seeds[rep])
+            for res in _compare(instance, placement, sim_cfg)
+        )
     return SweepResult(axis=axis, values=tuple(values), replications=replications, rows=tuple(rows))
-
-
-def _cache_ladder(instances: list[Instance]) -> list[SolverReport]:
-    """``greedy_macp`` of each point of a cache-size sweep, in order.
-
-    The points share their demand, so the non-zero caches form one ladder;
-    a zero cache has no SCBS with a cache and gets its own (empty) greedy.
-    """
-    sized = [k for k, instance in enumerate(instances) if instance.cache_size.any()]
-    reports = dict(zip(sized, greedy_macp_ladder([instances[k] for k in sized])))
-    return [reports[k] if k in reports else greedy_macp(instance)
-            for k, instance in enumerate(instances)]
 
 
 def sweep_csv(result: SweepResult) -> str:

@@ -1,12 +1,12 @@
 """Cache placement solvers.
 
 ``greedy_macp`` is the multicast-aware heuristic (commit the single best
-placement until every cache is full), ``greedy_macp_ladder`` runs it once
-for instances that differ only in nested cache sizes, ``local_search``
-improves a given placement by swaps and coverage completions,
-``popularity_placement`` is the conventional per-SCBS top-k baseline, and
-``exact_optimal`` exhaustively enumerates feasible placements as an
-optimality oracle for tiny instances.
+placement until every cache is full), ``local_search`` improves a given
+placement by swaps and coverage completions, and ``greedy_macp_batch`` and
+``local_search_batch`` give their placements for many instances of one
+shape in lockstep numpy steps.  ``popularity_placement`` is the
+conventional per-SCBS top-k baseline, and ``exact_optimal`` exhaustively
+enumerates feasible placements as an optimality oracle for tiny instances.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .cost import _area_rates, _cached_split, _file_terms, _split_cost
+from .cost import _area_rates, _cached_split, _file_terms, _scbs_sum
 from .errors import CapacityError
 from .model import CachingPolicy, Instance
 
@@ -75,113 +75,20 @@ def greedy_macp(instance: Instance) -> SolverReport:
     cell once at the start, then the allowed cells of the committed file's
     column after each commit.  It is 0 when no SCBS has a cache.
     """
-    return greedy_macp_ladder([instance])[0]
-
-
-def greedy_macp_ladder(instances) -> list[SolverReport]:
-    """``greedy_macp`` of instances that differ only in their cache sizes.
-
-    The greedy's picks read the cache sizes only through fills: until a
-    commit fills an SCBS, its state is the same for any sizes with caches
-    at the same SCBSs.  So the ladder runs one greedy at the largest sizes
-    and, on the commit that fills a smaller member's cache first, copies
-    the state, ends the run and closes the row there, and finishes that
-    member from the copy; members with equal sizes share one run.  The
-    reports equal ``greedy_macp``'s on each instance, trace and
-    ``evaluations`` included, in input order (none for no instances);
-    apart from the copies it does no work that separate calls would not.
-
-    Raises ValueError unless the instances agree in everything but
-    ``cache_size``, have caches at the same SCBSs, and have size vectors
-    that are nested elementwise.
-    """
-    instances = list(instances)
-    if not instances:
-        return []
-    first = instances[0]
-    for inst in instances[1:]:
-        if (
-            (inst.num_scbs, inst.num_files, inst.cost_backhaul, inst.cost_mbs_tx, inst.deadline)
-            != (first.num_scbs, first.num_files, first.cost_backhaul, first.cost_mbs_tx,
-                first.deadline)
-            or not np.array_equal(inst.cost_scbs_tx, first.cost_scbs_tx)
-            or not np.array_equal(inst.demand, first.demand)
-        ):
-            raise ValueError("ladder instances may differ in cache_size only")
-        if not np.array_equal(inst.cache_size > 0, first.cache_size > 0):
-            raise ValueError("ladder instances must have caches at the same SCBSs")
-    sizes = [tuple(inst.cache_size.tolist()) for inst in instances]
-    ladder = sorted(set(sizes), key=sum)
-    for small, large in zip(ladder, ladder[1:]):
-        if not all(a <= b for a, b in zip(small, large)):
-            raise ValueError(f"cache sizes {list(small)} and {list(large)} are not nested")
-
-    n, i = first.num_scbs, first.num_files
-    c_mbs, rate_mbs, rate, local_cost = _area_rates(first)
-    rate_out, local = _cached_split(rate_mbs, rate, local_cost, np.zeros((n, i), dtype=bool))
-    terms = _file_terms(c_mbs, rate_out, local)
-    # file-major (I, N) layout, so a file's column is one contiguous row
-    rate, local_cost = rate.T.copy(), local_cost.T.copy()
+    n, i = instance.num_scbs, instance.num_files
+    sizes = instance.cache_size.tolist()
+    c_mbs, rate_mbs, rate, local_cost, terms, gain = _greedy_start(instance)
     # allowed[f, n]: f is not cached at n and n's cache has room
-    has_cache = first.cache_size > 0
     allowed = np.zeros((i, n), dtype=bool)
-    allowed[:, has_cache] = True
+    allowed[:, instance.cache_size > 0] = True
+    best = gain.min(axis=1)
+    cached = np.zeros((i, n), dtype=bool)
+    fill = [0] * n
+    total = float(terms.sum())
+    trace: list[tuple[int, int, int, float]] = []
+    evaluations = int(np.count_nonzero(allowed))
+    rate_mbs, rate_rows, local_rows = rate_mbs.tolist(), rate.tolist(), local_cost.tolist()
 
-    gain = np.full((i, n), np.inf)
-    gain[:, has_cache] = _file_terms(
-        c_mbs, rate_out[:, None] - rate[:, has_cache], local_cost[:, has_cache]
-    ) - terms[:, None]
-    start = _GreedyState(
-        cached=np.zeros((i, n), dtype=bool), fill=[0] * n, allowed=allowed, gain=gain,
-        best=gain.min(axis=1), terms=terms, total=float(terms.sum()), trace=[],
-        evaluations=int(np.count_nonzero(allowed)),
-    )
-    data = (c_mbs, rate_mbs.tolist(), rate.tolist(), local_cost.tolist())
-    done: dict[tuple[int, ...], SolverReport] = {}
-    pending = [(start, ladder)]
-    while pending:
-        _greedy_finish(*pending.pop(), data, pending, done)
-    return [done[s] for s in sizes]
-
-
-@dataclass
-class _GreedyState:
-    """What the greedy carries from one global pick to the next (file-major arrays)."""
-
-    cached: np.ndarray
-    fill: list[int]
-    allowed: np.ndarray
-    gain: np.ndarray
-    best: np.ndarray
-    terms: np.ndarray
-    total: float
-    trace: list[tuple[int, int, int, float]]
-    evaluations: int
-
-
-def _end_run(state: _GreedyState, file: int, row: int, open_rows, column, best_f, full) -> None:
-    """Store the run's last column; on a fill, close the row to every file."""
-    state.allowed[file], state.gain[file], state.best[file] = open_rows, column, best_f
-    if full:
-        state.allowed[:, row] = False
-        state.gain[:, row] = np.inf
-        state.gain.min(axis=1, out=state.best)
-
-
-def _greedy_finish(state: _GreedyState, ladder, data, pending, done) -> None:
-    """Run the greedy from ``state`` for the nested sizes ``ladder``, smallest first.
-
-    The loop runs at the largest sizes.  A commit that fills the smallest
-    member's cache below the largest's forks: the members whose cache fills
-    there go into ``pending`` with a copy that ends the run and closes the
-    row, and the rest go on.  The remaining members' report goes into ``done``.
-    """
-    c_mbs, rate_mbs, rate_rows, local_rows = data
-    sizes = ladder[-1]
-    stop = ladder[0]  # where the next fill of some member comes
-    cached, fill, allowed, gain, best, terms = (
-        state.cached, state.fill, state.allowed, state.gain, state.best, state.terms)
-    total, trace, evaluations = state.total, state.trace, state.evaluations
     while len(trace) < sum(sizes):
         file = int(best.argmin())
         limit = best[file] + 1e-12 * max(1.0, abs(total))
@@ -219,28 +126,131 @@ def _greedy_finish(state: _GreedyState, ladder, data, pending, done) -> None:
                       if ok else math.inf for r, v, ok in zip(rates, costs, open_rows)]
             evaluations += open_rows.count(True)
             best_f = min(column)
-            full = fill[row] == stop[row]
-            if full and stop[row] < sizes[row]:
-                # the members whose cache at this row fills here go on alone
-                k = sum(member[row] == fill[row] for member in ladder)
-                fork = _GreedyState(cached.copy(), fill.copy(), allowed.copy(), gain.copy(),
-                                    best.copy(), terms.copy(), total, trace.copy(), evaluations)
-                _end_run(fork, file, row, open_rows, column, best_f, True)
-                pending.append((fork, ladder[:k]))
-                ladder = ladder[k:]
-                stop, full = ladder[0], False
+            full = fill[row] == sizes[row]
             limit = best_f + 1e-12 * max(1.0, abs(total))
             # the global path's pick while no other file is within the limit
             if full or not others > limit:
                 break
             # the first row within the limit; filter and index scan in C
             row = column.index(next(filter(limit.__ge__, column)))
-        _end_run(state, file, row, open_rows, column, best_f, full)
+        allowed[file], gain[file], best[file] = open_rows, column, best_f
+        if full:
+            allowed[:, row] = False
+            gain[:, row] = np.inf
+            gain.min(axis=1, out=best)
 
-    report = SolverReport(policy=CachingPolicy(cached.T.astype(np.int8)), trace=tuple(trace),
-                          evaluations=evaluations)
-    for member in ladder:
-        done[member] = report
+    policy = CachingPolicy(cached.T.astype(np.int8))
+    return SolverReport(policy=policy, trace=tuple(trace), evaluations=evaluations)
+
+
+def greedy_macp_batch(instances) -> list[CachingPolicy]:
+    """``greedy_macp``'s placements of instances of one shape, solved in lockstep.
+
+    Each step commits one placement of every instance that has cache room
+    left, with numpy calls over the batch: the global pick under
+    ``greedy_macp``'s tie rule, the committed file's sums added SCBS by
+    SCBS as ``_cached_split`` adds them, and a re-score of that file's
+    column.  A step costs about as much at any width, so the batch pays
+    off by its width, and a batch of one is several times slower than
+    ``greedy_macp``.  Candidate gains take numpy's ``expm1`` where
+    ``greedy_macp`` takes ``math.expm1``: the two can differ in the last
+    bit, which changes a pick only if a gain lies within a rounding step of
+    the tie limit.  Returns the placements in input order (none for no
+    instances), without traces or counts.
+
+    Raises ValueError unless every instance has the same ``num_scbs`` and
+    ``num_files``.
+    """
+    instances = list(instances)
+    if not instances:
+        return []
+    n, i = instances[0].num_scbs, instances[0].num_files
+    if any((inst.num_scbs, inst.num_files) != (n, i) for inst in instances):
+        raise ValueError("batched instances must share num_scbs and num_files")
+    # most commits first, so the instances still committing are a leading slice
+    order = sorted(range(len(instances)), key=lambda k: -int(instances[k].cache_size.sum()))
+    commits = [int(instances[k].cache_size.sum()) for k in order]
+    sizes = np.array([instances[k].cache_size for k in order])
+    b = len(order)
+    # One row per (instance, file), at the flat index instance * I + file:
+    # its N SCBS values, then a 0 in an always-cached extra cell, which
+    # makes the column's term the file's own term.  Fresh C-ordered arrays,
+    # so the flat and the (B, I, ...) views below share their data.
+    c_mbs, rate_mbs, terms, best = np.empty(b), np.empty((b, i)), np.empty((b, i)), np.empty((b, i))
+    rate_rows, local_rows = np.zeros((b * i, n + 1)), np.zeros((b * i, n + 1))
+    gain = np.empty((b, i, n))
+    for k, at in enumerate(order):
+        rows = slice(k * i, (k + 1) * i)
+        (c_mbs[k], rate_mbs[k], rate_rows[rows, :n], local_rows[rows, :n], terms[k],
+         gain[k]) = _greedy_start(instances[at])
+    cached = np.zeros((b * i, n + 1), dtype=bool)
+    cached[:, n] = True
+    room = np.zeros((b, n + 1), dtype=bool)
+    room[:, :n] = sizes > 0
+    left = sizes.copy()
+    gain.min(axis=2, out=best)
+    flat_gain, flat_best, flat_terms = gain.reshape(b * i, n), best.reshape(-1), terms.reshape(-1)
+    flat_mbs, total, files_at = rate_mbs.reshape(-1), terms.sum(axis=1), np.arange(b) * i
+
+    k = b
+    for step in range(commits[0]):
+        while commits[k - 1] <= step:
+            k -= 1
+        at = np.arange(k)
+        file = best[:k].argmin(axis=1)
+        cell = files_at[:k] + file
+        # every file term is non-negative, so |objective| is the objective
+        limit = flat_best[cell] + 1e-12 * np.maximum(total[:k], 1.0)
+        within = best[:k] <= limit[:, None]
+        if np.count_nonzero(within) == k:
+            row = (flat_gain[cell] <= limit[:, None]).argmax(axis=1)
+        else:
+            # several files within the limit: the smallest row, then file
+            first = (gain[:k] <= limit[:, None, None]).argmax(axis=2)
+            row, file = np.divmod(np.where(within, first * i + np.arange(i), n * i).min(axis=1), i)
+            cell = files_at[:k] + file
+        cached[cell, row] = True
+        left[at, row] -= 1
+        on = cached[cell]
+        outside, costs = np.where(on, 0.0, rate_rows[cell]), local_rows[cell]
+        rate_out_f = flat_mbs[cell] + outside.cumsum(axis=1)[:, -1]
+        local_f = np.where(on, costs, 0.0).cumsum(axis=1)[:, -1]
+        column = _file_terms(c_mbs[:k, None], rate_out_f[:, None] - outside,
+                             local_f[:, None] + costs)
+        flat_terms[cell] = column[:, n]
+        total[:k] = terms[:k].sum(axis=1)
+        column = np.where(room[:k] & ~on, column - column[:, n:], np.inf)
+        flat_gain[cell], flat_best[cell] = column[:, :n], column.min(axis=1)
+        full = np.flatnonzero(left[at, row] == 0)
+        if full.size:
+            room[full, row[full]] = False
+            gain[full, :, row[full]] = np.inf
+            best[full] = gain[full].min(axis=2)
+
+    placements = [None] * b
+    for k, x in zip(order, cached[:, :n].reshape(b, i, n)):
+        placements[k] = CachingPolicy(x.T.astype(np.int8))
+    return placements
+
+
+def _greedy_start(instance: Instance):
+    """The greedy's inputs and gains before its first commit, file-major.
+
+    Returns ``(c_mbs, rate_mbs, rate, local_cost, terms, gain)``: the
+    ``_area_rates`` with ``rate`` and ``local_cost`` as (I, N) arrays, so a
+    file's column is one contiguous row; the file terms of the empty
+    placement; and ``gain[f, n]``, the objective's change when f is cached
+    at SCBS n, infinite where n has no cache.
+    """
+    n, i = instance.num_scbs, instance.num_files
+    c_mbs, rate_mbs, rate, local_cost = _area_rates(instance)
+    rate_out, local = _cached_split(rate_mbs, rate, local_cost, np.zeros((n, i), dtype=bool))
+    terms = _file_terms(c_mbs, rate_out, local)
+    rate, local_cost = rate.T.copy(), local_cost.T.copy()
+    gain = np.where(instance.cache_size > 0,
+                    _file_terms(c_mbs, rate_out[:, None] - rate, local_cost) - terms[:, None],
+                    np.inf)
+    return c_mbs, rate_mbs, rate, local_cost, terms, gain
 
 
 def popularity_placement(instance: Instance) -> CachingPolicy:
@@ -274,93 +284,136 @@ def local_search(instance: Instance, policy: CachingPolicy) -> CachingPolicy:
 
     Per-file terms are separable, so every move is scored exactly from each
     file's request rate outside the cached set and its local serving cost,
-    adding or removing one area's ``d * lambda``.  Those rates and costs,
-    the file terms and each cell's toggle change are kept between steps, and
-    a move recomputes only the columns it touched, with ``_cached_split`` on
-    those columns alone: its sums do not depend on the other columns, so
-    they equal a full split's.  The best-scoring move is taken only when it
-    strictly lowers the objective, computed as ``cost_closed_form`` does;
-    otherwise the search stops, so it always ends.
+    adding or removing one area's ``d * lambda``; each step re-scores every
+    column from its placement's ``_cached_split``.  The best-scoring move is taken
+    only when it strictly lowers the objective, computed as
+    ``cost_closed_form`` does; otherwise the search stops, so it always ends.
     Ties go to a swap over a completion, then to the smallest SCBS, then to
     the smallest file.  A completion's rate outside is a separate sum
     (``rate_bare``), so the best swap counts as tied with the best
     completion when it scores within the greedy's tie limit,
-    ``1e-12 * max(1, |objective|)``, of it.
+    ``1e-12 * max(1, |objective|)``, of it.  This is ``local_search_batch``
+    of one instance.
     """
-    policy.check_feasible(instance)
-    c_mbs, rate_mbs, rate, local_cost = _area_rates(instance)
-    sizes = instance.cache_size
+    return local_search_batch([instance], [policy])[0]
+
+
+# Instances per lockstep chunk of ``local_search_batch``: a few arrays of
+# _SEARCH_CHUNK x N x I values at once, however many instances are given.
+_SEARCH_CHUNK = 16
+
+
+def local_search_batch(instances, policies) -> list[CachingPolicy]:
+    """``local_search`` of each instance from its policy, in lockstep numpy steps.
+
+    The instances go in chunks of ``_SEARCH_CHUNK``; each step scores and
+    makes one move of every instance of the chunk still searching, and an
+    instance leaves the chunk at the step where it stops.  Returns the
+    improved placements in input order (none for no instances).
+
+    Raises ValueError unless there is one policy per instance and every
+    instance has the same ``num_scbs`` and ``num_files``.
+    """
+    instances, policies = list(instances), list(policies)
+    if len(instances) != len(policies):
+        raise ValueError("need one policy per instance")
+    if any((inst.num_scbs, inst.num_files) != (instances[0].num_scbs, instances[0].num_files)
+           for inst in instances):
+        raise ValueError("batched instances must share num_scbs and num_files")
+    for inst, policy in zip(instances, policies):
+        policy.check_feasible(inst)
+    return [result for start in range(0, len(instances), _SEARCH_CHUNK)
+            for result in _search_chunk(instances[start:start + _SEARCH_CHUNK],
+                                        policies[start:start + _SEARCH_CHUNK])]
+
+
+def _search_chunk(instances, policies) -> list[CachingPolicy]:
+    """``local_search_batch`` of at most ``_SEARCH_CHUNK`` instances, as (B, N, I) arrays."""
+    c_mbs, rate_mbs, rate, local_cost = map(np.array, zip(*map(_area_rates, instances)))
+    c_mbs = c_mbs[:, None]
+    sizes = np.array([inst.cache_size for inst in instances])
     has_cache = sizes > 0
     # rate no completion can cover: areas without any cache
-    rate_bare = rate_mbs + rate[~has_cache].sum(axis=0)
-    rows = np.arange(instance.num_scbs)
-
-    cached = policy.placement.astype(bool)
+    rate_bare = rate_mbs + _scbs_sum(np.where(has_cache[..., None], 0.0, rate))
+    cached = np.array([policy.placement for policy in policies], dtype=bool)
     rate_out, local = _cached_split(rate_mbs, rate, local_cost, cached)
-    best = _split_cost(c_mbs, rate_out, local).total
-    terms, toggle, touched = np.empty_like(local), np.empty_like(rate), np.arange(local.size)
-    while True:
-        # the touched files' terms, and their change when one cell is toggled
-        on, r, c = (a.take(touched, axis=1) for a in (cached, rate, local_cost))
-        t = terms[touched] = _file_terms(c_mbs, rate_out[touched], local[touched])
-        toggle[:, touched] = _file_terms(
-            c_mbs, rate_out[touched] + np.where(on, r, -r), local[touched] + np.where(on, -c, c)
-        ) - t
+    terms = _file_terms(c_mbs, rate_out, local)
+    best = terms.sum(axis=1)
+    live = np.arange(len(instances))
+    # (m, n) with m < n: an earlier SCBS in a group of drops
+    earlier = np.triu(np.ones((rate.shape[1],) * 2, dtype=bool), 1)
+    rows = np.arange(rate.shape[1])
+    done = [None] * len(instances)
+    while live.size:
+        at = np.arange(live.size)
+        # change of each file's term when one cell is toggled; the sign
+        # adds a cached cell's values back and takes an uncached one's out
+        sign = np.where(cached, 1.0, -1.0)
+        toggle = _file_terms(
+            c_mbs[..., None], rate_out[:, None] + rate * sign, local[:, None] - local_cost * sign
+        ) - terms[:, None]
         drop = np.where(cached, toggle, np.inf)
         add = np.where(cached, np.inf, toggle)
 
         # cheapest slot to free per SCBS; a free slot costs nothing
-        out = drop.argmin(axis=1)
-        out_delta = drop[rows, out]
-        full = cached.sum(axis=1) >= sizes
+        out, out_delta = drop.argmin(axis=2), drop.min(axis=2)
+        full = cached.sum(axis=2) >= sizes
         use_free = ~full & ~(out_delta < 0.0)
-        into = add.argmin(axis=1)
-        swap = np.where(use_free, 0.0, out_delta) + add[rows, into]
+        into = add.argmin(axis=2)
+        swap = np.where(use_free, 0.0, out_delta) + add.min(axis=2)
 
         # completions: the full SCBSs lacking f each drop their file out[n],
-        # so the drops are grouped by file before scoring
-        lacks = ~cached & has_cache[:, None]
+        # so the drops are grouped by file, each group scored at its first SCBS
+        lacks = ~cached & has_cache[..., None]
         cover = _file_terms(
-            c_mbs, rate_bare, local + np.where(lacks, local_cost, 0.0).sum(axis=0)
+            c_mbs, rate_bare, local + _scbs_sum(np.where(lacks, local_cost, 0.0))
         ) - terms
-        freed = np.unique(out[full & has_cache])
-        dropping = (lacks & full[:, None]).astype(np.float64).T
-        onehot = out[:, None] == freed
-        extra_rate = dropping @ (onehot * rate[rows, out][:, None])
-        extra_local = dropping @ (onehot * local_cost[rows, out][:, None])
-        cover += (
-            _file_terms(c_mbs, rate_out[freed] + extra_rate, local[freed] - extra_local)
-            - terms[freed]
+        dropper = full & has_cache
+        group = (out[:, :, None] == out[:, None, :]) & dropper[:, :, None] & dropper[:, None, :]
+        first = dropper & ~(group & earlier).any(axis=1)
+        dropping = (lacks & full[..., None]).astype(np.float64)
+        extra = [np.matmul((group * a[at[:, None], rows, out][..., None]).transpose(0, 2, 1),
+                           dropping) for a in (rate, local_cost)]
+        freed = [a[at[:, None], out][..., None] for a in (rate_out, local, terms)]
+        cover += np.where(
+            first[..., None],
+            _file_terms(c_mbs[..., None], freed[0] + extra[0], freed[1] - extra[1]) - freed[2],
+            0.0,
         ).sum(axis=1)
 
-        row = int(swap.argmin())
-        file = int(cover.argmin())
-        x = cached.copy()
+        row = swap.argmin(axis=1)
+        file = cover.argmin(axis=1)
         # the two are scored from different sums: a tie is a tie within the greedy's limit
-        if swap[row] <= cover[file] + 1e-12 * max(1.0, abs(best)):
-            if not swap[row] < 0.0:
-                break
-            moved = {into[row], out[row]}
-            if not use_free[row]:
-                x[row, out[row]] = False
-            x[row, into[row]] = True
-        else:
-            if not cover[file] < 0.0:
-                break
-            drops = full & lacks[:, file]
-            moved = {file, *out[drops]}
-            x[drops, out[drops]] = False
-            x[lacks[:, file], file] = True
-        assert (x.sum(axis=1) <= sizes).all(), "a move overfilled a cache"
-        touched = np.array(sorted(moved))
-        rate_out[touched], local[touched] = _cached_split(
-            rate_mbs[touched], *(a.take(touched, axis=1) for a in (rate, local_cost, x))
-        )
-        cost = _split_cost(c_mbs, rate_out, local).total
-        if not cost < best:
-            break
-        cached, best = x, cost
-    return CachingPolicy(cached.astype(np.int8))
+        by_swap = swap[at, row] <= cover[at, file] + 1e-12 * np.maximum(1.0, np.abs(best))
+        moving = np.where(by_swap, swap[at, row] < 0.0, cover[at, file] < 0.0)
+        x = cached.copy()
+        b = np.flatnonzero(moving & by_swap)
+        r = row[b]
+        freeing = ~use_free[b, r]
+        x[b[freeing], r[freeing], out[b, r][freeing]] = False
+        x[b, r, into[b, r]] = True
+        b = np.flatnonzero(moving & ~by_swap)
+        f = file[b]
+        gaining = lacks[b, :, f]
+        k, n = np.nonzero(gaining & full[b])
+        x[b[k], n, out[b[k], n]] = False
+        k, n = np.nonzero(gaining)
+        x[b[k], n, f[k]] = True
+        assert (x.sum(axis=2) <= sizes).all(), "a move overfilled a cache"
+
+        x_out, x_local = _cached_split(rate_mbs, rate, local_cost, x)
+        x_terms = _file_terms(c_mbs, x_out, x_local)
+        cost = x_terms.sum(axis=1)
+        going = moving & (cost < best)
+        for j in np.flatnonzero(~going).tolist():
+            done[live[j]] = CachingPolicy(cached[j].astype(np.int8))
+        state = (x, cost, x_terms, x_out, x_local,
+                 live, c_mbs, rate_mbs, rate, local_cost, sizes, has_cache, rate_bare)
+        if not going.all():
+            state = [a[going] for a in state]
+        (cached, best, terms, rate_out, local,
+         live, c_mbs, rate_mbs, rate, local_cost, sizes, has_cache, rate_bare) = state
+    return done
 
 
 # Placements per numpy block of the exhaustive scans (``exact_optimal`` and

@@ -276,6 +276,32 @@ class TestSplitOrder:
                 assert np.array_equal(part[1], full[1][cols]), (n, i, cols)
 
 
+    def test_batch_rows_match_each_instance_and_a_sequential_sum(self):
+        # stacked on a batch axis, each instance's split is its own split
+        # bit for bit, and each file's sums are a plain left-to-right sum
+        rng = np.random.default_rng(101)
+        for _ in range(60):
+            n, i, b = int(rng.integers(1, 15)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            rate_mbs = rng.uniform(0.0, 2.0, size=(b, i))
+            rate, local_cost = (rng.uniform(0.0, 2.0, size=(b, n, i))
+                                * 10.0 ** rng.integers(-6, 1, (b, n, i)) for _ in range(2))
+            cached = rng.random((b, n, i)) < 0.4
+            batch = _cached_split(rate_mbs, rate, local_cost, cached)
+            for k in range(b):
+                alone = _cached_split(rate_mbs[k], rate[k], local_cost[k], cached[k])
+                assert np.array_equal(batch[0][k], alone[0])
+                assert np.array_equal(batch[1][k], alone[1])
+                for f in range(i):
+                    outside = local = 0.0
+                    for row in range(n):
+                        if cached[k, row, f]:
+                            local += local_cost[k, row, f]
+                        else:
+                            outside += rate[k, row, f]
+                    assert batch[0][k, f] == rate_mbs[k, f] + outside
+                    assert batch[1][k, f] == local
+
+
 class TestUnicast:
     def test_overflowing_total_is_refused(self):
         # each cost and rate is finite, and so is the multicast objective

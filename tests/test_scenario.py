@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -20,6 +21,12 @@ from macp.scenario import (
     _replication_seeds,
     cost_reduction_summary,
 )
+
+
+# sha256 of the sweeps' CSV text in ``test_csv_bytes_are_pinned``, and of
+# numpy's expm1 on its probe grid, recorded with numpy 2.4 on x86-64 (AVX-512)
+PINNED_SWEEPS = "a51dcda6c49161425912c02352b2096664d1ed682d55787fc3ef90c4e1d0759c"
+PINNED_EXPM1 = "937d94ece7506bcc8bb30cce8b1245e8f526c0ad602cf76c13b127a95b5d38c7"
 
 
 class TestZipfWeights:
@@ -186,9 +193,9 @@ class TestSweep:
         ("deadline", [2.0, 0.5], None),
     ])
     def test_csv_equals_per_point_comparison(self, axis, values, sim):
-        # the cache-size axis takes its greedy starts from one ladder over the
-        # non-zero sizes (unsorted, repeated, above num_files); every point's
-        # rows, and so the CSV bytes, are still run_comparison's on that point
+        # a sweep solves MAC-MT's placements of all its points in batches
+        # (cache sizes unsorted, repeated, zero or above num_files); every
+        # point's rows, and so the CSV bytes, are still run_comparison's
         cfg = ScenarioConfig(num_scbs=6, num_files=40, seed=61)
         rows = []
         for rep, seed in enumerate(_replication_seeds(cfg.seed, 2)):
@@ -202,6 +209,25 @@ class TestSweep:
                                   r.sim_stderr, rep, seed) for r in run_comparison(inst, sim_cfg)]
         want = sweep_csv(SweepResult(axis, tuple(values), 2, tuple(rows)))
         assert sweep_csv(sweep(cfg, axis, values, replications=2, sim_config=sim)) == want
+
+    def test_csv_bytes_are_pinned(self):
+        # The CSV bytes of a small config on all three axes, one of them
+        # simulated, as the library wrote them before MAC-MT's placements
+        # were batched.  Every analytic cost goes through numpy's expm1,
+        # whose last bit depends on the build and the CPU's vector unit, so
+        # the digest holds where numpy's expm1 gives the recorded bits.
+        probe = np.expm1(-np.linspace(0.0, 60.0, 4001))
+        if hashlib.sha256(probe.tobytes()).hexdigest() != PINNED_EXPM1:
+            pytest.skip("numpy's expm1 differs from the one the digest was recorded with")
+        cfg = ScenarioConfig(num_scbs=5, num_files=24, cache_size=4, seed=2024)
+        runs = [
+            ("cache_size", [0, 3, 8, 30], None),
+            ("zipf_shape", [0.4, 1.2], None),
+            ("deadline", [1.0, 5.0], SimConfig(periods=500, mode="multicast", seed=0)),
+        ]
+        text = "".join(sweep_csv(sweep(cfg, axis, values, replications=2, sim_config=sim))
+                       for axis, values, sim in runs)
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SWEEPS
 
     def test_csv_columns(self):
         cfg = ScenarioConfig(num_scbs=3, num_files=10, seed=47)

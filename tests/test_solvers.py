@@ -13,15 +13,16 @@ from macp import (
     exact_optimal,
     generate_scenario,
     greedy_macp,
+    greedy_macp_batch,
     local_search,
+    local_search_batch,
     macdp_decide,
     popularity_placement,
     spp_to_macdp,
 )
-import helpers
 import macp.solvers as solvers_module
-from macp.cost import _area_rates, _cached_split, _file_terms, _split_cost
-from macp.solvers import count_feasible_placements, greedy_macp_ladder
+from macp.cost import _area_rates, _cached_split, _file_terms
+from macp.solvers import count_feasible_placements
 from helpers import (
     empty_policy,
     iter_feasible_placements,
@@ -97,29 +98,26 @@ class TestGreedy:
 
     def test_every_trace_entry_is_the_closed_form_total(self):
         # entry k is cost_closed_form's total after the first k commits, bit
-        # for bit, for greedy_macp and for every ladder member: zero and heavy
-        # SCBS costs, up to twelve SCBSs, and generated scenarios
+        # for bit: zero and heavy SCBS costs, zero, unequal and clamped
+        # caches, up to twelve SCBSs, and generated scenarios
         rng = np.random.default_rng(97)
-        ladders = []
+        instances = []
         for k in range(90):
             inst = random_instance(rng, max_scbs=12, max_files=8, heavy_scbs_costs=k % 3 == 1)
             if k % 3 == 0:
                 inst = dataclasses.replace(inst, cost_scbs_tx=np.zeros(inst.num_scbs))
             on = inst.cache_size > 0
-            ladders.append([_with_sizes(inst, np.where(on, s, 0)) for s in (3, 1, 6)])
+            instances += [_with_sizes(inst, np.where(on, s, 0)) for s in (3, 1, 6)]
         for seed, cost in itertools.product(range(3), (0.0, 0.3)):
             base = generate_scenario(ScenarioConfig(num_scbs=10, num_files=40, cost_scbs=cost,
                                                     seed=seed))
-            ladders.append([_with_sizes(base, [c] * 10) for c in (8, 2, 20)])
-        assert sum(members[0].num_scbs >= 9 for members in ladders) >= 20
-        for members in ladders:
-            for inst, report in zip(members, greedy_macp_ladder(members)):
-                x = np.zeros((inst.num_scbs, inst.num_files), dtype=np.int8)
-                alone = greedy_macp(inst)
-                assert alone.trace == report.trace
-                for _, scbs, file, value in report.trace:
-                    x[scbs - 1, file] = 1
-                    assert value == cost_closed_form(inst, CachingPolicy(x)).total, inst
+            instances += [_with_sizes(base, [c] * 10) for c in (8, 2, 20)]
+        assert sum(inst.num_scbs >= 9 for inst in instances) >= 60
+        for inst in instances:
+            x = np.zeros((inst.num_scbs, inst.num_files), dtype=np.int8)
+            for _, scbs, file, value in greedy_macp(inst).trace:
+                x[scbs - 1, file] = 1
+                assert value == cost_closed_form(inst, CachingPolicy(x)).total, inst
 
     def test_matches_stepwise_marginal_argmin(self):
         # every committed placement against direct marginal evaluation under
@@ -198,76 +196,75 @@ def _with_sizes(inst: Instance, sizes) -> Instance:
                     inst.cost_scbs_tx, inst.demand, inst.deadline)
 
 
-class TestGreedyLadder:
-    def test_matches_per_size_reference(self):
-        # Random nested ladders on 1 to 8 SCBSs, caches at the same SCBSs:
-        # up to five members in random order, equal members, sizes above
-        # num_files (clamped to it), and forks that cut the largest member's
-        # run of one file short; plus cache-size sweeps of generated scenarios.
+class TestGreedyBatch:
+    def test_matches_stepwise_reference(self):
+        # 400 random batches of one shape on 1 to 8 SCBSs: up to five
+        # members that differ in their cache sizes (zero, unequal, or above
+        # num_files and clamped to it), some with other demand, costs or
+        # deadline too, repeated members; plus every axis of generated sweeps.
         rng = np.random.default_rng(71)
-        ladders = []
+        batches = []
         for k in range(400):
             inst = random_instance(rng, heavy_scbs_costs=k % 2 == 1)
-            on = inst.cache_size > 0
-            size = np.where(on, 1, 0)
-            members = []
-            for _ in range(int(rng.integers(1, 6))):
-                drawn = rng.integers(1, inst.num_files + 4, size=on.size)
-                size = np.maximum(size, np.where(on, drawn, 0))
-                members.append(_with_sizes(inst, size))
+            members = [
+                _with_sizes(inst, rng.integers(0, inst.num_files + 4, size=inst.num_scbs))
+                for _ in range(int(rng.integers(1, 6)))
+            ]
+            if k % 3 == 0:
+                members.append(_saturated(rng, members[0]))
+                members.append(dataclasses.replace(
+                    members[-1], demand=rng.uniform(0.0, 2.0, size=inst.demand.shape),
+                    deadline=float(rng.uniform(0.2, 3.0)), cost_backhaul=0.0))
             if rng.random() < 0.3:
                 members.append(members[int(rng.integers(len(members)))])
-            ladders.append([members[j] for j in rng.permutation(len(members))])
+            batches.append([members[j] for j in rng.permutation(len(members))])
         for seed in range(2):
-            base = generate_scenario(ScenarioConfig(num_scbs=5, num_files=30, seed=seed))
-            ladders.append([_with_sizes(base, [c] * 5) for c in (12, 3, 30, 6, 3, 45)])
-        cut = 0
-        for members in ladders:
-            reports = greedy_macp_ladder(members)
-            assert len(reports) == len(members)
-            for inst, report in zip(members, reports):
-                want = reference_greedy_macp(inst)
-                assert report.trace == want.trace, inst
-                assert report.evaluations == want.evaluations, inst
-                assert np.array_equal(report.policy.placement, want.policy.placement), inst
-            cut += _runs_cut_by_forks(members, reports)
-        assert cut >= 20
+            config = ScenarioConfig(num_scbs=5, num_files=30, seed=seed)
+            for axis, values in (("cache_size", (12, 3, 0, 30, 6, 3, 45)),
+                                 ("zipf_shape", (0.0, 0.8, 1.6)), ("deadline", (0.5, 10.0))):
+                batches.append([generate_scenario(dataclasses.replace(config, **{axis: v}))
+                                for v in values])
+        for members in batches:
+            placements = greedy_macp_batch(members)
+            assert len(placements) == len(members)
+            for inst, policy in zip(members, placements):
+                want = reference_greedy_macp(inst).policy.placement
+                assert np.array_equal(policy.placement, want), inst
+
+    def test_zero_unequal_and_clamped_caches_in_one_batch(self):
+        base = generate_scenario(ScenarioConfig(num_scbs=4, num_files=6, seed=3))
+        sizes = ([0, 0, 0, 0], [0, 2, 0, 5], [1, 3, 2, 4], [9, 9, 9, 9], [6, 0, 7, 1])
+        batch = [_with_sizes(base, s) for s in sizes]
+        for inst, policy in zip(batch, greedy_macp_batch(batch)):
+            assert np.array_equal(policy.placement, reference_greedy_macp(inst).policy.placement)
+            assert (policy.placement.sum(axis=1) == inst.cache_size).all()
+
+    def test_ties_in_one_member_only(self):
+        # the tie-rule cases, batched with a member of their shape whose
+        # gains never tie, so the tie scan runs for part of the batch
+        tied = [
+            Instance(2, 3, [1, 1], 0.4, 0.6, [0.0, 0.0], [[0.0] * 3, [0.5] * 3, [0.5] * 3], 1.0),
+            Instance(3, 5, [2, 3, 1], 0.4, 0.6, [0.1, 0.3, 0.2],
+                     np.vstack([np.full(5, 1e3), np.full((3, 5), 0.7)]), 1.0),
+        ]
+        rng = np.random.default_rng(5)
+        for inst in tied:
+            plain = dataclasses.replace(inst, demand=rng.uniform(0.1, 2.0, size=inst.demand.shape))
+            for policy, member in zip(greedy_macp_batch([plain, inst, plain]),
+                                      [plain, inst, plain]):
+                want = greedy_macp(member).policy.placement
+                assert np.array_equal(policy.placement, want)
 
     def test_one_instance_and_none(self):
         inst = motivating_instance()
-        (report,) = greedy_macp_ladder([inst])
-        assert report.trace == greedy_macp(inst).trace
-        assert greedy_macp_ladder([]) == []
+        (policy,) = greedy_macp_batch([inst])
+        assert np.array_equal(policy.placement, greedy_macp(inst).policy.placement)
+        assert greedy_macp_batch([]) == []
 
-    @pytest.mark.parametrize("change, message", [
-        ({"cache_size": [2, 1, 2]}, "not nested"),
-        ({"demand": np.full((4, 4), 0.6)}, "differ in cache_size only"),
-        ({"deadline": 2.0}, "differ in cache_size only"),
-        ({"cache_size": [0, 2, 2]}, "caches at the same SCBSs"),
-    ])
-    def test_rejects_other_differences(self, change, message):
-        fields = dict(num_scbs=3, num_files=4, cache_size=[1, 2, 2], cost_backhaul=0.5,
-                      cost_mbs_tx=0.5, cost_scbs_tx=[0.1, 0.1, 0.1],
-                      demand=np.full((4, 4), 0.5), deadline=1.0)
-        base = Instance(**fields)
-        other = Instance(**{**fields, **change})
-        with pytest.raises(ValueError, match=message):
-            greedy_macp_ladder([base, other])
-
-
-def _runs_cut_by_forks(members: list[Instance], reports) -> int:
-    """Members whose first fill came while the largest member kept committing the same file."""
-    largest = max(range(len(members)), key=lambda k: int(members[k].cache_size.sum()))
-    top, top_trace = members[largest].cache_size, reports[largest].trace
-    cut = 0
-    for inst, report in zip(members, reports):
-        fill = np.zeros(inst.num_scbs, dtype=int)
-        for t, (_, scbs, file, _) in enumerate(report.trace):
-            fill[scbs - 1] += 1
-            if fill[scbs - 1] == inst.cache_size[scbs - 1] < top[scbs - 1]:
-                cut += top_trace[t + 1][2] == file
-                break
-    return cut
+    def test_rejects_mixed_shapes(self):
+        other = Instance(2, 2, [1, 1], 0.5, 0.5, [0.0, 0.0], np.full((3, 2), 0.5), 1.0)
+        with pytest.raises(ValueError, match="share num_scbs and num_files"):
+            greedy_macp_batch([motivating_instance(), other])
 
 
 def _saturated(rng: np.random.Generator, inst: Instance) -> Instance:
@@ -550,41 +547,39 @@ class TestLocalSearch:
             assert np.array_equal(a.placement, b.placement)
 
     def test_matches_full_rescore_reference(self, monkeypatch):
-        # Refreshing only the touched columns gives the moves of the search
-        # that re-scored everything, from greedy and from random starts.
-        # Every candidate's split, the input of its objective, equals a full
-        # _cached_split of the reference's candidate bit for bit, also when
-        # a move touches one file among nine or more SCBSs and the refresh
-        # splits that lone column.
-        splits, candidates = [], []
-
-        def recording_split_cost(c_mbs, rate_out, local):
-            splits.append((rate_out.copy(), local.copy()))
-            return _split_cost(c_mbs, rate_out, local)
-
-        def recording_cost(instance, policy):
-            candidates.append(policy.placement.astype(bool))
-            return cost_closed_form(instance, policy)
-
-        monkeypatch.setattr(solvers_module, "_split_cost", recording_split_cost)
-        monkeypatch.setattr(helpers, "cost_closed_form", recording_cost)
+        # local_search_batch makes the moves of the search that re-scored
+        # every column and called cost_closed_form on each candidate, from
+        # greedy and from random starts: in batches of one shape, in chunks
+        # of the default width and of 3 (instances leave a chunk at
+        # different steps), and one at a time.  Placements are compared;
+        # scores may differ in the last bit.
         rng = np.random.default_rng(67)
-        lone = 0
-        for inst in _equivalence_cases(61):
-            _, rate_mbs, rate, local_cost = _area_rates(inst)
-            for start in (greedy_macp(inst).policy, random_policy(rng, inst)):
-                splits.clear()
-                candidates.clear()
-                want = reference_local_search(inst, start)
-                assert np.array_equal(local_search(inst, start).placement, want.placement)
-                assert len(splits) == len(candidates)
-                for (rate_out, local), x in zip(splits, candidates):
-                    full = _cached_split(rate_mbs, rate, local_cost, x)
-                    assert np.array_equal(rate_out, full[0]) and np.array_equal(local, full[1])
-                if inst.num_scbs >= 9 and inst.num_files > 1:
-                    lone += sum(np.count_nonzero((a != b).any(axis=0)) == 1
-                                for a, b in zip(candidates, candidates[1:]))
-        assert lone >= 10
+        runs = [(inst, start) for inst in _equivalence_cases(61)
+                for start in (greedy_macp(inst).policy, random_policy(rng, inst))]
+        want = [reference_local_search(inst, start).placement for inst, start in runs]
+        groups = {}
+        for k, (inst, _) in enumerate(runs):
+            groups.setdefault((inst.num_scbs, inst.num_files), []).append(k)
+        assert max(map(len, groups.values())) > solvers_module._SEARCH_CHUNK
+        for chunk in (solvers_module._SEARCH_CHUNK, 3):
+            monkeypatch.setattr(solvers_module, "_SEARCH_CHUNK", chunk)
+            for members in groups.values():
+                got = local_search_batch(*zip(*(runs[k] for k in members)))
+                for k, policy in zip(members, got):
+                    assert np.array_equal(policy.placement, want[k]), runs[k][0]
+        for (inst, start), placement in zip(runs[::5], want[::5]):
+            assert np.array_equal(local_search(inst, start).placement, placement), inst
+
+    def test_batch_arguments(self):
+        inst = motivating_instance()
+        other = Instance(2, 2, [1, 1], 0.5, 0.5, [0.0, 0.0], np.full((3, 2), 0.5), 1.0)
+        assert local_search_batch([], []) == []
+        with pytest.raises(ValueError, match="one policy per instance"):
+            local_search_batch([inst], [])
+        with pytest.raises(ValueError, match="share num_scbs and num_files"):
+            local_search_batch([inst, other], [empty_policy(2, 3), empty_policy(2, 2)])
+        with pytest.raises(ValueError):
+            local_search_batch([inst], [CachingPolicy([[1, 1, 0], [0, 0, 0]])])
 
 
 def _exhaustive_cases(seed: int, count: int) -> list[Instance]:
