@@ -261,6 +261,22 @@ class TestGreedyBatch:
         assert np.array_equal(policy.placement, greedy_macp(inst).policy.placement)
         assert greedy_macp_batch([]) == []
 
+    @pytest.mark.parametrize("change", [
+        {"cache_size": [2, 1, 2]},
+        {"demand": np.full((4, 4), 0.6)},
+        {"deadline": 2.0},
+        {"cache_size": [0, 2, 2]},
+    ], ids=["not nested", "other demand", "other deadline", "caches at other SCBSs"])
+    def test_accepts_other_differences(self, change):
+        # one batch takes members of one shape that differ in more than
+        # nested cache sizes at the same SCBSs
+        fields = dict(num_scbs=3, num_files=4, cache_size=[1, 2, 2], cost_backhaul=0.5,
+                      cost_mbs_tx=0.5, cost_scbs_tx=[0.1, 0.1, 0.1],
+                      demand=np.full((4, 4), 0.5), deadline=1.0)
+        batch = [Instance(**fields), Instance(**{**fields, **change})]
+        for inst, policy in zip(batch, greedy_macp_batch(batch)):
+            assert np.array_equal(policy.placement, reference_greedy_macp(inst).policy.placement)
+
     def test_rejects_mixed_shapes(self):
         other = Instance(2, 2, [1, 1], 0.5, 0.5, [0.0, 0.0], np.full((3, 2), 0.5), 1.0)
         with pytest.raises(ValueError, match="share num_scbs and num_files"):
