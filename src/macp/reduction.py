@@ -213,14 +213,14 @@ def macdp_decide(
 
     Returns ``(True, witness)`` for the first (lexicographically smallest)
     policy with objective <= threshold + 1e-9, or ``(False, None)`` after
-    scanning the whole space.  The scan runs over the numpy blocks of
-    ``exact_optimal``, O(block x max(N, I)) values at a time, in their
-    lexicographic order: a policy's cost is the fixed part plus each
-    entry's local or macro term, added in table order as a scalar loop
-    would.  Every term is >= 0 and IEEE addition of a non-negative number
-    never lowers a sum, so the first policy whose full cost is within the
-    limit is the one a scan that stops at the first partial sum over the
-    limit accepts.
+    scanning the whole space.  The scan runs over ``_placement_blocks`` of
+    width 1 in their lexicographic order: a policy's cost is the fixed part
+    plus each entry's local or macro term, added in table order as a scalar
+    loop would.  An entry's coverage ANDs its SCBSs' per-option columns, so
+    only that add is block-sized.  Every term is >= 0 and IEEE addition of
+    a non-negative number never lowers a sum, so the first policy whose
+    full cost is within the limit is the one a scan that stops at the
+    first partial sum over the limit accepts.
     """
     n, i = decision.num_scbs, decision.num_files
     tables = _placement_tables(i, decision.cache_size, max_policies)
@@ -244,15 +244,14 @@ def macdp_decide(
     if fixed > limit:
         return False, None
 
-    columns = [np.ascontiguousarray(t.T) for t in tables]  # (I, options) per SCBS
-    for size, rows in _placement_blocks(tables):
-        cost = np.full(size, fixed)
+    for shape, rows in _placement_blocks(tables, 1):
+        cost = np.full(shape, fixed)
         for file, scbs, mbs_term, local_term in dynamic:
-            covered = np.logical_and.reduce([columns[r][file].take(rows[r]) for r in scbs])
+            covered = math.prod((tables[r][rows[r], file] for r in scbs), start=True)
             cost += np.where(covered, local_term, mbs_term)
         hits = np.flatnonzero(cost <= limit)
         if hits.size:
-            x = np.array([t[r[hits[0]]] for t, r in zip(tables, rows)], dtype=np.int8)
+            x = np.array([t[r.flat[hits[0]]] for t, r in zip(tables, np.broadcast_arrays(*rows))])
             return True, CachingPolicy(x.reshape(n, i))
     return False, None
 

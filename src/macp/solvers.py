@@ -416,22 +416,24 @@ def _search_chunk(instances, policies) -> list[CachingPolicy]:
     return done
 
 
-# Placements per numpy block of the exhaustive scans (``exact_optimal`` and
-# ``macdp_decide``): a few arrays of _BLOCK x max(N, I) values, whatever the space.
-_BLOCK = 4096
+# Values per array of an exhaustive-scan block, whatever the space.  2^15 ran
+# the hardness bench fastest (2^12 to 2^17 tried) without raising its peak RSS.
+_BLOCK = 1 << 15
 
 
 @functools.lru_cache(maxsize=64)
 def _row_options(num_files: int, size: int) -> np.ndarray:
-    """Read-only bool table of the rows holding at most ``size`` files, sorted."""
-    rows = sorted(
-        tuple(f in combo for f in range(num_files))
-        for k in range(min(size, num_files) + 1)
-        for combo in itertools.combinations(range(num_files), k)
-    )
-    table = np.array(rows, dtype=bool)
-    table.setflags(write=False)
-    return table
+    """Read-only bool table of the rows holding at most ``size <= num_files`` files, sorted.
+
+    Built from the last file back: rows lacking a file sort before those holding it.
+    """
+    rows = {0: np.zeros((1, 0), dtype=bool)}  # k: the sorted rows of the last m files, <= k held
+    for m in range(1, num_files + 1):
+        rows = {k: np.concatenate([np.insert(rows[min(k, m - 1)], 0, False, axis=1),
+                                   np.insert(rows[k - 1] if k else rows[0][:0], 0, True, axis=1)])
+                for k in range(max(0, size - num_files + m), min(m, size) + 1)}
+    rows[size].setflags(write=False)
+    return rows[size]
 
 
 def _placement_tables(num_files: int, cache_sizes, max_policies=math.inf) -> list[np.ndarray]:
@@ -444,25 +446,25 @@ def _placement_tables(num_files: int, cache_sizes, max_policies=math.inf) -> lis
     return [_row_options(num_files, min(int(s), num_files)) for s in cache_sizes]
 
 
-def _placement_blocks(tables) -> Iterator[tuple[int, list[np.ndarray]]]:
-    """Yield ``(size, rows)`` for consecutive blocks of the enumeration.
+def _placement_blocks(tables, width: int) -> Iterator[tuple[tuple[int, ...], list[np.ndarray]]]:
+    """Yield ``(shape, rows)`` for consecutive blocks of the enumeration.
 
-    Placement k is the mixed-radix number whose digit n, ``rows[n]``, indexes
+    Placement k is the mixed-radix number whose digit n indexes
     ``tables[n]``; the last SCBS varies fastest.  Each table is sorted, so
     the placements come in lexicographic row-major order (all-zeros first),
     and a first-strict-minimum scan picks the lexicographically smallest
-    optimum.
+    optimum.  A block is a C-ordered slab of at most ``max(1, _BLOCK //
+    width)`` placements; ``rows[n]``, SCBS n's digits, has length 1 on every
+    axis of ``shape`` but its own.
     """
-    radix = [len(t) for t in tables]
-    space = math.prod(radix)
-    for start in range(0, space, _BLOCK):
-        k = np.arange(start, min(start + _BLOCK, space))
-        rows = []
-        for r in reversed(radix):
-            quotient = k // r  # numpy divides by a scalar with libdivide; divmod does not
-            rows.append(k - quotient * r)
-            k = quotient
-        yield min(_BLOCK, space - start), rows[::-1]
+    radix, chunks, tail = [len(t) for t in tables], [], 1
+    # from the last SCBS back: whole tables while they fit, one run, then single options
+    for r in reversed(radix):
+        chunks.insert(0, min(r, max(1, _BLOCK // width) // tail))
+        tail *= chunks[0]
+    runs = ([np.arange(s, min(s + k, r)) for s in range(0, r, k)] for r, k in zip(radix, chunks))
+    for digits in itertools.product(*runs):
+        yield tuple(map(len, digits)), list(np.ix_(*digits))
 
 
 def count_feasible_placements(num_files: int, cache_sizes) -> int:
@@ -478,30 +480,29 @@ def exact_optimal(instance: Instance, max_policies: int = DEFAULT_POLICY_CAP) ->
 
     Only viable on tiny instances; raises CapacityError with the search
     space cardinality when it exceeds ``max_policies``, before any table is
-    built.  Scores the feasible placements in the numpy blocks of
-    ``_placement_blocks`` (O(_BLOCK x max(N, I)) values held at once), adding
-    each SCBS's per-option rate outside and local cost in turn, SCBS 1 first,
-    as ``_cached_split`` does; so each policy's cost equals
+    built.  Scores the feasible placements in the blocks of
+    ``_placement_blocks`` of width I, adding each SCBS's per-option rate
+    outside and local cost in turn, SCBS 1 first, as ``_cached_split`` does,
+    into sums that broadcast to the block; so each policy's cost equals
     ``_file_terms(...).sum()`` of its own ``_cached_split`` bit for bit.
     Among equal-cost optima the lexicographically smallest placement wins:
     the first minimum of a block, and a later block only if strictly
     cheaper.  ``evaluations`` counts every policy.
     """
-    tables = _placement_tables(instance.num_files, instance.cache_size, max_policies)
+    i = instance.num_files
+    tables = _placement_tables(i, instance.cache_size, max_policies)
     c_mbs, rate_mbs, rate, local_cost = _area_rates(instance)
     rate_options = [np.where(t, 0.0, r) for t, r in zip(tables, rate)]
     local_options = [np.where(t, c, 0.0) for t, c in zip(tables, local_cost)]
-    best_cost = math.inf
-    best: np.ndarray | None = None
-    for _, rows in _placement_blocks(tables):
-        outside, local = (sum(o.take(r, axis=0) for o, r in zip(options, rows))
+    best_cost, best = math.inf, None
+    for _, rows in _placement_blocks(tables, i):
+        outside, local = (sum(o.take(r, axis=0) for o, r in zip(options, rows)).reshape(-1, i)
                           for options in (rate_options, local_options))
         cost = _file_terms(c_mbs, rate_mbs + outside, local).sum(axis=1)
         j = int(cost.argmin())
         if cost[j] < best_cost:
             best_cost = float(cost[j])
-            best = np.array([t[r[j]] for t, r in zip(tables, rows)])
+            best = np.array([t[r.flat[j]] for t, r in zip(tables, np.broadcast_arrays(*rows))])
     assert best is not None
-    policy = CachingPolicy(best.astype(np.int8))
-    evaluations = math.prod(len(t) for t in tables)
-    return SolverReport(policy=policy, trace=(), evaluations=evaluations)
+    return SolverReport(policy=CachingPolicy(best), trace=(),
+                        evaluations=math.prod(map(len, tables)))

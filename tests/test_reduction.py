@@ -186,6 +186,18 @@ class TestMacdpDecide:
         assert macdp_decide(dec, max_policies=space)[0]
 
 
+    def test_no_scbs_decides_on_the_fixed_part(self):
+        # one empty placement: YES with a (0, I) witness iff the fixed part is within the limit
+        table = [(0, {0}, 0.5), (1, set(), 0.3), (2, {0}, 0.0)]
+        for threshold, expect in [(1.0, True), (1.0 - 5e-10, True), (0.9, False), (-1.0, False)]:
+            dec = DecisionInstance(0, 3, [], 0.5, 1.5, [], 1.0, table, threshold)
+            answer, witness = macdp_decide(dec)
+            assert answer is expect is reference_macdp_decide(dec)[0]
+            assert witness.placement.shape == (0, 3) if expect else witness is None
+        empty = DecisionInstance(0, 1, [], 1.0, 1.0, [], 1.0, [], 0.0)
+        answer, witness = macdp_decide(empty)
+        assert answer is True and witness.placement.shape == (0, 1)
+
     def test_matches_scalar_reference_on_general_tables(self):
         rng = np.random.default_rng(67)
         decisions = [random_decision(rng) for _ in range(300)]

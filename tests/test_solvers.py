@@ -9,6 +9,7 @@ from macp import (
     CapacityError,
     Instance,
     ScenarioConfig,
+    SppInstance,
     cost_closed_form,
     exact_optimal,
     generate_scenario,
@@ -22,7 +23,7 @@ from macp import (
 )
 import macp.solvers as solvers_module
 from macp.cost import _area_rates, _cached_split, _file_terms
-from macp.solvers import count_feasible_placements
+from macp.solvers import _placement_tables, count_feasible_placements
 from helpers import (
     empty_policy,
     iter_feasible_placements,
@@ -37,6 +38,7 @@ from helpers import (
     reference_feasible_placements,
     reference_greedy_macp,
     reference_local_search,
+    reference_macdp_decide,
 )
 
 
@@ -695,3 +697,86 @@ class TestExhaustiveBlocks:
             ))
         assert runs[1] == runs[0], "block 1 differs from the default"
         assert runs[2] == runs[0], "block 7 differs from the default"
+
+    def test_row_options_match_sorted_tuples(self):
+        for num_files in range(1, 9):
+            for size in range(num_files + 1):
+                table = solvers_module._row_options(num_files, size)
+                rows = sorted(tuple(f in combo for f in range(num_files))
+                              for k in range(size + 1)
+                              for combo in itertools.combinations(range(num_files), k))
+                want = np.array(rows, dtype=bool)
+                assert table.dtype == want.dtype and table.shape == want.shape
+                assert table.tobytes() == want.tobytes(), (num_files, size)
+                assert not table.flags.writeable
+
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("block", [1, 3, 5, 50, 200])
+    def test_blocks_are_bounded_slabs_in_order(self, monkeypatch, block, width):
+        monkeypatch.setattr(solvers_module, "_BLOCK", block)
+        rng = np.random.default_rng(block * 10 + width)
+        radices = [[7] * 4, [1], [3, 1, 4], [2, 7, 3, 5]]
+        radices += [list(rng.integers(1, 9, size=rng.integers(1, 5))) for _ in range(6)]
+        for radix in radices:
+            tables = [np.zeros((r, 1), dtype=bool) for r in radix]
+            seen = []
+            for shape, rows in solvers_module._placement_blocks(tables, width):
+                assert np.prod(shape) <= max(1, block // width), (radix, shape)
+                for n, r in enumerate(rows):
+                    assert r.shape == tuple(s if m == n else 1 for m, s in enumerate(shape))
+                seen += zip(*(r.ravel() for r in np.broadcast_arrays(*rows)))
+            assert seen == list(np.ndindex(*radix)), radix
+
+    @pytest.mark.parametrize("block", [3, 5, 50])
+    def test_mid_run_blocks_match_scalar_references(self, monkeypatch, block):
+        instances = [inst for inst in _exhaustive_cases(89, 40)
+                     if count_feasible_placements(inst.num_files, inst.cache_size) <= 2000]
+        rng = np.random.default_rng(97)
+        decisions = [random_decision(rng) for _ in range(40)]
+        decisions += [spp_to_macdp(random_spp(rng, 4, 5)) for _ in range(20)]
+        monkeypatch.setattr(solvers_module, "_BLOCK", block)
+        for inst in instances:
+            report = exact_optimal(inst)
+            placement, evaluations, _ = reference_exact_optimal(inst)
+            assert np.array_equal(report.policy.placement, placement), inst
+            assert report.evaluations == evaluations
+        for dec in decisions:
+            answer, witness = macdp_decide(dec)
+            expect, placement = reference_macdp_decide(dec)
+            assert answer == expect, dec
+            assert (witness is None) == (placement is None)
+            assert witness is None or np.array_equal(witness.placement, placement), dec
+
+    # a NO answer scans all 7^6 placements: 9604 blocks at block 20, too slow here
+    @pytest.mark.parametrize("block, targets", [(20, (3,)), (100, (3, 4)), (300, (3, 4))])
+    def test_six_cycle_reductions_split_mid_run(self, monkeypatch, block, targets):
+        edges = tuple(frozenset({j, (j + 1) % 6}) for j in (1, 3, 5, 4, 2, 0))
+        decisions = [spp_to_macdp(SppInstance(frozenset(range(6)), edges, target))
+                     for target in targets]
+        want = [reference_macdp_decide(dec) for dec in decisions]
+        assert [a for a, _ in want] == [target <= 3 for target in targets]
+        monkeypatch.setattr(solvers_module, "_BLOCK", block)
+        # some block ends inside an SCBS's 7 options
+        blocks = solvers_module._placement_blocks(_placement_tables(6, [1] * 6), 1)
+        assert any(set(shape) - {1, 7} for shape, _ in blocks)
+        for dec, (expect, placement) in zip(decisions, want):
+            answer, witness = macdp_decide(dec)
+            assert answer == expect
+            assert (witness is None) == (placement is None)
+            assert witness is None or np.array_equal(witness.placement, placement)
+
+    @pytest.mark.parametrize("block", [1, 5, 24, 100])
+    def test_file_terms_arrays_stay_within_the_block(self, monkeypatch, block):
+        seen = []
+
+        def recording(c_mbs, rate_out, local, *rest):
+            seen.extend((rate_out, local))
+            return _file_terms(c_mbs, rate_out, local, *rest)
+
+        monkeypatch.setattr(solvers_module, "_file_terms", recording)
+        monkeypatch.setattr(solvers_module, "_BLOCK", block)
+        for inst in _exhaustive_cases(101, 30):
+            seen.clear()
+            placement, _, _ = reference_exact_optimal(inst)
+            assert np.array_equal(exact_optimal(inst).policy.placement, placement)
+            assert seen and max(a.size for a in seen) <= max(block, inst.num_files), inst
