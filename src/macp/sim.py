@@ -43,12 +43,14 @@ from .model import CachingPolicy, Instance, Record
 
 MODES = ("unicast", "multicast")
 
-# Periods are drawn in fixed-size batches.  Each batch takes its variates in
-# row-major (period, area, file) order, a multicast period's bytes in whole
-# 64-bit words, and every per-period reduction is computed row by row, so
-# the generated streams, the report and the trace bytes are independent of
-# the batch size.
-_BATCH = 4096
+# Periods are drawn in batches of at most this many bytes of per-period draws
+# (a multicast period's random bytes, a unicast period's int64 counts; one
+# period at least), so a batch's arrays stay near cache size at any catalog
+# width.  Each batch takes its variates in row-major (period, area, file)
+# order, a multicast period's bytes in whole 64-bit words, and every
+# per-period reduction is computed row by row, so the generated streams, the
+# report and the trace bytes are independent of the batch size.
+_BATCH_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,6 @@ def simulate(
 
     rng = np.random.default_rng(config.seed)
     total = config.periods
-    batch = min(_BATCH, total)
     if config.mode == "unicast":
         rates = np.concatenate((
             [lam[0].sum() + lam[1:][~cached].sum()],
@@ -120,6 +121,8 @@ def simulate(
         if not expected < 2.0**62:
             raise ValueError(f"{expected:.3g} expected unicast requests in {total} periods "
                              "overflow the 64-bit request counts")
+
+        period_bytes = 8 * rates.size
 
         def draw(m):
             k = rng.poisson(rates, size=(m, rates.size))
@@ -135,6 +138,7 @@ def simulate(
         pairs = p.size
         # whole 64-bit words per period, so a batch boundary never splits a word
         words = -(-pairs // 8)
+        period_bytes = 8 * words
         bits = rng.bit_generator
         refine = rng.spawn(1)[0]
         # the areas whose request makes the macro cell send the file
@@ -152,6 +156,7 @@ def simulate(
             local = here[:, 1:] & ~triggered[:, None, :]
             return triggered.sum(axis=1), local.sum(axis=2), np.zeros(m, dtype=np.int64)
 
+    batch = max(1, min(total, _BATCH_BYTES // period_bytes))
     costs = np.empty(total)
     mbs_tx = 0
     scbs_tx = 0

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,13 @@ import pytest
 from macp import (
     CachingPolicy,
     Instance,
+    ScenarioConfig,
     SimConfig,
     SimReport,
     cost_closed_form,
     cost_unicast,
+    generate_scenario,
+    popularity_placement,
     simulate,
 )
 import macp.sim as sim_module
@@ -37,10 +41,11 @@ class TestDeterminism:
             assert simulate(inst, pol, cfg) == simulate(inst, pol, cfg)
 
     def test_batch_boundary_does_not_change_stream(self, tmp_path, monkeypatch):
-        # A period count that is not a multiple of the default draw batch.
-        # Nine SCBSs, each caching all files but one and rarely requesting
-        # that one, so most periods have several local transmissions per
-        # SCBS and each period's SCBS cost is a sum of 8+ uneven terms.
+        # 1-period and 37-period batches give the default batches' report and
+        # trace bytes.  Nine SCBSs, each caching all files but one and rarely
+        # requesting that one, so most periods have several local
+        # transmissions per SCBS and each period's SCBS cost is a sum of 8+
+        # uneven terms.
         rng = np.random.default_rng(71)
         missing = np.eye(9, 4, dtype=bool) | np.eye(9, 4, -4, dtype=bool) | np.eye(9, 4, -8, dtype=bool)
         rates = rng.uniform(0.2, 1.5, size=(10, 4))
@@ -52,17 +57,28 @@ class TestDeterminism:
         # 64-bit word, so its padding is what keeps the batches aligned
         small = Instance(2, 5, [2, 3], 0.7, 0.9, [0.3, 0.6], rng.uniform(0.1, 2.0, size=(3, 5)), 1.1)
         small_pol = CachingPolicy([[1, 0, 0, 1, 0], [0, 1, 1, 0, 1]])
-        default = sim_module._BATCH
-        for name, inst, pol in (("10x4", inst, pol), ("3x5", small, small_pol)):
+        # a wide catalog, whose multicast run the default budget splits into
+        # several batches and a ragged last one (at 1 MiB, 59 of 69 periods and one of 62)
+        wide = generate_scenario(ScenarioConfig(num_files=1000, cache_size=200, seed=3))
+        wide_pol = popularity_placement(wide)
+        default = sim_module._BATCH_BYTES
+        for name, inst, pol in (("10x4", inst, pol), ("3x5", small, small_pol),
+                                ("15x1000", wide, wide_pol)):
             for mode in ("multicast", "unicast"):
                 cfg = SimConfig(periods=4096 + 37, mode=mode, seed=5)
+                # what the budget divides: a multicast period's random bytes
+                # in whole words, or a unicast period's int64 counts
+                areas = inst.num_scbs + 1
+                period = 8 * -(-areas * inst.num_files // 8) if mode == "multicast" else 8 * areas
+                if name == "15x1000" and mode == "multicast":
+                    assert 1 < default // period < cfg.periods and cfg.periods % (default // period)
                 runs = []
-                for batch in (default, 1, 37):
-                    monkeypatch.setattr(sim_module, "_BATCH", batch)
-                    path = tmp_path / f"{name}-{mode}-{batch}.csv"
+                for budget in (default, period, 37 * period):
+                    monkeypatch.setattr(sim_module, "_BATCH_BYTES", budget)
+                    path = tmp_path / f"{name}-{mode}-{budget}.csv"
                     runs.append((simulate(inst, pol, cfg, trace_path=path), path.read_bytes()))
-                assert runs[1] == runs[0], f"{name} {mode}: batch 1 differs from the default"
-                assert runs[2] == runs[0], f"{name} {mode}: batch 37 differs from the default"
+                assert runs[1] == runs[0], f"{name} {mode}: 1-period batches differ from the default"
+                assert runs[2] == runs[0], f"{name} {mode}: 37-period batches differ from the default"
 
     def test_unicast_stream_is_pinned(self, tmp_path):
         # unicast draws its Poisson counts from default_rng(seed) alone, so a
@@ -91,6 +107,21 @@ class TestDeterminism:
         a = simulate(inst, pol, SimConfig(2000, "multicast", 1))
         b = simulate(inst, pol, SimConfig(2000, "multicast", 2))
         assert a.mean_cost_per_period != b.mean_cost_per_period
+
+
+class TestMemory:
+    def test_wide_catalog_batches_stay_small(self):
+        # a batch holds about a megabyte of draws whatever the catalog width;
+        # these 2,000 periods in one batch trace about 89 MB
+        inst = generate_scenario(ScenarioConfig(num_files=1000, cache_size=200, seed=1))
+        pol = popularity_placement(inst)
+        tracemalloc.start()
+        try:
+            simulate(inst, pol, SimConfig(2000, "multicast", 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"simulate peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestEdgeCases:
