@@ -21,13 +21,14 @@ from .errors import CapacityError
 from .model import CachingPolicy, Instance
 from .reduction import DecisionInstance, SppInstance, macdp_decide, spp_decide, spp_to_macdp
 from .scenario import (
+    SWEEP_AXES,
     ScenarioConfig,
     generate_scenario,
     sweep,
     sweep_csv,
     cost_reduction_summary,
 )
-from .sim import SimConfig, simulate
+from .sim import MODES, SimConfig, simulate
 from .solvers import DEFAULT_POLICY_CAP, SolverReport, exact_optimal, greedy_macp, popularity_placement
 
 
@@ -190,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo replay of the request process")
     p.add_argument("instance", type=Path)
     p.add_argument("policy", type=Path)
-    p.add_argument("--mode", choices=("unicast", "multicast"), default="multicast")
+    p.add_argument("--mode", choices=MODES, default="multicast")
     p.add_argument("--periods", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", type=Path, help="per-period CSV trace output")
@@ -210,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="scheme comparison across one parameter axis")
     _add_scenario_flags(p)
-    p.add_argument("--axis", choices=("cache_size", "zipf_shape", "deadline"), required=True)
+    p.add_argument("--axis", choices=SWEEP_AXES, required=True)
     p.add_argument("--values", required=True, help="comma-separated axis values")
     p.add_argument("--replications", type=int, default=1)
     group = p.add_mutually_exclusive_group()

@@ -238,16 +238,11 @@ def sweep(
         raise ValueError("values must be non-empty")
     if replications < 1:
         raise ValueError("replications must be >= 1")
+    # each point's ``ScenarioConfig`` checks its value; cache sizes become ints for the CSV
     if axis == "cache_size":
         if any(v != int(v) or v < 0 for v in values):
             raise ValueError("cache sizes must be non-negative integers")
         values = [int(v) for v in values]
-    elif axis == "zipf_shape":
-        if any(v < 0 for v in values):
-            raise ValueError("zipf shapes must be non-negative")
-    else:
-        if any(not v > 0 for v in values):
-            raise ValueError("deadlines must be positive")
 
     rep_seeds = _replication_seeds(config.seed, replications)
     points = [(rep, vi, value) for rep in range(replications) for vi, value in enumerate(values)]

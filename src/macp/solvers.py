@@ -53,12 +53,10 @@ def greedy_macp(instance: Instance) -> SolverReport:
     f at SCBS n depends on file f's column only.  Each file's term is kept
     in the rate-sum form of ``_file_terms``: the rate outside its cached set
     and the local cost of its cached SCBSs.  After the gain matrix is
-    evaluated once, commits come in runs of one file f: while no other
-    file's best gain is within the tie limit and no SCBS fills, f is
-    committed again at its first row within the limit and only column f is
-    re-scored, in plain Python.  A fill or a tie ends the run; the next
-    pick is global.  That is O(N * I) work once, O(N + I) per commit and
-    O(N * I) per filled row.
+    evaluated once, each commit re-scores only the committed file's column,
+    in plain Python, and a commit that fills an SCBS's cache takes that SCBS
+    out of every file's gains.  That is O(N * I) work once, O(N + I) per
+    commit and O(N * I) per filled row.
 
     Each trace objective is ``cost_closed_form``'s total of the placement so
     far, bit for bit: a committed file's sums are added as ``_cached_split``
@@ -71,25 +69,23 @@ def greedy_macp(instance: Instance) -> SolverReport:
     then the smallest file.
 
     ``evaluations`` counts the gains computed, for allowed cells only (the
-    file not cached there and the SCBS's cache not full): every allowed
-    cell once at the start, then the allowed cells of the committed file's
-    column after each commit.  It is 0 when no SCBS has a cache.
+    file not cached there and the SCBS's cache not full: the finite gains):
+    every allowed cell once at the start, then the allowed cells of the
+    committed file's column after each commit.  It is 0 when no SCBS has a
+    cache.
     """
     n, i = instance.num_scbs, instance.num_files
     sizes = instance.cache_size.tolist()
     c_mbs, rate_mbs, rate, local_cost, terms, gain = _greedy_start(instance)
-    # allowed[f, n]: f is not cached at n and n's cache has room
-    allowed = np.zeros((i, n), dtype=bool)
-    allowed[:, instance.cache_size > 0] = True
     best = gain.min(axis=1)
     cached = np.zeros((i, n), dtype=bool)
     fill = [0] * n
     total = float(terms.sum())
     trace: list[tuple[int, int, int, float]] = []
-    evaluations = int(np.count_nonzero(allowed))
+    evaluations = int(np.count_nonzero(gain < np.inf))
     rate_mbs, rate_rows, local_rows = rate_mbs.tolist(), rate.tolist(), local_cost.tolist()
 
-    while len(trace) < sum(sizes):
+    for iteration in range(1, sum(sizes) + 1):
         file = int(best.argmin())
         limit = best[file] + 1e-12 * max(1.0, abs(total))
         # another file within the limit is rare; only then scan them all
@@ -100,42 +96,28 @@ def greedy_macp(instance: Instance) -> SolverReport:
                 (int((gain[f] <= limit).argmax()), f)
                 for f in np.flatnonzero(best <= limit).tolist()
             )
-        # the other files' gains hold while only this file's column changes
-        best[file] = np.inf
-        others = float(best.min())
-        open_rows, rates, costs = allowed[file].tolist(), rate_rows[file], local_rows[file]
-        on = cached[file].tolist()
-        while True:
-            cached[file, row] = on[row] = True
-            open_rows[row] = False
-            fill[row] += 1
-            # the file's sums SCBS by SCBS, as ``_cached_split`` adds them, and
-            # its term with numpy's expm1: the closed form's term, bit for bit
-            outside = local_f = 0.0
-            for r, v, c in zip(rates, costs, on):
-                if c:
-                    local_f += v
-                else:
-                    outside += r
-            rate_out_f = rate_mbs[file] + outside
-            term_f = terms[file] = float(_file_terms(c_mbs, rate_out_f, local_f))
-            total = float(terms.sum())
-            trace.append((len(trace) + 1, row + 1, file, total))
-            # at most N cells, scored one by one: cheaper than numpy calls on them
-            column = [_file_terms(c_mbs, rate_out_f - r, local_f + v, math.expm1) - term_f
-                      if ok else math.inf for r, v, ok in zip(rates, costs, open_rows)]
-            evaluations += open_rows.count(True)
-            best_f = min(column)
-            full = fill[row] == sizes[row]
-            limit = best_f + 1e-12 * max(1.0, abs(total))
-            # the global path's pick while no other file is within the limit
-            if full or not others > limit:
-                break
-            # the first row within the limit; filter and index scan in C
-            row = column.index(next(filter(limit.__ge__, column)))
-        allowed[file], gain[file], best[file] = open_rows, column, best_f
-        if full:
-            allowed[:, row] = False
+        cached[file, row] = True
+        gain[file, row] = np.inf
+        fill[row] += 1
+        # the file's sums SCBS by SCBS, as ``_cached_split`` adds them, and
+        # its term with numpy's expm1: the closed form's term, bit for bit
+        rates, costs = rate_rows[file], local_rows[file]
+        outside = local_f = 0.0
+        for r, v, c in zip(rates, costs, cached[file].tolist()):
+            if c:
+                local_f += v
+            else:
+                outside += r
+        rate_out_f = rate_mbs[file] + outside
+        term_f = terms[file] = float(_file_terms(c_mbs, rate_out_f, local_f))
+        total = float(terms.sum())
+        trace.append((iteration, row + 1, file, total))
+        # at most N cells, scored one by one: cheaper than numpy calls on them
+        column = [_file_terms(c_mbs, rate_out_f - r, local_f + v, math.expm1) - term_f
+                  if g < math.inf else g for r, v, g in zip(rates, costs, gain[file].tolist())]
+        evaluations += n - column.count(math.inf)
+        gain[file], best[file] = column, min(column)
+        if fill[row] == sizes[row]:
             gain[:, row] = np.inf
             gain.min(axis=1, out=best)
 
@@ -151,8 +133,8 @@ def greedy_macp_batch(instances) -> list[CachingPolicy]:
     ``greedy_macp``'s tie rule, the committed file's sums added SCBS by
     SCBS as ``_cached_split`` adds them, and a re-score of that file's
     column.  A step costs about as much at any width, so the batch pays
-    off by its width, and a batch of one is several times slower than
-    ``greedy_macp``.  Candidate gains take numpy's ``expm1`` where
+    off by its width, and a batch of one is three to five times slower
+    than ``greedy_macp``.  Candidate gains take numpy's ``expm1`` where
     ``greedy_macp`` takes ``math.expm1``: the two can differ in the last
     bit, which changes a pick only if a gain lies within a rounding step of
     the tie limit.  Returns the placements in input order (none for no
@@ -170,7 +152,7 @@ def greedy_macp_batch(instances) -> list[CachingPolicy]:
     # most commits first, so the instances still committing are a leading slice
     order = sorted(range(len(instances)), key=lambda k: -int(instances[k].cache_size.sum()))
     commits = [int(instances[k].cache_size.sum()) for k in order]
-    sizes = np.array([instances[k].cache_size for k in order])
+    left = np.array([instances[k].cache_size for k in order])
     b = len(order)
     # One row per (instance, file), at the flat index instance * I + file:
     # its N SCBS values, then a 0 in an always-cached extra cell, which
@@ -185,9 +167,6 @@ def greedy_macp_batch(instances) -> list[CachingPolicy]:
          gain[k]) = _greedy_start(instances[at])
     cached = np.zeros((b * i, n + 1), dtype=bool)
     cached[:, n] = True
-    room = np.zeros((b, n + 1), dtype=bool)
-    room[:, :n] = sizes > 0
-    left = sizes.copy()
     gain.min(axis=2, out=best)
     flat_gain, flat_best, flat_terms = gain.reshape(b * i, n), best.reshape(-1), terms.reshape(-1)
     flat_mbs, total, files_at = rate_mbs.reshape(-1), terms.sum(axis=1), np.arange(b) * i
@@ -219,11 +198,10 @@ def greedy_macp_batch(instances) -> list[CachingPolicy]:
                              local_f[:, None] + costs)
         flat_terms[cell] = column[:, n]
         total[:k] = terms[:k].sum(axis=1)
-        column = np.where(room[:k] & ~on, column - column[:, n:], np.inf)
-        flat_gain[cell], flat_best[cell] = column[:, :n], column.min(axis=1)
+        column = np.where((left[:k] > 0) & ~on[:, :n], column[:, :n] - column[:, n:], np.inf)
+        flat_gain[cell], flat_best[cell] = column, column.min(axis=1)
         full = np.flatnonzero(left[at, row] == 0)
         if full.size:
-            room[full, row[full]] = False
             gain[full, :, row[full]] = np.inf
             best[full] = gain[full].min(axis=2)
 

@@ -288,7 +288,11 @@ def random_decision(
 
 
 def reference_greedy_macp(instance: Instance) -> SolverReport:
-    """The greedy loop that ``greedy_macp`` ran before it committed files in runs."""
+    """``greedy_macp`` with its allowed cells in a mask of their own.
+
+    The cells with the file not cached there and the SCBS's cache not full;
+    ``greedy_macp`` keeps them only as its finite gains.
+    """
     n, i = instance.num_scbs, instance.num_files
     sizes = instance.cache_size.tolist()
     c_mbs, rate_mbs, rate, local_cost = _area_rates(instance)

@@ -169,6 +169,10 @@ class TestSweep:
             sweep(cfg, "cache_size", [1.5])
         with pytest.raises(ValueError):
             sweep(cfg, "deadline", [0.0])
+        with pytest.raises(ValueError):
+            sweep(cfg, "zipf_shape", [0.8, -0.5])
+        with pytest.raises(ValueError):
+            sweep(cfg, "deadline", [1.0, float("nan")])
 
     def test_row_layout(self):
         cfg = ScenarioConfig(num_scbs=3, num_files=10, seed=37)
