@@ -101,6 +101,30 @@ class TestDeterminism:
             "2cad6822df076c265954c0382337f88d0aa7c556810b190cda61f610245d144c"
         )
 
+    def test_multicast_stream_is_pinned(self, tmp_path):
+        # the presence bytes, the tie refinements and the per-period
+        # reduction must not move when the reduction is rewritten; nonzero
+        # SCBS costs put each SCBS's local count into the period cost.
+        # numpy's baseline and AVX-512 expm1 kernels give these rates the
+        # same p, so the pin holds on both
+        demand = [[0.3, 0.1, 0.0, 0.7], [1.2, 0.4, 0.9, 0.05],
+                  [0.6, 2.5, 0.2, 0.8], [0.0, 0.3, 1.1, 0.45]]
+        inst = Instance(3, 4, [2, 1, 3], 0.5, 1.0, [0.25, 0.5, 0.75], demand, 0.8)
+        pol = CachingPolicy([[1, 0, 1, 0], [0, 1, 0, 0], [1, 1, 0, 1]])
+        path = tmp_path / "trace.csv"
+        rep = simulate(inst, pol, SimConfig(5000, "multicast", 31), trace_path=path)
+        assert rep == SimReport(
+            mean_cost_per_period=3.89145,
+            std_error=0.017360620891303004,
+            periods=5000,
+            mbs_transmissions=11049,
+            scbs_transmissions=6413,
+            unicast_transmissions=0,
+        )
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "1027607ae114c716ec57a69ed68c4df204aa498146d0035940a4b7453cf9dc8a"
+        )
+
     def test_different_seeds_differ(self):
         inst = motivating_instance()
         pol = empty_policy(2, 3)
