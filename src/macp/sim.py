@@ -45,11 +45,12 @@ MODES = ("unicast", "multicast")
 
 # Periods are drawn in batches of at most this many bytes of per-period draws
 # (a multicast period's random bytes, a unicast period's int64 counts; one
-# period at least), so a batch's arrays stay near cache size at any catalog
-# width.  Each batch takes its variates in row-major (period, area, file)
-# order, a multicast period's bytes in whole 64-bit words, and every
-# per-period reduction is computed row by row, so the generated streams, the
-# report and the trace bytes are independent of the batch size.
+# period at least), which bounds the memory per batch, a few arrays of about
+# that size, at any catalog width.  Each batch takes its variates in
+# row-major (period, area, file) order, a multicast period's bytes in whole
+# 64-bit words, and every per-period reduction is computed row by row, so
+# the generated streams, the report and the trace bytes are independent of
+# the batch size.
 _BATCH_BYTES = 1 << 20
 
 
@@ -141,8 +142,10 @@ def simulate(
         period_bytes = 8 * words
         bits = rng.bit_generator
         refine = rng.spawn(1)[0]
-        # the areas whose request makes the macro cell send the file
-        trigger = np.vstack((np.ones_like(cached[0]), ~cached))
+        # the SCBSs whose request makes the macro cell send the file
+        uncached = ~cached
+        # counts of at most I files, exact in the narrowest type that holds I
+        count_type = np.min_scalar_type(instance.num_files)
 
         def draw(m):
             u = bits.random_raw(m * words).view(np.uint8).reshape(m, 8 * words)[:, :pairs]
@@ -151,10 +154,14 @@ def simulate(
             # ties refined from the second stream in row-major (period, area, file) order
             tie = np.flatnonzero(u == t)
             np.put(here, tie, refine.random(tie.size) < frac[tie % pairs])
-            triggered = (here & trigger).any(axis=1)
+            triggered = here[:, 0].copy()
+            for n, row in enumerate(uncached, 1):
+                triggered |= here[:, n] & row
             # untriggered files are requested at caching SCBSs only
             local = here[:, 1:] & ~triggered[:, None, :]
-            return triggered.sum(axis=1), local.sum(axis=2), np.zeros(m, dtype=np.int64)
+            return (triggered.view(np.uint8).sum(axis=1, dtype=count_type),
+                    local.view(np.uint8).sum(axis=2, dtype=count_type),
+                    np.zeros(m, dtype=np.int64))
 
     batch = max(1, min(total, _BATCH_BYTES // period_bytes))
     costs = np.empty(total)

@@ -147,6 +147,30 @@ def cached_areas(policy: CachingPolicy, file: int) -> frozenset[int]:
     return frozenset(int(n) + 1 for n in np.flatnonzero(policy.placement[:, file]))
 
 
+def exact_multicast_std(instance: Instance, policy: CachingPolicy) -> float:
+    """Exact standard deviation of one period's multicast cost, from per-pair rates.
+
+    File f is triggered with P_t = -expm1(-(its rate outside the cached
+    set)) and then costs c_mbs.  Otherwise each SCBS n caching f sends it
+    with its own p_n = -expm1(-lambda_nf * d), independently, so
+    E[X^2] = P_t c_mbs^2 + (1 - P_t) (sum c_n^2 p_n (1 - p_n) + (sum c_n p_n)^2).
+    Files are independent, so their variances add up.  Each file's
+    variance E[X^2] - E[X]^2 is taken in the equal form
+    P_t (1 - P_t) (c_mbs - L)^2 + (1 - P_t) sum c_n^2 p_n (1 - p_n), with
+    L = sum c_n p_n, which has no cancellation and is never negative.
+    """
+    lam = instance.demand * instance.deadline
+    cached = policy.placement.astype(bool)
+    c_mbs = instance.cost_backhaul + instance.cost_mbs_tx
+    c = instance.cost_scbs_tx[:, None]
+    p_t = -np.expm1(-(lam[0] + np.where(cached, 0.0, lam[1:]).sum(axis=0)))
+    p = np.where(cached, -np.expm1(-lam[1:]), 0.0)
+    local = (c * p).sum(axis=0)
+    spread = (c**2 * p * (1.0 - p)).sum(axis=0)
+    variance = p_t * (1.0 - p_t) * (c_mbs - local) ** 2 + (1.0 - p_t) * spread
+    return math.sqrt(float(variance.sum()))
+
+
 def iter_feasible_placements(num_files: int, cache_sizes):
     """The placements ``exact_optimal`` and ``macdp_decide`` scan, as tuples.
 

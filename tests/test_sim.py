@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -14,11 +15,20 @@ from macp import (
     cost_closed_form,
     cost_unicast,
     generate_scenario,
+    greedy_macp,
+    mbs_triggered,
     popularity_placement,
     simulate,
+    subset_probability,
 )
 import macp.sim as sim_module
-from helpers import empty_policy, motivating_instance, random_instance, random_policy
+from helpers import (
+    empty_policy,
+    exact_multicast_std,
+    motivating_instance,
+    random_instance,
+    random_policy,
+)
 
 
 class TestConfig:
@@ -243,6 +253,62 @@ class TestUnbiasedness:
             assert abs(rep.mean_cost_per_period - analytic) <= 4.5 * rep.std_error
 
 
+class TestExactSpread:
+    @staticmethod
+    def _enumerated_variance(inst, pol):
+        # sum over files of E[(X - E[X])^2], X the file's cost in one period,
+        # over every subset of requesting areas
+        areas = range(inst.num_scbs + 1)
+        subsets = [s for k in range(len(areas) + 1) for s in itertools.combinations(areas, k)]
+        c_mbs = inst.cost_backhaul + inst.cost_mbs_tx
+        total = 0.0
+        for f in range(inst.num_files):
+            outcomes = [(subset_probability(inst, s, f),
+                         0.0 if not s else c_mbs if mbs_triggered(pol, s, f)
+                         else sum(inst.cost_scbs_tx[a - 1] for a in s))
+                        for s in subsets]
+            mean = sum(prob * cost for prob, cost in outcomes)
+            total += sum(prob * (cost - mean) ** 2 for prob, cost in outcomes)
+        return total
+
+    @pytest.mark.parametrize("seed", [401, 402, 403, 404])
+    def test_exact_variance_matches_enumeration(self, seed):
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, max_scbs=3, max_files=3, heavy_scbs_costs=True)
+        pol = random_policy(rng, inst)
+        assert exact_multicast_std(inst, pol) ** 2 == pytest.approx(
+            self._enumerated_variance(inst, pol), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("macro, cached_rate, uncached_rate", [
+        (1e-15, 1e-15, 1e-15),
+        (1e3, 1e3, 1e3),
+        (1e-15, 1e3, 1e-15),  # a near-constant local cost with a rare trigger
+        (0.0, 1e3, 1e3),
+    ])
+    def test_exact_variance_at_extreme_rates(self, macro, cached_rate, uncached_rate):
+        # lambda*d of 1e-15 and 1e3 (deadline 1); SCBS 1 caches file 0 and
+        # SCBS 2 both files, so each file has cached and uncached requesters
+        x = np.array([[1, 0], [1, 1], [0, 0]])
+        demand = np.vstack(([macro] * 2, np.where(x, cached_rate, uncached_rate)))
+        inst = Instance(3, 2, [1, 2, 0], 0.5, 1.0, [0.25, 0.5, 0.75], demand, 1.0)
+        pol = CachingPolicy(x)
+        std = exact_multicast_std(inst, pol)
+        assert math.isfinite(std) and std >= 0.0
+        assert std**2 == pytest.approx(self._enumerated_variance(inst, pol), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("overrides", [{}, {"cache_size": 60, "deadline": 1.0}])
+    def test_simulated_spread_matches_exact_std(self, overrides):
+        # std_error * sqrt(periods) is the sample standard deviation of the
+        # period costs; at 1e5 periods these two read 0.998 and 0.999 of the
+        # exact value
+        inst = generate_scenario(ScenarioConfig(seed=7, cost_scbs=0.3, **overrides))
+        pol = greedy_macp(inst).policy
+        periods = 100_000
+        rep = simulate(inst, pol, SimConfig(periods, "multicast", 7))
+        ratio = rep.std_error * math.sqrt(periods) / exact_multicast_std(inst, pol)
+        assert abs(ratio - 1.0) <= 0.02, f"simulated / exact standard deviation = {ratio:.4f}"
+
+
 class TestPresenceSampler:
     PERIODS = 400_000
 
@@ -274,12 +340,12 @@ class TestPresenceSampler:
 
 class TestExtremeRates:
     @staticmethod
-    def _saturated(macro_rate):
+    def _saturated(macro_rate, num_files=5):
         # lambda*d = 1e3 at every SCBS pair; dyadic costs, so a constant
         # per-period cost also averages exactly
-        demand = np.full((4, 5), 1e3 / 0.5)
+        demand = np.full((4, num_files), 1e3 / 0.5)
         demand[0] = macro_rate
-        return Instance(3, 5, [5] * 3, 0.25, 0.5, [0.125, 0.25, 0.5], demand, 0.5)
+        return Instance(3, num_files, [num_files] * 3, 0.25, 0.5, [0.125, 0.25, 0.5], demand, 0.5)
 
     @pytest.mark.parametrize("pattern", ["empty", "partial", "full"])
     def test_every_pair_saturated_gives_fixed_cost(self, pattern):
@@ -305,6 +371,24 @@ class TestExtremeRates:
             cost_closed_form(inst, pol).total, rel=1e-9)
         assert rep.mean_cost_per_period == 5 * (0.125 + 0.25 + 0.5)
         assert (rep.mbs_transmissions, rep.scbs_transmissions) == (0, 3 * 5 * 5000)
+
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_per_period_counts_past_255_are_exact(self, cached):
+        # 300 files requested everywhere in every period and no macro-area
+        # demand: each period counts 300 local requests per SCBS (all
+        # cached) or 300 triggered files (none cached), which an 8-bit
+        # count would wrap to 44
+        inst = self._saturated(0.0, num_files=300)
+        pol = CachingPolicy(np.full((3, 300), int(cached)))
+        periods = 1000
+        rep = simulate(inst, pol, SimConfig(periods, "multicast", 29))
+        assert rep.std_error == 0.0
+        if cached:
+            assert (rep.mbs_transmissions, rep.scbs_transmissions) == (0, 3 * 300 * periods)
+            assert rep.mean_cost_per_period == 300 * (0.125 + 0.25 + 0.5)
+        else:
+            assert (rep.mbs_transmissions, rep.scbs_transmissions) == (300 * periods, 0)
+            assert rep.mean_cost_per_period == 300 * 0.75
 
     @pytest.mark.parametrize("mode", ["multicast", "unicast"])
     def test_zero_rate_pair_is_never_present(self, mode):
