@@ -115,6 +115,57 @@ def check_ints(kind: str, name: str, values: list) -> None:
             raise ValueError(f"{kind}: field {name!r} must hold integers, got {v!r}")
 
 
+def check_cell(cell, min_scbs: int) -> None:
+    """Check the cell fields an ``Instance`` and a ``DecisionInstance`` share.
+
+    ``num_scbs`` must be at least ``min_scbs``.  Sets each field on the frozen
+    dataclass ``cell`` as an int, a float or a read-only array, ``cache_size``
+    clamped to ``num_files``; ValueError names the first rule broken.
+    """
+    n, i = int(cell.num_scbs), int(cell.num_files)
+    if n < min_scbs:
+        raise ValueError(f"num_scbs must be at least {min_scbs}, got {n}")
+    if i < 1:
+        raise ValueError(f"num_files must be positive, got {i}")
+    object.__setattr__(cell, "num_scbs", n)
+    object.__setattr__(cell, "num_files", i)
+
+    cache = numeric_array("cache_size", cell.cache_size, np.int64)
+    if cache.shape != (n,):
+        raise ValueError(f"cache_size must have shape ({n},), got {cache.shape}")
+    if (cache < 0).any():
+        raise ValueError("cache sizes must be non-negative")
+    # caching more than the catalog is meaningless
+    np.minimum(cache, i, out=cache)
+    object.__setattr__(cell, "cache_size", _readonly(cache))
+
+    for name in ("cost_backhaul", "cost_mbs_tx", "deadline"):
+        try:
+            v = float(getattr(cell, name))
+        except OverflowError:  # an int beyond the float range
+            v = math.inf
+        if not math.isfinite(v) or v < 0:
+            raise ValueError(f"{name} must be finite and non-negative, got {v!r}")
+        object.__setattr__(cell, name, v)
+    if cell.deadline <= 0:
+        raise ValueError("deadline must be strictly positive")
+
+    c = numeric_array("cost_scbs_tx", cell.cost_scbs_tx, np.float64)
+    if c.shape != (n,):
+        raise ValueError(f"cost_scbs_tx must have shape ({n},), got {c.shape}")
+    if not np.isfinite(c).all() or (c < 0).any():
+        raise ValueError("SCBS transmission costs must be finite and non-negative")
+    if (c > cell.cost_mbs_tx).any():
+        raise ValueError("SCBS transmission cost may not exceed the MBS cost")
+    object.__setattr__(cell, "cost_scbs_tx", _readonly(c))
+
+    # Python floats overflow to inf without a numpy warning
+    if not math.isfinite(i * (cell.cost_backhaul + cell.cost_mbs_tx + sum(c.tolist()))):
+        raise ValueError(
+            "num_files * (cost_backhaul + cost_mbs_tx + sum of cost_scbs_tx) is not finite"
+        )
+
+
 class Record:
     """JSON form of a dataclass record: one object keyed by its field names.
 
@@ -188,40 +239,9 @@ class Instance(Record):
     deadline: float
 
     def __post_init__(self):
-        n, i = int(self.num_scbs), int(self.num_files)
-        if n < 1:
-            raise ValueError(f"num_scbs must be positive, got {n}")
-        if i < 1:
-            raise ValueError(f"num_files must be positive, got {i}")
-        object.__setattr__(self, "num_scbs", n)
-        object.__setattr__(self, "num_files", i)
-
-        cache = numeric_array("cache_size", self.cache_size, np.int64)
-        if cache.shape != (n,):
-            raise ValueError(f"cache_size must have shape ({n},), got {cache.shape}")
-        if (cache < 0).any():
-            raise ValueError("cache sizes must be non-negative")
-        # caching more than the catalog is meaningless
-        np.minimum(cache, i, out=cache)
-        object.__setattr__(self, "cache_size", _readonly(cache))
-
-        for name in ("cost_backhaul", "cost_mbs_tx", "deadline"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and non-negative, got {v!r}")
-            object.__setattr__(self, name, v)
-        if self.deadline <= 0:
-            raise ValueError("deadline must be strictly positive")
-
-        c = numeric_array("cost_scbs_tx", self.cost_scbs_tx, np.float64)
-        if c.shape != (n,):
-            raise ValueError(f"cost_scbs_tx must have shape ({n},), got {c.shape}")
-        if not np.isfinite(c).all() or (c < 0).any():
-            raise ValueError("SCBS transmission costs must be finite and non-negative")
-        if (c > self.cost_mbs_tx).any():
-            raise ValueError("SCBS transmission cost may not exceed the MBS cost")
-        object.__setattr__(self, "cost_scbs_tx", _readonly(c))
-
+        # at least one SCBS: the cost layer's ``_scbs_sum`` starts from SCBS 1's row
+        check_cell(self, min_scbs=1)
+        n, i = self.num_scbs, self.num_files
         dem = numeric_array("demand", self.demand, np.float64)
         if dem.shape != (n + 1, i):
             raise ValueError(f"demand must have shape ({n + 1}, {i}), got {dem.shape}")
@@ -229,17 +249,12 @@ class Instance(Record):
             raise ValueError("demand rates must be finite and non-negative")
         object.__setattr__(self, "demand", _readonly(dem))
 
-        # bounds every term and total of the objective, so none overflows
+        # with ``check_cell``'s cost bound, bounds every term and total of the objective
         with np.errstate(over="ignore"):
             rate_sums = (dem * self.deadline).sum(axis=0)
-            cost_bound = i * (self.cost_backhaul + self.cost_mbs_tx + c.sum())
         if not np.isfinite(rate_sums).all():
             f = int(np.flatnonzero(~np.isfinite(rate_sums))[0])
             raise ValueError(f"file {f}: demand * deadline summed over the areas is not finite")
-        if not np.isfinite(cost_bound):
-            raise ValueError(
-                "num_files * (cost_backhaul + cost_mbs_tx + sum of cost_scbs_tx) is not finite"
-            )
 
     def request_probabilities(self) -> np.ndarray:
         """Per-area, per-file probability of at least one request in a period.

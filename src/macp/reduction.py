@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .model import CachingPolicy, Record, check_ints, check_keys, mbs_triggered, numeric_array
+from .model import CachingPolicy, Record, check_cell, check_ints, check_keys, mbs_triggered
 from .solvers import DEFAULT_POLICY_CAP, _placement_blocks, _placement_tables
 
 # Most subsets ``spp_decide`` enumerates selections of.
@@ -82,6 +82,8 @@ class DecisionInstance(Record):
     The table is taken literally, so a file's listed masses may sum to less
     than 1 (the remainder is the no-request event).  Asks whether some
     feasible policy has objective value at most ``threshold``.
+    The cell fields follow an ``Instance``'s rules (``check_cell``), but
+    ``num_scbs`` may be 0.
     """
 
     num_scbs: int
@@ -95,29 +97,10 @@ class DecisionInstance(Record):
     threshold: float
 
     def __post_init__(self):
-        n = int(self.num_scbs)
-        i = int(self.num_files)
-        if n < 0 or i < 1:
-            raise ValueError("need num_scbs >= 0 and num_files >= 1")
-        object.__setattr__(self, "num_scbs", n)
-        object.__setattr__(self, "num_files", i)
-        cache = numeric_array("cache_size", self.cache_size, np.int64)
-        if cache.shape != (n,) or (cache < 0).any():
-            raise ValueError(f"cache_size must be {n} non-negative integers")
-        cache.setflags(write=False)
-        object.__setattr__(self, "cache_size", cache)
-        c = numeric_array("cost_scbs_tx", self.cost_scbs_tx, np.float64)
-        if c.shape != (n,) or not (c >= 0).all():
-            raise ValueError(f"cost_scbs_tx must be {n} non-negative reals")
-        c.setflags(write=False)
-        object.__setattr__(self, "cost_scbs_tx", c)
-        object.__setattr__(self, "cost_backhaul", float(self.cost_backhaul))
-        object.__setattr__(self, "cost_mbs_tx", float(self.cost_mbs_tx))
-        object.__setattr__(self, "deadline", float(self.deadline))
+        # no SCBS at all: ``spp_to_macdp`` of an empty ground set has none
+        check_cell(self, min_scbs=0)
+        n, i = self.num_scbs, self.num_files
         object.__setattr__(self, "threshold", float(self.threshold))
-        # written to reject NaN too: the deciders rely on terms >= 0
-        if not (self.cost_backhaul >= 0 and self.cost_mbs_tx >= 0 and self.deadline > 0):
-            raise ValueError("costs must be non-negative and the deadline positive")
         if math.isnan(self.threshold):
             raise ValueError("threshold must be a number")
 

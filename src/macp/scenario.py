@@ -16,13 +16,14 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .cost import cost_closed_form, cost_unicast
-from .model import CachingPolicy, Instance, Record
+from .model import CachingPolicy, Instance, Record, numeric_array
 from .sim import SimConfig, simulate
 from .solvers import (
     greedy_macp,
@@ -40,12 +41,13 @@ SWEEP_AXES = ("cache_size", "zipf_shape", "deadline")
 class ScenarioConfig(Record):
     """Random-scenario parameters; demand is drawn with numpy's PCG64 stream.
 
-    ``rate_mode`` picks how the uniform rate draw is applied: as an
-    independent scale per (SCBS, file) pair on top of the zipf weight
-    (default), or as one total rate per SCBS split across files by zipf
-    popularity (``per_scbs_total``).  Per-pair draws make each SCBS's
-    popularity ranking a noisy variant of the global one, which is what
-    lets coordinated placement beat independent per-SCBS rankings.
+    Each (SCBS, file) rate is the file's zipf weight scaled by its own
+    uniform draw in [``rate_low``, ``rate_high``], so each SCBS's
+    popularity ranking is a noisy variant of the global one, which is what
+    lets coordinated placement beat independent per-SCBS rankings.  This
+    class checks only what the draws need; the cell fields (cache size,
+    deadline and costs) are checked when ``generate_scenario`` builds the
+    ``Instance``.
     """
 
     num_scbs: int = 14
@@ -59,25 +61,17 @@ class ScenarioConfig(Record):
     cost_mbs_tx: float = 1.0
     cost_scbs: float = 0.0
     seed: int = 0
-    rate_mode: str = "per_pair"
 
     def __post_init__(self):
         if self.num_scbs < 1 or self.num_files < 1:
             raise ValueError("need at least one SCBS and one file")
-        if self.cache_size < 0:
-            raise ValueError("cache_size must be non-negative")
-        if not self.deadline > 0:
-            raise ValueError("deadline must be positive")
+        for name in ("zipf_shape", "rate_low", "rate_high"):
+            if not np.isfinite(numeric_array(name, getattr(self, name), np.float64)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.zipf_shape < 0:
             raise ValueError(f"zipf shape must be non-negative, got {self.zipf_shape}")
         if not 0 <= self.rate_low <= self.rate_high:
             raise ValueError("need 0 <= rate_low <= rate_high")
-        if min(self.cost_backhaul, self.cost_mbs_tx, self.cost_scbs) < 0:
-            raise ValueError("costs must be non-negative")
-        if self.cost_scbs > self.cost_mbs_tx:
-            raise ValueError("cost_scbs may not exceed cost_mbs_tx")
-        if self.rate_mode not in ("per_scbs_total", "per_pair"):
-            raise ValueError(f"unknown rate_mode {self.rate_mode!r}")
 
 
 def zipf_weights(num_files: int, shape: float) -> np.ndarray:
@@ -94,26 +88,22 @@ def zipf_weights(num_files: int, shape: float) -> np.ndarray:
 def generate_scenario(config: ScenarioConfig) -> Instance:
     """Draw a demand matrix per the config and assemble the instance.
 
-    Every SCBS's rates follow the same zipf popularity ranking; only the
-    uniform rate draw (one per SCBS, or one per pair under ``per_pair``)
-    varies.  The macro-only area generates no demand.
+    Every SCBS's rates follow the same zipf popularity ranking, each pair
+    scaled by its own uniform draw.  The macro-only area generates no
+    demand.
     """
     rng = np.random.default_rng(config.seed)
     n, i = config.num_scbs, config.num_files
     pop = zipf_weights(i, config.zipf_shape)
-    if config.rate_mode == "per_pair":
-        lam = rng.uniform(config.rate_low, config.rate_high, size=(n, i)) * pop[None, :]
-    else:
-        totals = rng.uniform(config.rate_low, config.rate_high, size=n)
-        lam = totals[:, None] * pop[None, :]
+    lam = rng.uniform(config.rate_low, config.rate_high, size=(n, i)) * pop[None, :]
     demand = np.vstack([np.zeros((1, i)), lam])
     return Instance(
         num_scbs=n,
         num_files=i,
-        cache_size=np.full(n, config.cache_size, dtype=np.int64),
+        cache_size=[config.cache_size] * n,
         cost_backhaul=config.cost_backhaul,
         cost_mbs_tx=config.cost_mbs_tx,
-        cost_scbs_tx=np.full(n, config.cost_scbs),
+        cost_scbs_tx=[config.cost_scbs] * n,
         demand=demand,
         deadline=config.deadline,
     )
@@ -238,9 +228,9 @@ def sweep(
         raise ValueError("values must be non-empty")
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    # each point's ``ScenarioConfig`` checks its value; cache sizes become ints for the CSV
+    # each point's config or ``Instance`` checks its value; cache sizes become ints for the CSV
     if axis == "cache_size":
-        if any(v != int(v) or v < 0 for v in values):
+        if any(not (0 <= v < math.inf and v == int(v)) for v in values):
             raise ValueError("cache sizes must be non-negative integers")
         values = [int(v) for v in values]
 

@@ -482,11 +482,73 @@ class TestInputErrors:
         assert capsys.readouterr().err == f"macp: error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ScenarioConfig)
+                                       if type(f.default) is float])
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    def test_non_finite_config_float_is_one_line_error(self, tmp_path, capsys, command, field,
+                                                       value):
+        out = tmp_path / "out"
+        argv = [command, "--num-scbs", "2", "--num-files", "3", "--out", str(out)]
+        if command == "sweep":
+            argv += ["--axis", "cache_size", "--values", "1"]
+        # ``--flag=-inf``: argparse reads a bare ``-inf`` as an option
+        assert main(argv + [f"--{field.replace('_', '-')}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("macp: error: ") and captured.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--rate-high", "inf"], "rate_high must be finite, got inf"),
+        (["--zipf-shape", "nan"], "zipf_shape must be finite, got nan"),
+        (["--cache-size", str(10**20)],
+         f"cache_size value {10**20} is outside the 64-bit integer range"),
+        (["--config", {"cost_backhaul": 10**400}],
+         "cost_backhaul must be finite and non-negative, got inf"),
+        (["--config", {"rate_low": 10**400}], "rate_low holds an integer beyond the float range"),
+    ])
+    def test_config_value_out_of_range_names_the_field(self, tmp_path, capsys, argv, message):
+        if argv[0] == "--config":
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps(argv[1]))
+            argv = ["--config", str(cfg)]
+        out = tmp_path / "inst.json"
+        assert main(["generate", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"macp: error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"num_files": 0}, "num_files must be positive, got 0"),
+        ({"cache_size": [-1, 1]}, "cache sizes must be non-negative"),
+        ({"cost_scbs_tx": [0.0]}, "cost_scbs_tx must have shape (2,), got (1,)"),
+        ({"cost_scbs_tx": [2.0, 0.0]}, "SCBS transmission cost may not exceed the MBS cost"),
+        ({"cost_scbs_tx": [float("nan"), 0.0]},
+         "SCBS transmission costs must be finite and non-negative"),
+        ({"cost_backhaul": float("inf")}, "cost_backhaul must be finite and non-negative, got inf"),
+        ({"cost_mbs_tx": -1.0}, "cost_mbs_tx must be finite and non-negative, got -1.0"),
+        ({"deadline": 10**400}, "deadline must be finite and non-negative, got inf"),
+        ({"deadline": float("inf")}, "deadline must be finite and non-negative, got inf"),
+        ({"deadline": 0.0}, "deadline must be strictly positive"),
+        ({"cost_backhaul": 1e308, "cost_mbs_tx": 1e308},
+         "num_files * (cost_backhaul + cost_mbs_tx + sum of cost_scbs_tx) is not finite"),
+    ])
+    def test_instance_and_decision_refuse_a_bad_cell_field_alike(self, tmp_path, capsys,
+                                                                 instance_file, change, message):
+        decision = spp_to_macdp(SppInstance(frozenset({1, 2}), (frozenset({1}), frozenset({2})), 1))
+        runs = [(json.loads(instance_file.read_text()), ["solve"]),
+                (decision.to_dict(), ["decide", "--problem", "macdp"])]
+        for data, command in runs:
+            assert data["num_scbs"] == 2
+            path, out = tmp_path / "input.json", tmp_path / "out.json"
+            path.write_text(json.dumps({**data, **change}))
+            assert main([command[0], str(path), *command[1:], "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"macp: error: {message}\n"
+            assert not out.exists()
+
 
 def _bumped(value):
     """A valid config value other than ``value``, of its type."""
-    if isinstance(value, str):
-        return {"per_pair": "per_scbs_total", "per_scbs_total": "per_pair"}[value]
     return value + (1 if isinstance(value, int) else 0.5)
 
 

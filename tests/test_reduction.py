@@ -118,6 +118,13 @@ class TestDecisionValidation:
             with pytest.raises(ValueError):
                 DecisionInstance.from_dict({**data, key: value})
 
+    def test_cache_is_clamped_to_num_files(self):
+        dec = spp_to_macdp(FIG_SPP)
+        big = dataclasses.replace(dec, cache_size=[dec.num_files + 4] * dec.num_scbs)
+        assert big.cache_size.tolist() == [dec.num_files] * dec.num_scbs
+        back = DecisionInstance.from_json(big.to_json())
+        assert back.cache_size.tolist() == big.cache_size.tolist()
+
     @pytest.mark.parametrize("file", [-1, 3])
     def test_rejects_table_file_out_of_range(self, file):
         dec = spp_to_macdp(FIG_SPP)
