@@ -115,6 +115,14 @@ def check_ints(kind: str, name: str, values: list) -> None:
             raise ValueError(f"{kind}: field {name!r} must hold integers, got {v!r}")
 
 
+def as_float(value) -> float:
+    """``float(value)``, with an int beyond the float range read as inf or -inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def check_cell(cell, min_scbs: int) -> None:
     """Check the cell fields an ``Instance`` and a ``DecisionInstance`` share.
 
@@ -140,10 +148,7 @@ def check_cell(cell, min_scbs: int) -> None:
     object.__setattr__(cell, "cache_size", _readonly(cache))
 
     for name in ("cost_backhaul", "cost_mbs_tx", "deadline"):
-        try:
-            v = float(getattr(cell, name))
-        except OverflowError:  # an int beyond the float range
-            v = math.inf
+        v = as_float(getattr(cell, name))
         if not math.isfinite(v) or v < 0:
             raise ValueError(f"{name} must be finite and non-negative, got {v!r}")
         object.__setattr__(cell, name, v)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .model import CachingPolicy, Record, check_cell, check_ints, check_keys, mbs_triggered
+from .model import (CachingPolicy, Record, as_float, check_cell, check_ints, check_keys,
+                    mbs_triggered)
 from .solvers import DEFAULT_POLICY_CAP, _placement_blocks, _placement_tables
 
 # Most subsets ``spp_decide`` enumerates selections of.
@@ -100,11 +101,12 @@ class DecisionInstance(Record):
         # no SCBS at all: ``spp_to_macdp`` of an empty ground set has none
         check_cell(self, min_scbs=0)
         n, i = self.num_scbs, self.num_files
-        object.__setattr__(self, "threshold", float(self.threshold))
+        object.__setattr__(self, "threshold", as_float(self.threshold))
         if math.isnan(self.threshold):
             raise ValueError("threshold must be a number")
 
-        table = tuple((operator.index(f), frozenset(r), float(pr)) for f, r, pr in self.prob_table)
+        table = tuple((operator.index(f), frozenset(r), as_float(pr))
+                      for f, r, pr in self.prob_table)
         mass = [0.0] * i
         for file, areas, pr in table:
             if not 0 <= file < i:

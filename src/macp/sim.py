@@ -46,11 +46,12 @@ MODES = ("unicast", "multicast")
 # Periods are drawn in batches of at most this many bytes of per-period draws
 # (a multicast period's random bytes, a unicast period's int64 counts; one
 # period at least), which bounds the memory per batch, a few arrays of about
-# that size, at any catalog width.  Each batch takes its variates in
-# row-major (period, area, file) order, a multicast period's bytes in whole
-# 64-bit words, and every per-period reduction is computed row by row, so
-# the generated streams, the report and the trace bytes are independent of
-# the batch size.
+# that size, at any catalog width.  Multicast allocates its batch masks once
+# per run, so its batches make no fresh arrays of that size beyond the
+# random bytes.  Each batch takes its variates in row-major (period, area,
+# file) order, a multicast period's bytes in whole 64-bit words, and every
+# per-period reduction is computed row by row, so the generated streams, the
+# report and the trace bytes are independent of the batch size.
 _BATCH_BYTES = 1 << 20
 
 
@@ -113,6 +114,11 @@ def simulate(
 
     rng = np.random.default_rng(config.seed)
     total = config.periods
+    # a unicast period's int64 counts, or a multicast period's random bytes
+    # in whole 64-bit words, so a batch boundary never splits a word
+    words = -(-lam.size // 8)
+    period_bytes = 8 * (lam.shape[0] if config.mode == "unicast" else words)
+    batch = max(1, min(total, _BATCH_BYTES // period_bytes))
     if config.mode == "unicast":
         rates = np.concatenate((
             [lam[0].sum() + lam[1:][~cached].sum()],
@@ -122,8 +128,6 @@ def simulate(
         if not expected < 2.0**62:
             raise ValueError(f"{expected:.3g} expected unicast requests in {total} periods "
                              "overflow the 64-bit request counts")
-
-        period_bytes = 8 * rates.size
 
         def draw(m):
             k = rng.poisson(rates, size=(m, rates.size))
@@ -135,35 +139,35 @@ def simulate(
         # a uniform byte u; 256*p - t is exact, and p = 1 gives t = 255, frac = 1
         t = np.minimum(np.floor(256.0 * p), 255.0)
         frac = (256.0 * p - t).ravel()
-        t = t.astype(np.uint8)
+        t = t.astype(np.uint8).ravel()
         pairs = p.size
-        # whole 64-bit words per period, so a batch boundary never splits a word
-        words = -(-pairs // 8)
-        period_bytes = 8 * words
         bits = rng.bit_generator
         refine = rng.spawn(1)[0]
         # the SCBSs whose request makes the macro cell send the file
         uncached = ~cached
         # counts of at most I files, exact in the narrowest type that holds I
         count_type = np.min_scalar_type(instance.num_files)
+        # one run's batch arrays, sliced to m periods on a ragged last batch
+        here_all = np.empty((batch, pairs), dtype=bool)
+        tie_all = np.empty((batch, pairs), dtype=bool)
+        local_all = np.empty((batch,) + cached.shape, dtype=bool)
 
         def draw(m):
             u = bits.random_raw(m * words).view(np.uint8).reshape(m, 8 * words)[:, :pairs]
-            u = u.reshape((m,) + lam.shape)
-            here = u < t
+            here = np.less(u, t, out=here_all[:m])
             # ties refined from the second stream in row-major (period, area, file) order
-            tie = np.flatnonzero(u == t)
+            tie = np.flatnonzero(np.equal(u, t, out=tie_all[:m]))
             np.put(here, tie, refine.random(tie.size) < frac[tie % pairs])
+            here = here.reshape((m,) + lam.shape)
             triggered = here[:, 0].copy()
             for n, row in enumerate(uncached, 1):
                 triggered |= here[:, n] & row
             # untriggered files are requested at caching SCBSs only
-            local = here[:, 1:] & ~triggered[:, None, :]
+            local = np.bitwise_and(here[:, 1:], ~triggered[:, None, :], out=local_all[:m])
             return (triggered.view(np.uint8).sum(axis=1, dtype=count_type),
-                    local.view(np.uint8).sum(axis=2, dtype=count_type),
+                    np.einsum("pnf->pn", local.view(np.uint8), dtype=count_type),
                     np.zeros(m, dtype=np.int64))
 
-    batch = max(1, min(total, _BATCH_BYTES // period_bytes))
     costs = np.empty(total)
     mbs_tx = 0
     scbs_tx = 0
@@ -189,16 +193,14 @@ def simulate(
             scbs_tx += int(scbs_counts.sum())
             uni_tx += int(uni_counts.sum())
             if trace is not None:
-                trace.writelines(
-                    f"{t},{cost!r},{a},{b},{u}\n"
-                    for t, cost, a, b, u in zip(
-                        range(done, done + m),
-                        batch_costs.tolist(),
-                        mbs_counts.tolist(),
-                        scbs_counts.tolist(),
-                        uni_counts.tolist(),
-                    )
-                )
+                # one format call per batch; %r is repr, the shortest round-trip float
+                fields = [None] * (5 * m)
+                fields[0::5] = range(done, done + m)
+                fields[1::5] = batch_costs.tolist()
+                fields[2::5] = mbs_counts.tolist()
+                fields[3::5] = scbs_counts.tolist()
+                fields[4::5] = uni_counts.tolist()
+                trace.write(("%d,%r,%d,%d,%d\n" * m) % tuple(fields))
             done += m
     finally:
         if trace is not None:

@@ -237,16 +237,10 @@ def popularity_placement(instance: Instance) -> CachingPolicy:
     Ranks files by the SCBS's own request rate, ties broken by the smaller
     file index, and fills the cache with the top entries.
     """
-    n, i = instance.num_scbs, instance.num_files
-    x = np.zeros((n, i), dtype=np.int8)
-    ranks = np.arange(i)
-    for row in range(n):
-        k = int(instance.cache_size[row])
-        if k == 0:
-            continue
-        order = np.lexsort((ranks, -instance.demand[row + 1]))
-        x[row, order[:k]] = 1
-    return CachingPolicy(x)
+    # a stable sort keeps equal rates in file order
+    order = np.argsort(-instance.demand[1:], axis=1, kind="stable")
+    rank = order.argsort(axis=1)
+    return CachingPolicy(rank < instance.cache_size[:, None])
 
 
 def local_search(instance: Instance, policy: CachingPolicy) -> CachingPolicy:

@@ -393,6 +393,16 @@ def reference_greedy_macp(instance: Instance) -> SolverReport:
     return SolverReport(policy=policy, trace=tuple(trace), evaluations=evaluations)
 
 
+def reference_popularity_placement(instance: Instance) -> CachingPolicy:
+    """Per-SCBS ``np.lexsort`` ranking: rate descending, then file index ascending."""
+    x = np.zeros((instance.num_scbs, instance.num_files), dtype=np.int8)
+    files = np.arange(instance.num_files)
+    for row, k in enumerate(instance.cache_size.tolist()):
+        order = np.lexsort((files, -instance.demand[row + 1]))
+        x[row, order[:k]] = 1
+    return CachingPolicy(x)
+
+
 def reference_local_search(instance: Instance, policy: CachingPolicy) -> CachingPolicy:
     """The full-rescore ``local_search``: every column and a fresh ``cost_closed_form`` per step."""
     policy.check_feasible(instance)

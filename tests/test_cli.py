@@ -248,6 +248,18 @@ class TestReduceDecide:
         assert verdict2["answer"] is True
         assert verdict2["witness"] == [0, 2]
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_decision_threshold_beyond_float_range_is_infinite(self, tmp_path, sign):
+        data = spp_to_macdp(SppInstance(frozenset({1, 2}), (frozenset({1}), frozenset({2})), 1))
+        dec, out = tmp_path / "dec.json", tmp_path / "out.json"
+        answers = []
+        for threshold in (sign * 10**400, sign * float("inf")):
+            dec.write_text(json.dumps({**data.to_dict(), "threshold": threshold}))
+            assert main(["decide", str(dec), "--problem", "macdp", "--out", str(out)]) == 0
+            answers.append(out.read_bytes())
+        assert answers[0] == answers[1]
+        assert json.loads(answers[0])["answer"] is (sign > 0)
+
 
 class TestSweepCommand:
     def _run(self, tmp_path, name):
@@ -403,6 +415,9 @@ class TestInputErrors:
         # a float field takes an int beyond 64 bits, but not one beyond the float range
         ("instance", {"demand": [[0, 0, 0], [1, 10**400, 1], [0, 0, 0]]},
          "demand holds an integer beyond the float range"),
+        # a probability beyond the float range is read as inf or -inf
+        ("macdp", {"prob": 10**400}, "file 0: probability inf outside [0, 1]"),
+        ("macdp", {"prob": -10**400}, "file 0: probability -inf outside [0, 1]"),
     ])
     def test_array_item_of_wrong_type_is_one_line_error(self, tmp_path, capsys, instance_file,
                                                         kind, change, message):

@@ -41,6 +41,7 @@ from helpers import (
     reference_greedy_macp,
     reference_local_search,
     reference_macdp_decide,
+    reference_popularity_placement,
 )
 
 
@@ -451,6 +452,17 @@ class TestPopularity:
         for _ in range(20):
             inst = random_instance(rng)
             popularity_placement(inst).check_feasible(inst)
+
+    def test_matches_per_scbs_lexsort(self):
+        # integer rates 0..2 make ties common; caches 0..I+1 include empty
+        # and over-full ones (clamped to I)
+        rng = np.random.default_rng(59)
+        for _ in range(3000):
+            n, i = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+            demand = rng.integers(0, 3, size=(n + 1, i)).astype(float)
+            inst = Instance(n, i, rng.integers(0, i + 2, size=n), 1, 1, [0] * n, demand, 1.0)
+            assert np.array_equal(popularity_placement(inst).placement,
+                                  reference_popularity_placement(inst).placement)
 
 
 class TestExactOptimal:
