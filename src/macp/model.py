@@ -147,13 +147,15 @@ def check_cell(cell, min_scbs: int) -> None:
     np.minimum(cache, i, out=cache)
     object.__setattr__(cell, "cache_size", _readonly(cache))
 
-    for name in ("cost_backhaul", "cost_mbs_tx", "deadline"):
+    for name in ("cost_backhaul", "cost_mbs_tx"):
         v = as_float(getattr(cell, name))
         if not math.isfinite(v) or v < 0:
             raise ValueError(f"{name} must be finite and non-negative, got {v!r}")
         object.__setattr__(cell, name, v)
-    if cell.deadline <= 0:
-        raise ValueError("deadline must be strictly positive")
+    deadline = as_float(cell.deadline)
+    if not (math.isfinite(deadline) and deadline > 0):
+        raise ValueError(f"deadline must be finite and positive, got {deadline!r}")
+    object.__setattr__(cell, "deadline", deadline)
 
     c = numeric_array("cost_scbs_tx", cell.cost_scbs_tx, np.float64)
     if c.shape != (n,):

@@ -4,7 +4,8 @@
 placement until every cache is full), ``local_search`` improves a given
 placement by swaps and coverage completions, and ``greedy_macp_batch`` and
 ``local_search_batch`` give their placements for many instances of one
-shape in lockstep numpy steps.  ``popularity_placement`` is the
+shape in lockstep numpy steps, the greedy's steps each committing a
+verified run of one file.  ``popularity_placement`` is the
 conventional per-SCBS top-k baseline, and ``exact_optimal`` exhaustively
 enumerates feasible placements as an optimality oracle for tiny instances.
 """
@@ -128,17 +129,24 @@ def greedy_macp(instance: Instance) -> SolverReport:
 def greedy_macp_batch(instances) -> list[CachingPolicy]:
     """``greedy_macp``'s placements of instances of one shape, solved in lockstep.
 
-    Each step commits one placement of every instance that has cache room
-    left, with numpy calls over the batch: the global pick under
-    ``greedy_macp``'s tie rule, the committed file's sums added SCBS by
-    SCBS as ``_cached_split`` adds them, and a re-score of that file's
-    column.  A step costs about as much at any width, so the batch pays
-    off by its width, and a batch of one is three to five times slower
-    than ``greedy_macp``.  Candidate gains take numpy's ``expm1`` where
-    ``greedy_macp`` takes ``math.expm1``: the two can differ in the last
-    bit, which changes a pick only if a gain lies within a rounding step of
-    the tie limit.  Returns the placements in input order (none for no
-    instances), without traces or counts.
+    The greedy commits in runs of one file: caching a file at one SCBS pays
+    mostly once every SCBS has it.  Each step makes, for every instance with
+    cache room left, the global pick under ``greedy_macp``'s tie rule, file
+    f at SCBS n, then f's other open cells in the order of their gains now
+    for as long as it can verify that the stepwise greedy takes them.  The
+    N states "first t + 1 cells committed" are scored at once, f's sums
+    added SCBS by SCBS as ``_cached_split`` adds them, so their gains are
+    the stepwise greedy's.  The next cell is committed while it is state
+    t's first cell within the tie limit under a lower and an upper bound of
+    the state's objective, and every other file's best gain at the step
+    start lies above that limit (those gains only rise while f runs, to inf
+    where a row fills); a failed check leaves the pick to the next step.  A
+    step costs about as much at any width, so the batch pays off by its
+    width and by the runs' length.  Candidate gains take numpy's ``expm1``
+    where ``greedy_macp`` takes ``math.expm1``: the two can differ in the
+    last bit, which changes a pick only if a gain lies within a rounding
+    step of the tie limit.  Returns the placements in input order (none for
+    no instances), without traces or counts.
 
     Raises ValueError unless every instance has the same ``num_scbs`` and
     ``num_files``.
@@ -149,66 +157,81 @@ def greedy_macp_batch(instances) -> list[CachingPolicy]:
     n, i = instances[0].num_scbs, instances[0].num_files
     if any((inst.num_scbs, inst.num_files) != (n, i) for inst in instances):
         raise ValueError("batched instances must share num_scbs and num_files")
-    # most commits first, so the instances still committing are a leading slice
-    order = sorted(range(len(instances)), key=lambda k: -int(instances[k].cache_size.sum()))
-    commits = [int(instances[k].cache_size.sum()) for k in order]
-    left = np.array([instances[k].cache_size for k in order])
-    b = len(order)
-    # One row per (instance, file), at the flat index instance * I + file:
-    # its N SCBS values, then a 0 in an always-cached extra cell, which
-    # makes the column's term the file's own term.  Fresh C-ordered arrays,
-    # so the flat and the (B, I, ...) views below share their data.
-    c_mbs, rate_mbs, terms, best = np.empty(b), np.empty((b, i)), np.empty((b, i)), np.empty((b, i))
-    rate_rows, local_rows = np.zeros((b * i, n + 1)), np.zeros((b * i, n + 1))
-    gain = np.empty((b, i, n))
-    for k, at in enumerate(order):
-        rows = slice(k * i, (k + 1) * i)
-        (c_mbs[k], rate_mbs[k], rate_rows[rows, :n], local_rows[rows, :n], terms[k],
-         gain[k]) = _greedy_start(instances[at])
-    cached = np.zeros((b * i, n + 1), dtype=bool)
-    cached[:, n] = True
-    gain.min(axis=2, out=best)
-    flat_gain, flat_best, flat_terms = gain.reshape(b * i, n), best.reshape(-1), terms.reshape(-1)
-    flat_mbs, total, files_at = rate_mbs.reshape(-1), terms.sum(axis=1), np.arange(b) * i
+    b = len(instances)
+    left = np.array([inst.cache_size for inst in instances])
+    c_mbs, rate_mbs, terms = np.empty(b), np.empty((b, i)), np.empty((b, i))
+    rate, local_cost, gain = np.empty((b, i, n)), np.empty((b, i, n)), np.empty((b, n, i))
+    for k, inst in enumerate(instances):
+        c_mbs[k], rate_mbs[k], rate[k], local_cost[k], terms[k], g = _greedy_start(inst)
+        gain[k] = g.T
+    cached = np.zeros((b, i, n), dtype=bool)
+    best, total, states, files = gain.min(axis=1), terms.sum(axis=1), np.arange(n), np.arange(i)
+    # Adding I non-negative terms in any order errs by at most (I - 1) * 2**-53
+    # of their sum: with rounding, a state's total is within this share of the
+    # step's total plus the state's term of the sum with f's term replaced.
+    slack = (i + 2) * 2.0 ** -51
 
-    k = b
-    for step in range(commits[0]):
-        while commits[k - 1] <= step:
-            k -= 1
-        at = np.arange(k)
-        file = best[:k].argmin(axis=1)
-        cell = files_at[:k] + file
+    live = np.flatnonzero(left.any(axis=1))
+    while live.size:
+        at = np.arange(live.size)
+        best_now = best[live]
+        file = best_now.argmin(axis=1)
         # every file term is non-negative, so |objective| is the objective
-        limit = flat_best[cell] + 1e-12 * np.maximum(total[:k], 1.0)
-        within = best[:k] <= limit[:, None]
-        if np.count_nonzero(within) == k:
-            row = (flat_gain[cell] <= limit[:, None]).argmax(axis=1)
+        limit = best_now[at, file] + 1e-12 * np.maximum(total[live], 1.0)
+        within = best_now <= limit[:, None]
+        column = gain[live, :, file]
+        if np.count_nonzero(within) == live.size:
+            row = (column <= limit[:, None]).argmax(axis=1)
         else:
             # several files within the limit: the smallest row, then file
-            first = (gain[:k] <= limit[:, None, None]).argmax(axis=2)
-            row, file = np.divmod(np.where(within, first * i + np.arange(i), n * i).min(axis=1), i)
-            cell = files_at[:k] + file
-        cached[cell, row] = True
-        left[at, row] -= 1
-        on = cached[cell]
-        outside, costs = np.where(on, 0.0, rate_rows[cell]), local_rows[cell]
-        rate_out_f = flat_mbs[cell] + outside.cumsum(axis=1)[:, -1]
-        local_f = np.where(on, costs, 0.0).cumsum(axis=1)[:, -1]
-        column = _file_terms(c_mbs[:k, None], rate_out_f[:, None] - outside,
-                             local_f[:, None] + costs)
-        flat_terms[cell] = column[:, n]
-        total[:k] = terms[:k].sum(axis=1)
-        column = np.where((left[:k] > 0) & ~on[:, :n], column[:, :n] - column[:, n:], np.inf)
-        flat_gain[cell], flat_best[cell] = column, column.min(axis=1)
-        full = np.flatnonzero(left[at, row] == 0)
-        if full.size:
-            gain[full, :, row[full]] = np.inf
-            best[full] = gain[full].min(axis=2)
+            first = (gain[live] <= limit[:, None, None]).argmax(axis=1)
+            row, file = np.divmod(np.where(within, first * i + files, n * i).min(axis=1), i)
+            column = gain[live, :, file]
+        best_now[at, file] = np.inf
+        others = best_now.min(axis=1)
+        # The run: the pick, then the file's other open cells by their gains
+        # now.  State t, on the last axis, has the first t + 1 committed.
+        order = np.where(states == row[:, None], -np.inf, column).argsort(axis=1, kind="stable")
+        rank = np.empty_like(order)
+        rank[at[:, None], order] = states
+        committed = rank[..., None] <= states
+        # the file's sums SCBS by SCBS, as ``_cached_split`` adds them
+        on = committed | cached[live, file][..., None]
+        outside = np.where(on, 0.0, rate[live, file][..., None])
+        costs = local_cost[live, file][..., None]
+        rate_out = rate_mbs[live, file][:, None] + outside.cumsum(axis=1)[:, -1]
+        local = np.where(on, costs, 0.0).cumsum(axis=1)[:, -1]
+        c = c_mbs[live, None]
+        term = _file_terms(c, rate_out, local)
+        scores = _file_terms(c[..., None], rate_out[:, None] - outside, local[:, None] + costs)
+        gains = np.where((column < np.inf)[..., None] & ~committed, scores - term[:, None], np.inf)
+        least = gains.min(axis=1)
+        # each state's tie limit under a lower and an upper bound of its total
+        start = total[live, None]
+        guess, margin = start - terms[live, file][:, None] + term, slack * (start + term)
+        low = least + 1e-12 * np.maximum(guess - margin, 1.0)
+        high = least + 1e-12 * np.maximum(guess + margin, 1.0)
+        # after state t, commit order[t + 1] while it is the stepwise pick
+        after = order[:, 1:]
+        keep = ((gains[at[:, None], after, states[:-1]] <= low[:, :-1])
+                & ((gains[..., :-1] <= high[:, None, :-1]).argmax(axis=1) == after)
+                & (others[:, None] > high[:, :-1]))
+        last = np.logical_and.accumulate(keep, axis=1).sum(axis=1)
+        run = committed[at, :, last]
+        cached[live, file] |= run
+        left[live] -= run
+        terms[live, file] = term[at, last]
+        total[live] = terms[live].sum(axis=1)
+        gain[live, :, file], best[live, file] = gains[at, :, last], least[at, last]
+        full = run & (left[live] == 0)
+        if full.any():
+            filled, filled_row = np.nonzero(full)
+            gain[live[filled], filled_row] = np.inf
+            filled = live[full.any(axis=1)]
+            best[filled] = gain[filled].min(axis=1)
+            live = live[left[live].any(axis=1)]
 
-    placements = [None] * b
-    for k, x in zip(order, cached[:, :n].reshape(b, i, n)):
-        placements[k] = CachingPolicy(x.T.astype(np.int8))
-    return placements
+    return [CachingPolicy(x.T.astype(np.int8)) for x in cached]
 
 
 def _greedy_start(instance: Instance):

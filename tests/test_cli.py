@@ -542,9 +542,9 @@ class TestInputErrors:
          "SCBS transmission costs must be finite and non-negative"),
         ({"cost_backhaul": float("inf")}, "cost_backhaul must be finite and non-negative, got inf"),
         ({"cost_mbs_tx": -1.0}, "cost_mbs_tx must be finite and non-negative, got -1.0"),
-        ({"deadline": 10**400}, "deadline must be finite and non-negative, got inf"),
-        ({"deadline": float("inf")}, "deadline must be finite and non-negative, got inf"),
-        ({"deadline": 0.0}, "deadline must be strictly positive"),
+        ({"deadline": 10**400}, "deadline must be finite and positive, got inf"),
+        ({"deadline": float("inf")}, "deadline must be finite and positive, got inf"),
+        ({"deadline": 0.0}, "deadline must be finite and positive, got 0.0"),
         ({"cost_backhaul": 1e308, "cost_mbs_tx": 1e308},
          "num_files * (cost_backhaul + cost_mbs_tx + sum of cost_scbs_tx) is not finite"),
     ])

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -33,6 +34,23 @@ PINNED_SWEEPS = {
     "cef8d0fee8954d626ab2f16fa8dc9b6e23746a6f7e6ef4da85326635fe2719f7":
         "a4abac684a0a309e263c5a08be70d540808c960417146d27509c50dbac4379b9",
 }
+
+# The analytic costs of those sweeps in CSV row order, as the AVX-512 kernel
+# gives them, and the sha256 of the CSV rows with those cells left empty
+PINNED_ANALYTIC_COSTS = (
+    505.9214466534007, 47.75808469215035, 47.75808469215035, 312.0798391793786, 45.58124646403476,
+    41.89764088252193, 173.74374491038662, 42.23300129949504, 31.983529522141072, 0.0, 0.0, 0.0,
+    520.2462965401567, 47.69440344305956, 47.69440344305956, 309.31181189156564,
+    47.02590256988336, 41.84329826040127, 181.28411681166577, 41.863410696791284,
+    31.987428372574072, 0.0, 0.0, 0.0, 355.5872226177864, 47.425397284534924, 39.9948322125276,
+    183.83411187696328, 41.935967105219184, 38.58133515698307, 355.2373405262323,
+    47.00625933521453, 39.994517701353686, 184.0384457704643, 43.41025459524106,
+    37.87683046222355, 27.66326277861726, 20.091614440145047, 19.810145220038848,
+    138.3163138930863, 42.03722648440929, 37.82061046638641, 27.523251587277556,
+    19.964040982466333, 19.69931572591655, 137.6162579363878, 41.58617413275398,
+    37.399677200217575,
+)
+PINNED_SWEEP_CELLS = "d684bf25a86e2d4f80008f2480197f13e6fc70d47ea65b7dcc07ac22f4ec4400"
 
 
 class TestZipfWeights:
@@ -236,6 +254,27 @@ class TestSweep:
         text = "".join(sweep_csv(sweep(cfg, axis, values, replications=2, sim_config=sim))
                        for axis, values, sim in runs)
         assert hashlib.sha256(text.encode()).hexdigest() == pinned
+
+    def test_csv_cells_are_pinned_on_any_expm1_kernel(self):
+        # The CSV of ``test_csv_bytes_are_pinned``, checked whatever numpy's
+        # expm1 kernel: each analytic cost to within 2 ulps of the AVX-512
+        # kernel's (the baseline kernel's differ by 1 ulp in 2 of the 48),
+        # every other cell exactly, by the sha256 of the CSV text with the
+        # analytic costs left empty
+        cfg = ScenarioConfig(num_scbs=5, num_files=24, cache_size=4, seed=2024)
+        runs = [
+            ("cache_size", [0, 3, 8, 30], None),
+            ("zipf_shape", [0.4, 1.2], None),
+            ("deadline", [1.0, 5.0], SimConfig(periods=500, mode="multicast", seed=0)),
+        ]
+        rows = [line.split(",") for axis, values, sim in runs for line in
+                sweep_csv(sweep(cfg, axis, values, replications=2, sim_config=sim)).splitlines()[1:]]
+        costs = [float(row[3]) for row in rows]
+        assert len(costs) == len(PINNED_ANALYTIC_COSTS)
+        assert all(abs(got - want) <= 2 * math.ulp(want)
+                   for got, want in zip(costs, PINNED_ANALYTIC_COSTS)), costs
+        text = "".join(",".join(row[:3] + [""] + row[4:]) + "\n" for row in rows)
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SWEEP_CELLS
 
     def test_csv_columns(self):
         cfg = ScenarioConfig(num_scbs=3, num_files=10, seed=47)

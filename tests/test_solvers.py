@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -282,6 +283,42 @@ class TestGreedyBatch:
         for inst, policy in zip(batch, greedy_macp_batch(batch)):
             assert np.array_equal(policy.placement, reference_greedy_macp(inst).policy.placement)
 
+    @pytest.mark.parametrize("event, inst", [
+        # file 1 then file 2 at SCBS 1, whose cache still has room
+        ("cut", Instance(2, 3, [2, 2], 0.5, 0.5, [0.0, 0.0],
+                         [[0, 0, 0], [2, 1, 0.3], [2, 0, 0.3]], 1.0)),
+        # file 0 at SCBS 1 fills it, and with it file 1's best cell, whose
+        # gain is below file 0's at SCBS 2
+        ("stale", Instance(2, 2, [1, 2], 0.5, 0.5, [0.0, 0.0],
+                           [[0, 0], [5, 0.8], [0.3, 0]], 1.0)),
+        # after file 0 at SCBS 3, SCBS 1 gains more than SCBS 2, the other
+        # way round from the run's start
+        ("reorder", Instance(3, 2, [2, 2, 2], 0.5, 0.5, [0.2, 0.5, 0.5],
+                             [[0, 0], [1, 2], [1.5, 1], [2, 0.5]], 1.0)),
+        # after file 1 at SCBS 3, its cells at SCBSs 1 and 2 gain the same
+        # within the limit, so it takes SCBS 1's one slot before file 0
+        # can, although SCBS 2 gained a little more at the run's start
+        ("reorder", Instance(3, 2, [1, 2, 2], 0.5, 0.5, [0.5, 0.5, 0.4],
+                             [[0, 0.5], [2, 0.75], [2, 0.75 + 1e-13], [1.75, 2.75]], 1.0)),
+        # file 0's last cell and every cell of file 1 gain exactly 0
+        ("tie", Instance(3, 2, [2, 2, 2], 0.5, 0.5, [0.1, 0.1, 0.1],
+                         [[0, 0], [2, 0], [2, 0], [0, 0]], 1.0)),
+    ])
+    def test_runs_end_where_the_stepwise_greedy_turns(self, event, inst):
+        # batched with a member whose runs cover every SCBS and one whose
+        # commits run out in its first run while the others go on
+        assert event in _run_events(inst)
+        n, i = inst.num_scbs, inst.num_files
+        whole, short = (Instance(n, i, [size] * n, 0.5, 0.5, [0.0] * n,
+                                 [[0.0] * i] + [[3.0 / (f + 1) for f in range(i)]] * n, 1.0)
+                        for size in (i, 1))
+        files = [entry[2] for entry in greedy_macp(whole).trace]
+        assert all(len(set(files[k:k + n])) == 1 for k in range(0, n * i, n))
+        assert len({entry[2] for entry in greedy_macp(short).trace}) == 1
+        batch = [whole, inst, short, inst]
+        for member, policy in zip(batch, greedy_macp_batch(batch)):
+            assert np.array_equal(policy.placement, reference_greedy_macp(member).policy.placement)
+
     def test_rejects_mixed_shapes(self):
         other = Instance(2, 2, [1, 1], 0.5, 0.5, [0.0, 0.0], np.full((3, 2), 0.5), 1.0)
         with pytest.raises(ValueError, match="share num_scbs and num_files"):
@@ -366,7 +403,10 @@ def _run_events(inst: Instance) -> set[str]:
     After a commit of file f, the next commit is of another file although
     f's commit left its SCBS room (``"cut"``), or is of f again although
     f's commit filled its SCBS (``"fill"``), or f ties with another file
-    within the limit (``"tie"``).
+    within the limit (``"tie"``).  A run of f goes on past a commit that
+    filled the SCBS of the other files' best cell, although that cell's gain
+    is within the limit of f's next commit (``"stale"``), or commits f's
+    cells out of the order of their gains at the run's start (``"reorder"``).
     """
     events = set()
     x = np.zeros((inst.num_scbs, inst.num_files), dtype=np.int8)
@@ -386,14 +426,25 @@ def _run_events(inst: Instance) -> set[str]:
         x[scbs - 1, file] = 1
         filled = x[scbs - 1].sum() == inst.cache_size[scbs - 1]
         if previous is not None:
-            last_file, last_filled = previous
+            last_file, last_filled, last_scbs, runner_up, ranking = previous
             if last_file != file and not last_filled:
                 events.add("cut")
             if last_file == file and last_filled:
                 events.add("fill")
             if last_file in tied and len(tied) > 1:
                 events.add("tie")
-        previous = (file, filled)
+            if last_file == file and last_filled and runner_up[1] == last_scbs and (
+                    runner_up[0] <= limit - base.total):
+                events.add("stale")
+            if last_file == file and ranking[:1] != [scbs]:
+                events.add("reorder")
+        if previous is None or previous[0] != file:
+            ranking = [s for _, s in sorted((v, s) for (s, f), v in after.items() if f == file)]
+        ranking = [s for s in ranking if s != scbs]
+        # the other files' best gain and its SCBS
+        runner_up = min(((v - base.total, s) for (s, f), v in after.items() if f != file),
+                        default=(math.inf, 0))
+        previous = (file, filled, scbs, runner_up, ranking)
     return events
 
 
