@@ -5,7 +5,8 @@ placement until every cache is full), ``local_search`` improves a given
 placement by swaps and coverage completions, and ``greedy_macp_batch`` and
 ``local_search_batch`` give their placements for many instances of one
 shape in lockstep numpy steps, the greedy's steps each committing a
-verified run of one file.  ``popularity_placement`` is the
+verified run of one file, the search's each scoring again only the columns
+its last move changed.  ``popularity_placement`` is the
 conventional per-SCBS top-k baseline, and ``exact_optimal`` exhaustively
 enumerates feasible placements as an optimality oracle for tiny instances.
 """
@@ -279,10 +280,11 @@ def local_search(instance: Instance, policy: CachingPolicy) -> CachingPolicy:
 
     Per-file terms are separable, so every move is scored exactly from each
     file's request rate outside the cached set and its local serving cost,
-    adding or removing one area's ``d * lambda``; each step re-scores every
-    column from its placement's ``_cached_split``.  The best-scoring move is taken
-    only when it strictly lowers the objective, computed as
-    ``cost_closed_form`` does; otherwise the search stops, so it always ends.
+    adding or removing one area's ``d * lambda``; the scores are kept across
+    steps, and a move's columns are scored again from the new placement's
+    ``_cached_split``.  The best-scoring move is taken only when it strictly
+    lowers the objective, computed as ``cost_closed_form`` does; otherwise
+    the search stops, so it always ends.
     Ties go to a swap over a completion, then to the smallest SCBS, then to
     the smallest file.  A completion's rate outside is a separate sum
     (``rate_bare``), so the best swap counts as tied with the best
@@ -293,18 +295,19 @@ def local_search(instance: Instance, policy: CachingPolicy) -> CachingPolicy:
     return local_search_batch([instance], [policy])[0]
 
 
-# Instances per lockstep chunk of ``local_search_batch``: a few arrays of
-# _SEARCH_CHUNK x N x I values at once, however many instances are given.
-_SEARCH_CHUNK = 16
+# Values per array of a ``local_search_batch`` chunk: max(1, _SEARCH_VALUES // (N * I))
+# instances, so a sweep axis of up to 46 instances of (14, 100) is one chunk.
+_SEARCH_VALUES = 1 << 16
 
 
 def local_search_batch(instances, policies) -> list[CachingPolicy]:
     """``local_search`` of each instance from its policy, in lockstep numpy steps.
 
-    The instances go in chunks of ``_SEARCH_CHUNK``; each step scores and
-    makes one move of every instance of the chunk still searching, and an
-    instance leaves the chunk at the step where it stops.  Returns the
-    improved placements in input order (none for no instances).
+    The instances go in chunks of ``max(1, _SEARCH_VALUES // (N * I))``;
+    each step scores and makes one move of every instance of the chunk
+    still searching, and an instance leaves the chunk at the step where it
+    stops.  Returns the improved placements in input order (none for no
+    instances).
 
     Raises ValueError unless there is one policy per instance and every
     instance has the same ``num_scbs`` and ``num_files``.
@@ -317,13 +320,20 @@ def local_search_batch(instances, policies) -> list[CachingPolicy]:
         raise ValueError("batched instances must share num_scbs and num_files")
     for inst, policy in zip(instances, policies):
         policy.check_feasible(inst)
-    return [result for start in range(0, len(instances), _SEARCH_CHUNK)
-            for result in _search_chunk(instances[start:start + _SEARCH_CHUNK],
-                                        policies[start:start + _SEARCH_CHUNK])]
+    width = max(1, _SEARCH_VALUES // (policies[0].placement.size if policies else 1))
+    return [result for start in range(0, len(instances), width)
+            for result in _search_chunk(instances[start:start + width],
+                                        policies[start:start + width])]
+
+
+def _least(values, where):
+    """Index and value of the least entry on the last axis where ``where`` holds, or 0 and inf."""
+    masked = np.where(where, values, np.inf)
+    return masked.argmin(axis=-1), masked.min(axis=-1)
 
 
 def _search_chunk(instances, policies) -> list[CachingPolicy]:
-    """``local_search_batch`` of at most ``_SEARCH_CHUNK`` instances, as (B, N, I) arrays."""
+    """``local_search_batch`` of one chunk of instances, as (B, N, I) arrays."""
     c_mbs, rate_mbs, rate, local_cost = map(np.array, zip(*map(_area_rates, instances)))
     c_mbs = c_mbs[:, None]
     sizes = np.array([inst.cache_size for inst in instances])
@@ -334,47 +344,64 @@ def _search_chunk(instances, policies) -> list[CachingPolicy]:
     rate_out, local = _cached_split(rate_mbs, rate, local_cost, cached)
     terms = _file_terms(c_mbs, rate_out, local)
     best = terms.sum(axis=1)
+    # each cell's change of its file's term when toggled, and each file's own change
+    # when cached at every SCBS with a cache; kept across steps
+    toggle, cover0 = np.empty(rate.shape), np.empty(terms.shape)
+    touched = np.ones(terms.shape, dtype=bool)
     live = np.arange(len(instances))
     # (m, n) with m < n: an earlier SCBS in a group of drops
     earlier = np.triu(np.ones((rate.shape[1],) * 2, dtype=bool), 1)
     rows = np.arange(rate.shape[1])
     done = [None] * len(instances)
-    while live.size:
+    while True:
+        # score the columns the last move changed, every column at first: a column's scores
+        # are its own, bit for bit; a few instances' worth at a time keeps temporaries small
+        pairs, part = np.argwhere(touched), 8 * cover0.shape[1]
+        for k, f in (pairs[s:s + part].T for s in range(0, len(pairs), part)):
+            rate_f, cost_f, cached_f = (a[k, :, f] for a in (rate, local_cost, cached))
+            # the sign adds a cached cell's values back and takes an uncached one's out
+            sign = np.where(cached_f, 1.0, -1.0)
+            toggle[k, :, f] = _file_terms(c_mbs[k], rate_out[k, f, None] + rate_f * sign,
+                                          local[k, f, None] - cost_f * sign) - terms[k, f, None]
+            lacks_f = ~cached_f & has_cache[k]
+            cover0[k, f] = _file_terms(c_mbs[k, 0], rate_bare[k, f], local[k, f] + _scbs_sum(
+                np.where(lacks_f, cost_f, 0.0).T)) - terms[k, f]
         at = np.arange(live.size)
-        # change of each file's term when one cell is toggled; the sign
-        # adds a cached cell's values back and takes an uncached one's out
-        sign = np.where(cached, 1.0, -1.0)
-        toggle = _file_terms(
-            c_mbs[..., None], rate_out[:, None] + rate * sign, local[:, None] - local_cost * sign
-        ) - terms[:, None]
-        drop = np.where(cached, toggle, np.inf)
-        add = np.where(cached, np.inf, toggle)
-
         # cheapest slot to free per SCBS; a free slot costs nothing
-        out, out_delta = drop.argmin(axis=2), drop.min(axis=2)
+        out, out_delta = _least(toggle, cached)
         full = cached.sum(axis=2) >= sizes
         use_free = ~full & ~(out_delta < 0.0)
-        into = add.argmin(axis=2)
-        swap = np.where(use_free, 0.0, out_delta) + add.min(axis=2)
+        into, add_delta = _least(toggle, ~cached)
+        swap = np.where(use_free, 0.0, out_delta) + add_delta
 
         # completions: the full SCBSs lacking f each drop their file out[n],
         # so the drops are grouped by file, each group scored at its first SCBS
         lacks = ~cached & has_cache[..., None]
-        cover = _file_terms(
-            c_mbs, rate_bare, local + _scbs_sum(np.where(lacks, local_cost, 0.0))
-        ) - terms
         dropper = full & has_cache
         group = (out[:, :, None] == out[:, None, :]) & dropper[:, :, None] & dropper[:, None, :]
         first = dropper & ~(group & earlier).any(axis=1)
-        dropping = (lacks & full[..., None]).astype(np.float64)
-        extra = [np.matmul((group * a[at[:, None], rows, out][..., None]).transpose(0, 2, 1),
-                           dropping) for a in (rate, local_cost)]
-        freed = [a[at[:, None], out][..., None] for a in (rate_out, local, terms)]
-        cover += np.where(
-            first[..., None],
-            _file_terms(c_mbs[..., None], freed[0] + extra[0], freed[1] - extra[1]) - freed[2],
-            0.0,
-        ).sum(axis=1)
+        dropping = lacks & full[..., None]
+        # a group of one SCBS m changes out[m]'s term by out_delta[m] bit for bit (the same
+        # inputs, and a matmul with one non-zero product is exact); any other is scored at
+        # its first SCBS m, the j-th such of instance k, from its members' drops
+        alone = first & (group.sum(axis=1) == 1)
+        k, m = np.nonzero(first & ~alone)
+        j = (first & ~alone).cumsum(axis=1)[k, m] - 1
+        weights = np.zeros((live.size, j.max(initial=-1) + 1, len(rows)), dtype=bool)
+        weights[k, j] = group[k, :, m]
+        ones = dropping.astype(np.float64)
+        rate_in, local_in = (np.matmul(weights * a[at[:, None], rows, out][:, None], ones)[k, j]
+                             for a in (rate, local_cost))
+        # free each (B, N, I) temporary before the next: they set the peak memory
+        del ones
+        shares = np.where(dropping & alone[..., None], out_delta[..., None], 0.0)
+        gone = out[k, m, None]
+        rate_in += rate_out[k[:, None], gone]
+        np.subtract(local[k[:, None], gone], local_in, out=local_in)
+        shares[k, m] = _file_terms(c_mbs[k], rate_in, local_in) - terms[k[:, None], gone]
+        # summed over the SCBS rows in order
+        cover = cover0 + shares.sum(axis=1)
+        del shares, rate_in, local_in
 
         row = swap.argmin(axis=1)
         file = cover.argmin(axis=1)
@@ -402,13 +429,18 @@ def _search_chunk(instances, policies) -> list[CachingPolicy]:
         going = moving & (cost < best)
         for j in np.flatnonzero(~going).tolist():
             done[live[j]] = CachingPolicy(cached[j].astype(np.int8))
-        state = (x, cost, x_terms, x_out, x_local,
-                 live, c_mbs, rate_mbs, rate, local_cost, sizes, has_cache, rate_bare)
+        if not going.any():
+            return done
+        state = [x, (x != cached).any(axis=1), cost, x_terms, x_out, x_local, toggle, cover0,
+                 live, c_mbs, rate_mbs, rate, local_cost, sizes, has_cache, rate_bare]
         if not going.all():
-            state = [a[going] for a in state]
-        (cached, best, terms, rate_out, local,
+            # in place, one array at a time, so no second copy of the state is held
+            keep = np.flatnonzero(going)
+            for a in state:
+                a[:keep.size] = a[keep]
+            state = [a[:keep.size] for a in state]
+        (cached, touched, best, terms, rate_out, local, toggle, cover0,
          live, c_mbs, rate_mbs, rate, local_cost, sizes, has_cache, rate_bare) = state
-    return done
 
 
 # Values per array of an exhaustive-scan block, whatever the space.  2^15 ran

@@ -405,6 +405,12 @@ def reference_popularity_placement(instance: Instance) -> CachingPolicy:
 
 def reference_local_search(instance: Instance, policy: CachingPolicy) -> CachingPolicy:
     """The full-rescore ``local_search``: every column and a fresh ``cost_closed_form`` per step."""
+    *_, last = reference_search_placements(instance, policy)
+    return CachingPolicy(last.astype(np.int8))
+
+
+def reference_search_placements(instance: Instance, policy: CachingPolicy):
+    """``reference_local_search``'s placements as bool arrays: the start, then one per move."""
     policy.check_feasible(instance)
     c_mbs, rate_mbs, rate, local_cost = _area_rates(instance)
     sizes = instance.cache_size
@@ -415,6 +421,7 @@ def reference_local_search(instance: Instance, policy: CachingPolicy) -> Caching
 
     cached = policy.placement.astype(bool)
     best = cost_closed_form(instance, policy).total
+    yield cached
     while True:
         rate_out, local = _cached_split(rate_mbs, rate, local_cost, cached)
         terms = _file_terms(c_mbs, rate_out, local)
@@ -471,4 +478,4 @@ def reference_local_search(instance: Instance, policy: CachingPolicy) -> Caching
         if not cost < best:
             break
         cached, best = x, cost
-    return CachingPolicy(cached.astype(np.int8))
+        yield cached

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from helpers import (
     reference_local_search,
     reference_macdp_decide,
     reference_popularity_placement,
+    reference_search_placements,
 )
 
 
@@ -662,9 +664,9 @@ class TestLocalSearch:
         # local_search_batch makes the moves of the search that re-scored
         # every column and called cost_closed_form on each candidate, from
         # greedy and from random starts: in batches of one shape, in chunks
-        # of the default width and of 3 (instances leave a chunk at
-        # different steps), and one at a time.  Placements are compared;
-        # scores may differ in the last bit.
+        # of the default width, of 3 and of 1 (instances leave a chunk at
+        # different steps).  Placements are compared; scores may differ in
+        # the last bit.
         rng = np.random.default_rng(67)
         runs = [(inst, start) for inst in _equivalence_cases(61)
                 for start in (greedy_macp(inst).policy, random_policy(rng, inst))]
@@ -672,15 +674,65 @@ class TestLocalSearch:
         groups = {}
         for k, (inst, _) in enumerate(runs):
             groups.setdefault((inst.num_scbs, inst.num_files), []).append(k)
-        assert max(map(len, groups.values())) > solvers_module._SEARCH_CHUNK
-        for chunk in (solvers_module._SEARCH_CHUNK, 3):
-            monkeypatch.setattr(solvers_module, "_SEARCH_CHUNK", chunk)
-            for members in groups.values():
+        assert max(map(len, groups.values())) > 3
+        default = solvers_module._SEARCH_VALUES
+        for width in (None, 3, 1):
+            for (n, i), members in groups.items():
+                monkeypatch.setattr(solvers_module, "_SEARCH_VALUES",
+                                    default if width is None else width * n * i)
                 got = local_search_batch(*zip(*(runs[k] for k in members)))
                 for k, policy in zip(members, got):
                     assert np.array_equal(policy.placement, want[k]), runs[k][0]
         for (inst, start), placement in zip(runs[::5], want[::5]):
             assert np.array_equal(local_search(inst, start).placement, placement), inst
+
+    def test_batch_matches_reference_through_grouped_drops_and_stops(self):
+        # One batch, one chunk, from greedy and from random starts.  Some move
+        # is a completion whose drops free one file at a single SCBS and
+        # another at two or more (the groups of one are scored from the drop
+        # scores, the others through their own terms), and the members stop
+        # at different steps, so the finished ones are compacted away while
+        # the others search on.
+        rng = np.random.default_rng(5)
+        instances = [generate_scenario(ScenarioConfig(num_scbs=6, num_files=12, cache_size=4,
+                                                      zipf_shape=0.6, seed=s)) for s in range(8)]
+        runs = [(inst, start) for inst in instances
+                for start in (greedy_macp(inst).policy, random_policy(rng, inst))]
+        paths = [list(reference_search_placements(inst, start)) for inst, start in runs]
+        mixed = 0
+        for path in paths:
+            for before, after in zip(path, path[1:]):
+                counts = (before & ~after).sum(axis=0)
+                mixed += (counts == 1).any() and (counts >= 2).any()
+        assert mixed > 0
+        assert len({len(path) for path in paths}) > 1
+        got = local_search_batch(*zip(*runs))
+        for (inst, _), policy, path in zip(runs, got, paths):
+            assert np.array_equal(policy.placement, path[-1]), inst
+
+    def test_peak_memory_near_the_greedy_batch(self):
+        # The search keeps its (B, N, I) scores between steps and runs a whole
+        # sweep axis as one chunk.  Traced peaks on the 45 cache-size
+        # instances of seed 7: 2.47 MB for the greedy, 3.3 MB for the search
+        # (2.69 MB when it re-scored every column in chunks of 16, 4.4 MB
+        # before its temporaries were trimmed).  1.5 times the
+        # greedy's peak leaves room for about one more (B, N, I) array alive
+        # at the peak (0.5 MB here), and no more.
+        config = ScenarioConfig(seed=7)
+        seeds = _replication_seeds(config.seed, 5)
+        batch = [generate_scenario(dataclasses.replace(config, cache_size=size, seed=seed))
+                 for seed in seeds for size in range(10, 100, 10)]
+        tracemalloc.start()
+        try:
+            starts = greedy_macp_batch(batch)
+            greedy_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            local_search_batch(batch, starts)
+            search_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert search_peak <= 1.5 * greedy_peak, (search_peak, greedy_peak)
 
     def test_batch_arguments(self):
         inst = motivating_instance()
