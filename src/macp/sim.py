@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import CachingPolicy, Instance, Record
+from .model import CachingPolicy, Instance, Record, numeric_array
 
 MODES = ("unicast", "multicast")
 
@@ -64,14 +64,26 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "periods", int(self.periods))
-        object.__setattr__(self, "seed", int(self.seed))
+        seed = self.seed.item() if isinstance(self.seed, np.generic) else self.seed
+        if type(seed) in (int, float) and not 0 <= seed < 2**64:
+            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        object.__setattr__(self, "periods", _whole_number("periods", self.periods, np.int64))
+        object.__setattr__(self, "seed", _whole_number("seed", seed, np.uint64))
         if self.periods < 1:
             raise ValueError(f"periods must be >= 1, got {self.periods}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+
+
+def _whole_number(name: str, value, dtype) -> int:
+    """``value`` as an int; ValueError unless it is one whole number, by ``numeric_array``'s rule.
+
+    So a fraction, a bool or a string is refused, not truncated or parsed.
+    """
+    arr = numeric_array(name, value, dtype)
+    if arr.ndim:
+        raise ValueError(f"{name} must be one number, got shape {arr.shape}")
+    return int(arr)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,11 @@ placement by swaps and coverage completions, and ``greedy_macp_batch`` and
 ``local_search_batch`` give their placements for many instances of one
 shape in lockstep numpy steps, the greedy's steps each committing a
 verified run of one file, the search's each scoring again only the columns
-its last move changed.  ``popularity_placement`` is the
-conventional per-SCBS top-k baseline, and ``exact_optimal`` exhaustively
-enumerates feasible placements as an optimality oracle for tiny instances.
+its last move changed.  Members that differ only in nested cache sizes
+follow one lockstep row of the greedy until they fill a row of their own.
+``popularity_placement`` is the conventional per-SCBS top-k baseline, and
+``exact_optimal`` exhaustively enumerates feasible placements as an
+optimality oracle for tiny instances.
 """
 
 from __future__ import annotations
@@ -78,7 +80,8 @@ def greedy_macp(instance: Instance) -> SolverReport:
     """
     n, i = instance.num_scbs, instance.num_files
     sizes = instance.cache_size.tolist()
-    c_mbs, rate_mbs, rate, local_cost, terms, gain = _greedy_start(instance)
+    c_mbs, rate_mbs, rate, local_cost, terms, gain = (a[0] for a in _greedy_start([instance]))
+    c_mbs = float(c_mbs)
     best = gain.min(axis=1)
     cached = np.zeros((i, n), dtype=bool)
     fill = [0] * n
@@ -127,27 +130,42 @@ def greedy_macp(instance: Instance) -> SolverReport:
     return SolverReport(policy=policy, trace=tuple(trace), evaluations=evaluations)
 
 
+# Values per array of one stacked ``_greedy_start`` in ``greedy_macp_batch``:
+# max(1, _START_VALUES // (N * I)) leaders, 5 at (14, 100).
+_START_VALUES = 1 << 13
+
+
 def greedy_macp_batch(instances) -> list[CachingPolicy]:
     """``greedy_macp``'s placements of instances of one shape, solved in lockstep.
 
     The greedy commits in runs of one file: caching a file at one SCBS pays
-    mostly once every SCBS has it.  Each step makes, for every instance with
-    cache room left, the global pick under ``greedy_macp``'s tie rule, file
-    f at SCBS n, then f's other open cells in the order of their gains now
-    for as long as it can verify that the stepwise greedy takes them.  The
-    N states "first t + 1 cells committed" are scored at once, f's sums
+    mostly once every SCBS has it.  Each step makes, for every lockstep row
+    with cache room left, the global pick under ``greedy_macp``'s tie rule,
+    file f at SCBS n, then f's other open cells in the order of their gains
+    now for as long as it can verify that the stepwise greedy takes them.
+    The N states "first t + 1 cells committed" are scored at once, f's sums
     added SCBS by SCBS as ``_cached_split`` adds them, so their gains are
     the stepwise greedy's.  The next cell is committed while it is state
     t's first cell within the tie limit under a lower and an upper bound of
     the state's objective, and every other file's best gain at the step
     start lies above that limit (those gains only rise while f runs, to inf
     where a row fills); a failed check leaves the pick to the next step.  A
-    step costs about as much at any width, so the batch pays off by its
-    width and by the runs' length.  Candidate gains take numpy's ``expm1``
-    where ``greedy_macp`` takes ``math.expm1``: the two can differ in the
-    last bit, which changes a pick only if a gain lies within a rounding
-    step of the tie limit.  Returns the placements in input order (none for
-    no instances), without traces or counts.
+    step of 45 distinct rows costs about four times a step of one, so the
+    batch pays off by its width and by the runs' length.
+
+    Members that differ only in nested cache sizes share a row (see
+    ``_leaders``): a cache size enters the greedy only through which rows
+    are full, so a follower makes its leader's commits until one of them
+    fills a row of its own.  The rest of that step's run is still its
+    stepwise prefix, since the run's other cells lie in rows still open and
+    the other files' gains only rise; the follower then takes a copy of the
+    leader's state, its full rows out, as a row of its own.
+
+    Candidate gains take numpy's ``expm1`` where ``greedy_macp`` takes
+    ``math.expm1``: the two can differ in the last bit, which changes a pick
+    only if a gain lies within a rounding step of the tie limit.  Returns
+    the placements in input order (none for no instances), without traces
+    or counts.
 
     Raises ValueError unless every instance has the same ``num_scbs`` and
     ``num_files``.
@@ -160,21 +178,34 @@ def greedy_macp_batch(instances) -> list[CachingPolicy]:
         raise ValueError("batched instances must share num_scbs and num_files")
     b = len(instances)
     left = np.array([inst.cache_size for inst in instances])
-    c_mbs, rate_mbs, terms = np.empty(b), np.empty((b, i)), np.empty((b, i))
-    rate, local_cost, gain = np.empty((b, i, n)), np.empty((b, i, n)), np.empty((b, n, i))
-    for k, inst in enumerate(instances):
-        c_mbs[k], rate_mbs[k], rate[k], local_cost[k], terms[k], g = _greedy_start(inst)
-        gain[k] = g.T
+    lead = _leaders(instances, left)
+    rows = np.flatnonzero(lead == np.arange(b))
+    # the objective inputs are held per leader, read by each member through its leader
+    g, source = rows.size, rows.searchsorted(lead)
+    c_mbs, rate_mbs = np.empty(g), np.empty((g, i))
+    rate, local_cost = np.empty((g, i, n)), np.empty((g, i, n))
+    # a follower's state is its leader's until it takes a copy of its own
+    terms, gain, best, total = np.empty((b, i)), np.empty((b, n, i)), np.empty((b, i)), np.empty(b)
+    # the leaders' starts a few at a time: stacked temporaries of a whole sweep
+    # axis raised the peak memory, and were slower per leader
+    width = max(1, _START_VALUES // (n * i))
+    for s in range(0, g, width):
+        part = rows[s:s + width]
+        (c_mbs[s:s + width], rate_mbs[s:s + width], rate[s:s + width], local_cost[s:s + width],
+         terms[part], start) = _greedy_start([instances[k] for k in part.tolist()])
+        gain[part] = start.transpose(0, 2, 1)
+    best[rows], total[rows] = gain[rows].min(axis=1), terms[rows].sum(axis=1)
     cached = np.zeros((b, i, n), dtype=bool)
-    best, total, states, files = gain.min(axis=1), terms.sum(axis=1), np.arange(n), np.arange(i)
+    states, files = np.arange(n), np.arange(i)
     # Adding I non-negative terms in any order errs by at most (I - 1) * 2**-53
     # of their sum: with rounding, a state's total is within this share of the
     # step's total plus the state's term of the sum with f's term replaced.
     slack = (i + 2) * 2.0 ** -51
 
-    live = np.flatnonzero(left.any(axis=1))
+    live = rows[left[rows].any(axis=1)]
+    attached = np.flatnonzero(lead != np.arange(b))
     while live.size:
-        at = np.arange(live.size)
+        at, src = np.arange(live.size), source[live]
         best_now = best[live]
         file = best_now.argmin(axis=1)
         # every file term is non-negative, so |objective| is the objective
@@ -198,11 +229,11 @@ def greedy_macp_batch(instances) -> list[CachingPolicy]:
         committed = rank[..., None] <= states
         # the file's sums SCBS by SCBS, as ``_cached_split`` adds them
         on = committed | cached[live, file][..., None]
-        outside = np.where(on, 0.0, rate[live, file][..., None])
-        costs = local_cost[live, file][..., None]
-        rate_out = rate_mbs[live, file][:, None] + outside.cumsum(axis=1)[:, -1]
+        outside = np.where(on, 0.0, rate[src, file][..., None])
+        costs = local_cost[src, file][..., None]
+        rate_out = rate_mbs[src, file][:, None] + outside.cumsum(axis=1)[:, -1]
         local = np.where(on, costs, 0.0).cumsum(axis=1)[:, -1]
-        c = c_mbs[live, None]
+        c = c_mbs[src, None]
         term = _file_terms(c, rate_out, local)
         scores = _file_terms(c[..., None], rate_out[:, None] - outside, local[:, None] + costs)
         gains = np.where((column < np.inf)[..., None] & ~committed, scores - term[:, None], np.inf)
@@ -225,33 +256,83 @@ def greedy_macp_batch(instances) -> list[CachingPolicy]:
         total[live] = terms[live].sum(axis=1)
         gain[live, :, file], best[live, file] = gains[at, :, last], least[at, last]
         full = run & (left[live] == 0)
-        if full.any():
+        moved = full.any()
+        if moved:
             filled, filled_row = np.nonzero(full)
             gain[live[filled], filled_row] = np.inf
             filled = live[full.any(axis=1)]
             best[filled] = gain[filled].min(axis=1)
+        if attached.size:
+            # each follower commits its leader's run; one that fills a row
+            # with it goes on from a copy of the leader's state, its full
+            # rows out (the leader's full rows are among them)
+            ahead = run[live.searchsorted(lead[attached])]
+            left[attached] -= ahead
+            fills = (ahead & (left[attached] == 0)).any(axis=1)
+            if fills.any():
+                k, attached = attached[fills], attached[~fills]
+                was = lead[k]
+                cached[k], terms[k], total[k] = cached[was], terms[was], total[was]
+                gain[k] = np.where((left[k] == 0)[:, :, None], np.inf, gain[was])
+                best[k] = gain[k].min(axis=1)
+                live, moved = np.sort(np.concatenate([live, k])), True
+        if moved:
             live = live[left[live].any(axis=1)]
 
     return [CachingPolicy(x.T.astype(np.int8)) for x in cached]
 
 
-def _greedy_start(instance: Instance):
+def _leaders(instances, sizes) -> np.ndarray:
+    """Each member's leader in ``greedy_macp_batch``: itself, or the member it follows.
+
+    A member with some cache follows the first leader, members taken by
+    total cache size largest first, that has the same objective inputs
+    (demand, deadline and costs), at least its cache size at every SCBS and
+    no cache at the same SCBSs.  A member with no cache leads itself.
+    """
+    lead = np.arange(len(instances))
+    groups: dict[tuple, list[int]] = {}
+    for k in np.argsort(-sizes.sum(axis=1), kind="stable").tolist():
+        if not sizes[k].any():
+            continue
+        inst = instances[k]
+        # the demand by the hash of its bytes, its values compared within a group
+        key = (hash(inst.demand.tobytes()), inst.deadline, inst.cost_backhaul, inst.cost_mbs_tx,
+               inst.cost_scbs_tx.tobytes())
+        group = groups.setdefault(key, [])
+        for j in group:
+            if (((sizes[j] >= sizes[k]) & ((sizes[j] > 0) == (sizes[k] > 0))).all()
+                    and np.array_equal(instances[j].demand, inst.demand)):
+                lead[k] = j
+                break
+        else:
+            group.append(k)
+    return lead
+
+
+def _stacked_rates(instances):
+    """``_area_rates`` of instances of one shape, each output stacked on a first axis."""
+    return tuple(map(np.array, zip(*map(_area_rates, instances))))
+
+
+def _greedy_start(instances):
     """The greedy's inputs and gains before its first commit, file-major.
 
-    Returns ``(c_mbs, rate_mbs, rate, local_cost, terms, gain)``: the
+    For instances of one shape, returns ``(c_mbs, rate_mbs, rate,
+    local_cost, terms, gain)``, each stacked on a first axis: the
     ``_area_rates`` with ``rate`` and ``local_cost`` as (I, N) arrays, so a
     file's column is one contiguous row; the file terms of the empty
     placement; and ``gain[f, n]``, the objective's change when f is cached
-    at SCBS n, infinite where n has no cache.
+    at SCBS n, infinite where n has no cache.  All of it is elementwise work
+    and ``_scbs_sum``, so each instance's values are its own, bit for bit.
     """
-    n, i = instance.num_scbs, instance.num_files
-    c_mbs, rate_mbs, rate, local_cost = _area_rates(instance)
-    rate_out, local = _cached_split(rate_mbs, rate, local_cost, np.zeros((n, i), dtype=bool))
-    terms = _file_terms(c_mbs, rate_out, local)
-    rate, local_cost = rate.T.copy(), local_cost.T.copy()
-    gain = np.where(instance.cache_size > 0,
-                    _file_terms(c_mbs, rate_out[:, None] - rate, local_cost) - terms[:, None],
-                    np.inf)
+    c_mbs, rate_mbs, rate, local_cost = _stacked_rates(instances)
+    rate_out, local = _cached_split(rate_mbs, rate, local_cost, np.zeros(rate.shape, dtype=bool))
+    terms = _file_terms(c_mbs[:, None], rate_out, local)
+    rate, local_cost = rate.transpose(0, 2, 1).copy(), local_cost.transpose(0, 2, 1).copy()
+    has_cache = np.array([inst.cache_size for inst in instances])[:, None, :] > 0
+    gain = np.where(has_cache, _file_terms(c_mbs[:, None, None], rate_out[..., None] - rate,
+                                           local_cost) - terms[..., None], np.inf)
     return c_mbs, rate_mbs, rate, local_cost, terms, gain
 
 
@@ -282,7 +363,8 @@ def local_search(instance: Instance, policy: CachingPolicy) -> CachingPolicy:
     file's request rate outside the cached set and its local serving cost,
     adding or removing one area's ``d * lambda``; the scores are kept across
     steps, and a move's columns are scored again from the new placement's
-    ``_cached_split``.  The best-scoring move is taken only when it strictly
+    sums, added again in those columns only, as ``_cached_split`` adds
+    them.  The best-scoring move is taken only when it strictly
     lowers the objective, computed as ``cost_closed_form`` does; otherwise
     the search stops, so it always ends.
     Ties go to a swap over a completion, then to the smallest SCBS, then to
@@ -334,7 +416,7 @@ def _least(values, where):
 
 def _search_chunk(instances, policies) -> list[CachingPolicy]:
     """``local_search_batch`` of one chunk of instances, as (B, N, I) arrays."""
-    c_mbs, rate_mbs, rate, local_cost = map(np.array, zip(*map(_area_rates, instances)))
+    c_mbs, rate_mbs, rate, local_cost = _stacked_rates(instances)
     c_mbs = c_mbs[:, None]
     sizes = np.array([inst.cache_size for inst in instances])
     has_cache = sizes > 0
@@ -423,15 +505,23 @@ def _search_chunk(instances, policies) -> list[CachingPolicy]:
         x[b[k], n, f[k]] = True
         assert (x.sum(axis=2) <= sizes).all(), "a move overfilled a cache"
 
-        x_out, x_local = _cached_split(rate_mbs, rate, local_cost, x)
-        x_terms = _file_terms(c_mbs, x_out, x_local)
+        # the new placement's sums, added again only in the columns the move changed:
+        # ``cumsum`` adds the SCBS rows in turn, so they are ``_cached_split``'s bits
+        changed = (x != cached).any(axis=1)
+        k, f = np.nonzero(changed)
+        x_f = x[k, :, f]
+        out_f = rate_mbs[k, f] + np.where(x_f, 0.0, rate[k, :, f]).cumsum(axis=1)[:, -1]
+        local_f = np.where(x_f, local_cost[k, :, f], 0.0).cumsum(axis=1)[:, -1]
+        x_out, x_local, x_terms = rate_out.copy(), local.copy(), terms.copy()
+        x_out[k, f], x_local[k, f] = out_f, local_f
+        x_terms[k, f] = _file_terms(c_mbs[k, 0], out_f, local_f)
         cost = x_terms.sum(axis=1)
         going = moving & (cost < best)
         for j in np.flatnonzero(~going).tolist():
             done[live[j]] = CachingPolicy(cached[j].astype(np.int8))
         if not going.any():
             return done
-        state = [x, (x != cached).any(axis=1), cost, x_terms, x_out, x_local, toggle, cover0,
+        state = [x, changed, cost, x_terms, x_out, x_local, toggle, cover0,
                  live, c_mbs, rate_mbs, rate, local_cost, sizes, has_cache, rate_bare]
         if not going.all():
             # in place, one array at a time, so no second copy of the state is held

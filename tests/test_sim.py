@@ -40,6 +40,28 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(periods=10, mode="unicast", seed=-1)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"periods": 2.7}, "periods must hold whole numbers"),
+        ({"seed": 1.9}, "seed must hold whole numbers"),
+        ({"periods": True}, "periods must hold numbers only"),
+        ({"seed": np.True_}, "seed must hold numbers only"),
+        ({"periods": "5"}, "periods must hold numbers only"),
+        ({"seed": "1"}, "seed must hold numbers only"),
+        ({"periods": [5]}, "periods must be one number"),
+        ({"seed": -1}, "seed must fit in an unsigned 64-bit integer"),
+        ({"seed": 2**64}, "seed must fit in an unsigned 64-bit integer"),
+        ({"seed": 2.0**64}, "seed must fit in an unsigned 64-bit integer"),
+    ])
+    def test_refuses_what_it_would_truncate_or_parse(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            SimConfig(**{"periods": 10, "mode": "multicast", "seed": 1, **change})
+
+    def test_whole_numbers_of_any_numeric_type(self):
+        config = SimConfig(periods=5.0, mode="unicast", seed=np.uint64(2**64 - 1))
+        assert (config.periods, config.seed) == (5, 2**64 - 1)
+        assert type(config.periods) is int and type(config.seed) is int
+        assert SimConfig(np.int64(3), "multicast", 2.0).seed == 2
+
 
 class TestDeterminism:
     def test_identical_reports_for_identical_seed(self):

@@ -285,6 +285,49 @@ class TestGreedyBatch:
         for inst, policy in zip(batch, greedy_macp_batch(batch)):
             assert np.array_equal(policy.placement, reference_greedy_macp(inst).policy.placement)
 
+    def test_nested_caches_follow_one_row(self):
+        # One demand draw with nested caches, equal ones among them, follows
+        # the largest; it is batched with another draw, with members that
+        # differ only in their deadline or one cost, a member without cache
+        # and members whose zero rows differ from the leader's.
+        base = generate_scenario(ScenarioConfig(num_scbs=4, num_files=12, cache_size=5, seed=12))
+        other = generate_scenario(ScenarioConfig(num_scbs=4, num_files=12, cache_size=5, seed=13))
+        batch = [_with_sizes(base, s) for s in ([1, 1, 1, 1], [5, 5, 5, 5], [4, 2, 5, 3],
+                                                [5, 5, 5, 5], [0, 0, 0, 0], [5, 0, 5, 5],
+                                                [3, 0, 2, 1], [0, 2, 1, 1])]
+        batch += [_with_sizes(other, [2, 2, 2, 2]), other,
+                  dataclasses.replace(base, cache_size=[3, 3, 3, 3], deadline=base.deadline / 2),
+                  dataclasses.replace(base, cache_size=[3, 3, 3, 3], cost_backhaul=0.5),
+                  dataclasses.replace(base, cache_size=[3, 3, 3, 3], cost_scbs_tx=[0, 0, 0, 0.1])]
+        lead = solvers_module._leaders(batch, np.array([inst.cache_size for inst in batch]))
+        assert lead.tolist() == [1, 1, 1, 1, 4, 5, 5, 7, 9, 9, 10, 11, 12]
+        for inst, policy in zip(batch, greedy_macp_batch(batch)):
+            assert np.array_equal(policy.placement, reference_greedy_macp(inst).policy.placement)
+
+    def test_follower_fills_a_row_inside_its_leaders_run(self):
+        # The follower's SCBS 2 fills at the middle commit of one of the
+        # leader's runs of one file.  Its stepwise greedy makes the leader's
+        # commits through the end of that run, bit for bit, and then goes on
+        # alone with room left.
+        base = generate_scenario(ScenarioConfig(num_scbs=4, num_files=12, cache_size=5, seed=12))
+        leader, follower = _with_sizes(base, [5, 5, 5, 5]), _with_sizes(base, [4, 2, 5, 3])
+        ahead, alone = greedy_macp(leader).trace, greedy_macp(follower).trace
+        left = follower.cache_size.copy()
+        t = 0
+        while True:
+            left[ahead[t][1] - 1] -= 1
+            if not left.all():
+                break
+            t += 1
+        files = [entry[2] for entry in ahead]
+        end = t + 1
+        while files[end] == files[t]:
+            end += 1
+        assert files[t - 1] == files[t] == files[t + 1]
+        assert alone[:end] == ahead[:end] and alone[end][1:3] != ahead[end][1:3]
+        for member, policy in zip([leader, follower], greedy_macp_batch([leader, follower])):
+            assert np.array_equal(policy.placement, reference_greedy_macp(member).policy.placement)
+
     @pytest.mark.parametrize("event, inst", [
         # file 1 then file 2 at SCBS 1, whose cache still has room
         ("cut", Instance(2, 3, [2, 2], 0.5, 0.5, [0.0, 0.0],
@@ -713,15 +756,18 @@ class TestLocalSearch:
     def test_peak_memory_near_the_greedy_batch(self):
         # The search keeps its (B, N, I) scores between steps and runs a whole
         # sweep axis as one chunk.  Traced peaks on the 45 cache-size
-        # instances of seed 7: 2.47 MB for the greedy, 3.3 MB for the search
-        # (2.69 MB when it re-scored every column in chunks of 16, 4.4 MB
-        # before its temporaries were trimmed).  1.5 times the
-        # greedy's peak leaves room for about one more (B, N, I) array alive
-        # at the peak (0.5 MB here), and no more.
+        # instances of seed 7, in (B, N, I) float64 arrays of 0.504 MB: 6.5
+        # for the search (5.3 when it re-scored every column in chunks of 16,
+        # 8.7 before its temporaries were trimmed), 4.9 for the greedy when
+        # each member had its own lockstep row and 2.1 since the members
+        # follow one row per replication.  The search may hold about one more
+        # array at its peak than now, 1.5 times the greedy's old peak, and
+        # the greedy no more than before.
         config = ScenarioConfig(seed=7)
         seeds = _replication_seeds(config.seed, 5)
         batch = [generate_scenario(dataclasses.replace(config, cache_size=size, seed=seed))
                  for seed in seeds for size in range(10, 100, 10)]
+        array = len(batch) * batch[0].num_scbs * batch[0].num_files * 8
         tracemalloc.start()
         try:
             starts = greedy_macp_batch(batch)
@@ -732,7 +778,8 @@ class TestLocalSearch:
             search_peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert search_peak <= 1.5 * greedy_peak, (search_peak, greedy_peak)
+        assert greedy_peak <= 4.9 * array, greedy_peak / array
+        assert search_peak <= 7.35 * array, search_peak / array
 
     def test_batch_arguments(self):
         inst = motivating_instance()
