@@ -87,7 +87,7 @@ def cost_bruteforce(instance: Instance, policy: CachingPolicy) -> CostBreakdown:
     return _breakdown(mbs_pf + scbs_pf, mbs_pf, scbs_pf)
 
 
-def _file_terms(c_mbs: float, rate_out, local, expm1=np.expm1):
+def _file_terms(c_mbs: float, rate_out, local):
     """Per-file objective from the rate outside the cached set and the local cost.
 
     The macro cell transmits unless no area outside the cached set requests
@@ -97,12 +97,9 @@ def _file_terms(c_mbs: float, rate_out, local, expm1=np.expm1):
     ``expm1`` so small rates keep their digits, and it never divides by a
     no-request probability, so rates large enough to make one 0 need no
     special case.  It is linear in ``c_mbs`` and ``local``: passing 0 for
-    one gives the other transmitter's share.  Every reported objective
-    takes numpy's ``expm1``; a caller scoring single Python floats as mere
-    scores may pass ``math.expm1``, several times cheaper per call but not
-    always equal to numpy's in the last bit.
+    one gives the other transmitter's share.
     """
-    e = expm1(-rate_out)
+    e = np.expm1(-rate_out)
     return local + e * (local - c_mbs)
 
 

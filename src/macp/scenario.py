@@ -25,13 +25,7 @@ import numpy as np
 from .cost import cost_closed_form, cost_unicast
 from .model import CachingPolicy, Instance, Record, numeric_array
 from .sim import SimConfig, simulate
-from .solvers import (
-    greedy_macp,
-    greedy_macp_batch,
-    local_search,
-    local_search_batch,
-    popularity_placement,
-)
+from .solvers import greedy_macp_batch, local_search, local_search_batch, popularity_placement
 
 SCHEMES = ("PAC-UT", "PAC-MT", "MAC-MT")
 SWEEP_AXES = ("cache_size", "zipf_shape", "deadline")
@@ -131,7 +125,7 @@ def run_comparison(
     simulated in its own delivery mode.  ``sweep`` gives each point the
     same results, with MAC-MT's placements solved in batches.
     """
-    multicast_aware = local_search(instance, greedy_macp(instance).policy)
+    multicast_aware = local_search(instance, greedy_macp_batch([instance])[0])
     return _compare(instance, multicast_aware, sim_config)
 
 

@@ -1,10 +1,10 @@
 """Cache placement solvers.
 
 ``greedy_macp`` is the multicast-aware heuristic (commit the single best
-placement until every cache is full), ``local_search`` improves a given
-placement by swaps and coverage completions, and ``greedy_macp_batch`` and
-``local_search_batch`` give their placements for many instances of one
-shape in lockstep numpy steps, the greedy's steps each committing a
+placement until every cache is full) and ``local_search`` improves a given
+placement by swaps and coverage completions.  Each is the batch of one of
+``greedy_macp_batch`` or ``local_search_batch``, which solve many instances
+of one shape in lockstep numpy steps, the greedy's steps each committing a
 verified run of one file, the search's each scoring again only the columns
 its last move changed.  Members that differ only in nested cache sizes
 follow one lockstep row of the greedy until they fill a row of their own.
@@ -35,10 +35,11 @@ class SolverReport:
     """Solver output: the policy, a placement audit trail, and work counters.
 
     ``trace`` holds one ``(iteration, scbs, file, objective_after)`` entry
-    per committed placement (greedy only; exhaustive search leaves it
-    empty).  ``evaluations`` counts the candidates the solver scored: the
-    single-placement gains the greedy computed (see ``greedy_macp``), or
-    the feasible placements exhaustive search evaluated.
+    per committed placement, in commit order (greedy only, replayed from
+    its runs; exhaustive search leaves it empty).  ``evaluations`` counts
+    the candidates the solver scored: the single-placement gains of the
+    stepwise greedy (see ``greedy_macp``), or the feasible placements
+    exhaustive search evaluated.
     """
 
     policy: CachingPolicy
@@ -51,83 +52,25 @@ def greedy_macp(instance: Instance) -> SolverReport:
 
     Starts from empty caches and commits, one at a time, the placement
     with the smallest gain (objective after minus before, which can be
-    positive), until every cache is full.
+    positive), until every cache is full.  Tie rule: the eligible
+    candidates are those whose gain is within ``1e-12 * max(1,
+    |objective|)`` of the minimal gain, the objective being the one before
+    the commit; among them the smallest SCBS wins, then the smallest file.
 
-    The objective is a sum of per-file terms, so the gain of caching file
-    f at SCBS n depends on file f's column only.  Each file's term is kept
-    in the rate-sum form of ``_file_terms``: the rate outside its cached set
-    and the local cost of its cached SCBSs.  After the gain matrix is
-    evaluated once, each commit re-scores only the committed file's column,
-    in plain Python, and a commit that fills an SCBS's cache takes that SCBS
-    out of every file's gains.  That is O(N * I) work once, O(N + I) per
-    commit and O(N * I) per filled row.
-
-    Each trace objective is ``cost_closed_form``'s total of the placement so
-    far, bit for bit: a committed file's sums are added as ``_cached_split``
-    adds them and its term takes numpy's ``expm1``.  Candidate gains are
-    scores, never reported: running differences taken with ``math.expm1``.
-
-    Tie rule: the eligible candidates are those whose gain is within
-    ``1e-12 * max(1, |objective|)`` of the minimal gain, the objective
-    being the one before the commit; among them the smallest SCBS wins,
-    then the smallest file.
-
-    ``evaluations`` counts the gains computed, for allowed cells only (the
-    file not cached there and the SCBS's cache not full: the finite gains):
-    every allowed cell once at the start, then the allowed cells of the
-    committed file's column after each commit.  It is 0 when no SCBS has a
-    cache.
+    This is ``greedy_macp_batch`` of one instance, its trace replayed from
+    the runs its steps commit: after each commit of a run, the file takes
+    the term the step scored for that state and the terms are summed
+    again (O(I) per commit), so each trace objective is
+    ``cost_closed_form``'s total of the placement so far, bit for bit.
+    ``evaluations`` counts the gains a greedy of one commit per step
+    computes, for allowed cells only (the file not cached there and the
+    SCBS's cache not full: the finite gains): every allowed cell once at
+    the start, then the allowed cells of the committed file's column after
+    each commit.  It is 0 when no SCBS has a cache.
     """
-    n, i = instance.num_scbs, instance.num_files
-    sizes = instance.cache_size.tolist()
-    c_mbs, rate_mbs, rate, local_cost, terms, gain = (a[0] for a in _greedy_start([instance]))
-    c_mbs = float(c_mbs)
-    best = gain.min(axis=1)
-    cached = np.zeros((i, n), dtype=bool)
-    fill = [0] * n
-    total = float(terms.sum())
     trace: list[tuple[int, int, int, float]] = []
-    evaluations = int(np.count_nonzero(gain < np.inf))
-    rate_mbs, rate_rows, local_rows = rate_mbs.tolist(), rate.tolist(), local_cost.tolist()
-
-    for iteration in range(1, sum(sizes) + 1):
-        file = int(best.argmin())
-        limit = best[file] + 1e-12 * max(1.0, abs(total))
-        # another file within the limit is rare; only then scan them all
-        if np.count_nonzero(best <= limit) == 1:
-            row = int((gain[file] <= limit).argmax())
-        else:
-            row, file = min(
-                (int((gain[f] <= limit).argmax()), f)
-                for f in np.flatnonzero(best <= limit).tolist()
-            )
-        cached[file, row] = True
-        gain[file, row] = np.inf
-        fill[row] += 1
-        # the file's sums SCBS by SCBS, as ``_cached_split`` adds them, and
-        # its term with numpy's expm1: the closed form's term, bit for bit
-        rates, costs = rate_rows[file], local_rows[file]
-        outside = local_f = 0.0
-        for r, v, c in zip(rates, costs, cached[file].tolist()):
-            if c:
-                local_f += v
-            else:
-                outside += r
-        rate_out_f = rate_mbs[file] + outside
-        term_f = terms[file] = float(_file_terms(c_mbs, rate_out_f, local_f))
-        total = float(terms.sum())
-        trace.append((iteration, row + 1, file, total))
-        # at most N cells, scored one by one: cheaper than numpy calls on them
-        column = [_file_terms(c_mbs, rate_out_f - r, local_f + v, math.expm1) - term_f
-                  if g < math.inf else g for r, v, g in zip(rates, costs, gain[file].tolist())]
-        evaluations += n - column.count(math.inf)
-        gain[file], best[file] = column, min(column)
-        if fill[row] == sizes[row]:
-            gain[:, row] = np.inf
-            gain.min(axis=1, out=best)
-
-    policy = CachingPolicy(cached.T.astype(np.int8))
-    return SolverReport(policy=policy, trace=tuple(trace), evaluations=evaluations)
+    cached, evaluations = _greedy_runs([instance], trace)
+    return SolverReport(CachingPolicy(cached[0].T.astype(np.int8)), tuple(trace), evaluations)
 
 
 # Values per array of one stacked ``_greedy_start`` in ``greedy_macp_batch``:
@@ -149,9 +92,12 @@ def greedy_macp_batch(instances) -> list[CachingPolicy]:
     t's first cell within the tie limit under a lower and an upper bound of
     the state's objective, and every other file's best gain at the step
     start lies above that limit (those gains only rise while f runs, to inf
-    where a row fills); a failed check leaves the pick to the next step.  A
-    step of 45 distinct rows costs about four times a step of one, so the
-    batch pays off by its width and by the runs' length.
+    where a row fills); a failed check leaves the pick to the next step.
+
+    The start is O(N * I) work per row; a step is O(I + N^2) per row, and
+    O(N * I) more for a row that scans a tie or fills a cache.  A step of
+    45 distinct rows costs about four times a step of one, so the batch
+    pays off by its width and by the runs' length.
 
     Members that differ only in nested cache sizes share a row (see
     ``_leaders``): a cache size enters the greedy only through which rows
@@ -161,18 +107,22 @@ def greedy_macp_batch(instances) -> list[CachingPolicy]:
     the other files' gains only rise; the follower then takes a copy of the
     leader's state, its full rows out, as a row of its own.
 
-    Candidate gains take numpy's ``expm1`` where ``greedy_macp`` takes
-    ``math.expm1``: the two can differ in the last bit, which changes a pick
-    only if a gain lies within a rounding step of the tie limit.  Returns
-    the placements in input order (none for no instances), without traces
-    or counts.
-
-    Raises ValueError unless every instance has the same ``num_scbs`` and
+    Returns the placements in input order (none for no instances).  Raises
+    ValueError unless every instance has the same ``num_scbs`` and
     ``num_files``.
     """
-    instances = list(instances)
+    return [CachingPolicy(x.T.astype(np.int8)) for x in _greedy_runs(list(instances))[0]]
+
+
+def _greedy_runs(instances, trace=None):
+    """``greedy_macp_batch``'s cached sets, as a (B, I, N) bool array, and a count.
+
+    With ``trace``, a list, the batch is of one instance: the list gets its
+    ``SolverReport.trace`` entries and the count is its ``evaluations``.
+    Otherwise nothing is recorded and the count is 0.
+    """
     if not instances:
-        return []
+        return [], 0
     n, i = instances[0].num_scbs, instances[0].num_files
     if any((inst.num_scbs, inst.num_files) != (n, i) for inst in instances):
         raise ValueError("batched instances must share num_scbs and num_files")
@@ -195,6 +145,7 @@ def greedy_macp_batch(instances) -> list[CachingPolicy]:
          terms[part], start) = _greedy_start([instances[k] for k in part.tolist()])
         gain[part] = start.transpose(0, 2, 1)
     best[rows], total[rows] = gain[rows].min(axis=1), terms[rows].sum(axis=1)
+    evaluations = 0 if trace is None else int(np.count_nonzero(gain < np.inf))
     cached = np.zeros((b, i, n), dtype=bool)
     states, files = np.arange(n), np.arange(i)
     # Adding I non-negative terms in any order errs by at most (I - 1) * 2**-53
@@ -249,6 +200,14 @@ def greedy_macp_batch(instances) -> list[CachingPolicy]:
                 & ((gains[..., :-1] <= high[:, None, :-1]).argmax(axis=1) == after)
                 & (others[:, None] > high[:, :-1]))
         last = np.logical_and.accumulate(keep, axis=1).sum(axis=1)
+        if trace is not None:
+            # the one instance's run, commit by commit: its file takes each
+            # state's term, and each commit scores the column's cells left open
+            f, open_cells = int(file[0]), int(np.count_nonzero(column[0] < np.inf))
+            for t, r in enumerate(order[0, :last[0] + 1].tolist()):
+                terms[0, f] = term[0, t]
+                trace.append((len(trace) + 1, r + 1, f, float(terms[0].sum())))
+                evaluations += open_cells - t - 1
         run = committed[at, :, last]
         cached[live, file] |= run
         left[live] -= run
@@ -279,7 +238,7 @@ def greedy_macp_batch(instances) -> list[CachingPolicy]:
         if moved:
             live = live[left[live].any(axis=1)]
 
-    return [CachingPolicy(x.T.astype(np.int8)) for x in cached]
+    return cached, evaluations
 
 
 def _leaders(instances, sizes) -> np.ndarray:

@@ -312,10 +312,11 @@ def random_decision(
 
 
 def reference_greedy_macp(instance: Instance) -> SolverReport:
-    """``greedy_macp`` with its allowed cells in a mask of their own.
+    """The stepwise ``greedy_macp``: one global pick per commit, its allowed cells in a mask.
 
     The cells with the file not cached there and the SCBS's cache not full;
-    ``greedy_macp`` keeps them only as its finite gains.
+    ``greedy_macp`` keeps them only as its finite gains.  Each commit scores
+    the committed file's allowed cells one by one, with ``math.expm1``.
     """
     n, i = instance.num_scbs, instance.num_files
     sizes = instance.cache_size.tolist()
@@ -379,9 +380,10 @@ def reference_greedy_macp(instance: Instance) -> SolverReport:
         column = [math.inf] * n
         for k, ok in enumerate(allowed[file].tolist()):
             if ok:
-                column[k] = _file_terms(
-                    c_mbs, rate_out_f - rates[k], local_f + costs[k], math.expm1
-                ) - term_f
+                # ``_file_terms`` written out on Python floats, with ``math.expm1``
+                local_k = local_f + costs[k]
+                e = math.expm1(-(rate_out_f - rates[k]))
+                column[k] = local_k + e * (local_k - c_mbs) - term_f
                 evaluations += 1
         gain[file] = column
         if full:

@@ -260,13 +260,13 @@ class TestGreedyBatch:
             plain = dataclasses.replace(inst, demand=rng.uniform(0.1, 2.0, size=inst.demand.shape))
             for policy, member in zip(greedy_macp_batch([plain, inst, plain]),
                                       [plain, inst, plain]):
-                want = greedy_macp(member).policy.placement
+                want = reference_greedy_macp(member).policy.placement
                 assert np.array_equal(policy.placement, want)
 
     def test_one_instance_and_none(self):
         inst = motivating_instance()
         (policy,) = greedy_macp_batch([inst])
-        assert np.array_equal(policy.placement, greedy_macp(inst).policy.placement)
+        assert np.array_equal(policy.placement, reference_greedy_macp(inst).policy.placement)
         assert greedy_macp_batch([]) == []
 
     @pytest.mark.parametrize("change", [
@@ -311,7 +311,7 @@ class TestGreedyBatch:
         # alone with room left.
         base = generate_scenario(ScenarioConfig(num_scbs=4, num_files=12, cache_size=5, seed=12))
         leader, follower = _with_sizes(base, [5, 5, 5, 5]), _with_sizes(base, [4, 2, 5, 3])
-        ahead, alone = greedy_macp(leader).trace, greedy_macp(follower).trace
+        ahead, alone = reference_greedy_macp(leader).trace, reference_greedy_macp(follower).trace
         left = follower.cache_size.copy()
         t = 0
         while True:
@@ -357,9 +357,9 @@ class TestGreedyBatch:
         whole, short = (Instance(n, i, [size] * n, 0.5, 0.5, [0.0] * n,
                                  [[0.0] * i] + [[3.0 / (f + 1) for f in range(i)]] * n, 1.0)
                         for size in (i, 1))
-        files = [entry[2] for entry in greedy_macp(whole).trace]
+        files = [entry[2] for entry in reference_greedy_macp(whole).trace]
         assert all(len(set(files[k:k + n])) == 1 for k in range(0, n * i, n))
-        assert len({entry[2] for entry in greedy_macp(short).trace}) == 1
+        assert len({entry[2] for entry in reference_greedy_macp(short).trace}) == 1
         batch = [whole, inst, short, inst]
         for member, policy in zip(batch, greedy_macp_batch(batch)):
             assert np.array_equal(policy.placement, reference_greedy_macp(member).policy.placement)
@@ -415,7 +415,8 @@ def _equivalence_cases(seed: int) -> list[Instance]:
     again with about a third of the rates saturated at lambda * d = 1e3;
     100 with 9 to 14 SCBSs, enough rows that numpy's ``sum`` would add a
     lone column pairwise, a quarter of them with one file; and generated
-    instances, the paper's defaults among them.
+    instances, the paper's defaults among them, and one of 300 files
+    whose runs are mostly of three commits or fewer.
     """
     rng = np.random.default_rng(seed)
     cases = [random_instance(rng, heavy_scbs_costs=k % 2 == 1) for k in range(1000)]
@@ -432,6 +433,7 @@ def _equivalence_cases(seed: int) -> list[Instance]:
         for s in range(3)
     ]
     cases.append(generate_scenario(ScenarioConfig(seed=0)))
+    cases.append(generate_scenario(ScenarioConfig(num_files=300, cache_size=60, seed=4)))
     return cases
 
 
@@ -456,7 +458,7 @@ def _run_events(inst: Instance) -> set[str]:
     events = set()
     x = np.zeros((inst.num_scbs, inst.num_files), dtype=np.int8)
     previous = None
-    for _, scbs, file, _ in greedy_macp(inst).trace:
+    for _, scbs, file, _ in reference_greedy_macp(inst).trace:
         pol = CachingPolicy(x)
         base = cost_closed_form(inst, pol)
         after = {
