@@ -16,7 +16,6 @@ popularity/unicast baselines lives here too.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,15 +166,21 @@ def cost_unicast(instance: Instance, policy: CachingPolicy) -> CostBreakdown:
     ValueError when the total overflows the float range.
     """
     policy.check_feasible(instance)
-    lam = instance.demand * instance.deadline
-    cached = policy.placement.astype(bool)
-    c = instance.cost_scbs_tx
-    c_mbs = instance.cost_backhaul + instance.cost_mbs_tx
+    lam, cached = instance.demand * instance.deadline, policy.placement.astype(bool)
+    return _breakdown(*_unicast_split(instance.cost_backhaul + instance.cost_mbs_tx, lam[0],
+                                      lam[1:], instance.cost_scbs_tx, cached))
 
+
+def _unicast_split(c_mbs, rate_mbs, rate, cost_scbs, cached):
+    """``cost_unicast``'s per-file terms and their macro and SCBS shares.
+
+    ``rate`` and ``cached`` are (..., N, I), as in ``_cached_split``.  Raises
+    ValueError unless every total, ``per_file.sum(axis=-1)``, is finite.
+    """
     with np.errstate(over="ignore"):
-        scbs_pf = (lam[1:] * cached * c[:, None]).sum(axis=0)
-        mbs_pf = c_mbs * ((lam[1:] * ~cached).sum(axis=0) + lam[0])
-        out = _breakdown(mbs_pf + scbs_pf, mbs_pf, scbs_pf)
-    if not math.isfinite(out.total):
-        raise ValueError("the expected unicast cost is not finite")
-    return out
+        scbs_pf = (rate * cached * cost_scbs[..., None]).sum(axis=-2)
+        mbs_pf = c_mbs * ((rate * ~cached).sum(axis=-2) + rate_mbs)
+        per_file = mbs_pf + scbs_pf
+        if not np.isfinite(per_file.sum(axis=-1)).all():
+            raise ValueError("the expected unicast cost is not finite")
+    return per_file, mbs_pf, scbs_pf

@@ -22,10 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .cost import cost_closed_form, cost_unicast
+from .cost import _cached_split, _file_terms, _unicast_split
 from .model import CachingPolicy, Instance, Record, numeric_array
 from .sim import SimConfig, simulate
-from .solvers import greedy_macp_batch, local_search, local_search_batch, popularity_placement
+from .solvers import _popular, _stacked_rates, greedy_macp_batch, local_search, local_search_batch
 
 SCHEMES = ("PAC-UT", "PAC-MT", "MAC-MT")
 SWEEP_AXES = ("cache_size", "zipf_shape", "deadline")
@@ -84,23 +84,24 @@ def generate_scenario(config: ScenarioConfig) -> Instance:
 
     Every SCBS's rates follow the same zipf popularity ranking, each pair
     scaled by its own uniform draw.  The macro-only area generates no
-    demand.
+    demand.  ``sweep`` builds its points from one draw per replication.
     """
-    rng = np.random.default_rng(config.seed)
+    return _scenario(config, _draw(config, config.seed),
+                     zipf_weights(config.num_files, config.zipf_shape))
+
+
+def _draw(config: ScenarioConfig, seed: int) -> np.ndarray:
+    """The (N, I) uniform rate scales drawn from ``seed``."""
+    return np.random.default_rng(seed).uniform(config.rate_low, config.rate_high,
+                                               size=(config.num_scbs, config.num_files))
+
+
+def _scenario(config: ScenarioConfig, draw: np.ndarray, pop: np.ndarray) -> Instance:
+    """The config's cell with SCBS rates ``draw`` scaled by the (I,) popularity ``pop``."""
     n, i = config.num_scbs, config.num_files
-    pop = zipf_weights(i, config.zipf_shape)
-    lam = rng.uniform(config.rate_low, config.rate_high, size=(n, i)) * pop[None, :]
-    demand = np.vstack([np.zeros((1, i)), lam])
-    return Instance(
-        num_scbs=n,
-        num_files=i,
-        cache_size=[config.cache_size] * n,
-        cost_backhaul=config.cost_backhaul,
-        cost_mbs_tx=config.cost_mbs_tx,
-        cost_scbs_tx=[config.cost_scbs] * n,
-        demand=demand,
-        deadline=config.deadline,
-    )
+    return Instance(n, i, [config.cache_size] * n, config.cost_backhaul, config.cost_mbs_tx,
+                    [config.cost_scbs] * n, np.vstack([np.zeros((1, i)), draw * pop[None, :]]),
+                    config.deadline)
 
 
 @dataclass(frozen=True)
@@ -122,33 +123,48 @@ def run_comparison(
     The two popularity schemes share a placement and differ only in the
     delivery metric.  MAC-MT's placement is ``greedy_macp``'s, improved by
     ``local_search``.  With ``sim_config`` set, each scheme is additionally
-    simulated in its own delivery mode.  ``sweep`` gives each point the
-    same results, with MAC-MT's placements solved in batches.
+    simulated in its own delivery mode.  This is ``sweep``'s comparison of
+    one instance, whose placements and analytic costs are batches.
     """
     multicast_aware = local_search(instance, greedy_macp_batch([instance])[0])
-    return _compare(instance, multicast_aware, sim_config)
+    return _comparisons([instance], [multicast_aware], [sim_config])[0]
 
 
-def _compare(
-    instance: Instance, multicast_aware: CachingPolicy, sim_config: SimConfig | None
-) -> list[SchemeResult]:
-    """``run_comparison`` with MAC-MT's placement given."""
-    popularity = popularity_placement(instance)
-    plan = (
-        ("PAC-UT", popularity, cost_unicast),
-        ("PAC-MT", popularity, cost_closed_form),
-        ("MAC-MT", multicast_aware, cost_closed_form),
-    )
+# Instances per stacked array of ``_comparisons``: max(1, _COMPARE_VALUES // (N * I)).
+_COMPARE_VALUES = 1 << 14
+
+
+def _comparisons(instances, multicast_aware, sim_configs) -> list[list[SchemeResult]]:
+    """``run_comparison`` of instances of one shape, MAC-MT's placements and sim configs given.
+
+    Placements and analytic costs are stacked over chunks of instances, each
+    its per-instance function's bit for bit: every step is elementwise or
+    sums one instance's axis.  Simulations run one instance at a time.
+    """
+    width = max(1, _COMPARE_VALUES // (instances[0].num_scbs * instances[0].num_files))
     results = []
-    for scheme, policy, evaluator in plan:
-        analytic = evaluator(instance, policy).total
-        sim_cost = sim_stderr = None
-        if sim_config is not None:
-            mode = "unicast" if scheme == "PAC-UT" else "multicast"
-            report = simulate(instance, policy, dataclasses.replace(sim_config, mode=mode))
-            sim_cost = report.mean_cost_per_period
-            sim_stderr = report.std_error
-        results.append(SchemeResult(scheme, policy, analytic, sim_cost, sim_stderr))
+    for start in range(0, len(instances), width):
+        chunk = instances[start:start + width]
+        c_mbs, rate_mbs, rate, local_cost = _stacked_rates(chunk)
+        popular = _popular(np.array([x.demand[1:] for x in chunk]),
+                           np.array([x.cache_size for x in chunk]))
+        aware = np.array([p.placement for p in multicast_aware[start:start + width]], dtype=bool)
+        terms = [_unicast_split(c_mbs[:, None], rate_mbs, rate,
+                                np.array([x.cost_scbs_tx for x in chunk]), popular)[0]]
+        terms += [_file_terms(c_mbs[:, None], *_cached_split(rate_mbs, rate, local_cost, placed))
+                  for placed in (popular, aware)]
+        for k, costs in enumerate(zip(*(t.sum(axis=1).tolist() for t in terms)), start):
+            popularity = CachingPolicy(popular[k - start])
+            results.append([])
+            for scheme, policy, analytic in zip(
+                    SCHEMES, (popularity, popularity, multicast_aware[k]), costs):
+                sim_cost = sim_stderr = None
+                if sim_configs[k] is not None:
+                    mode = "unicast" if scheme == "PAC-UT" else "multicast"
+                    report = simulate(instances[k], policy,
+                                      dataclasses.replace(sim_configs[k], mode=mode))
+                    sim_cost, sim_stderr = report.mean_cost_per_period, report.std_error
+                results[-1].append(SchemeResult(scheme, policy, analytic, sim_cost, sim_stderr))
     return results
 
 
@@ -210,10 +226,10 @@ def sweep(
     axis value, so points along the axis are directly comparable.  Rows
     are emitted deterministically given the master seed.
 
-    Every point's rows equal ``run_comparison`` on that point's instance.
-    The points all have the config's shape, so MAC-MT's placements of the
-    whole axis come from one ``greedy_macp_batch`` and one
-    ``local_search_batch`` over every replication and value.
+    Every point's rows equal ``run_comparison`` on its instance, built
+    from its replication's one rate draw.  The points share the config's
+    shape, so the whole axis is one ``greedy_macp_batch``, one
+    ``local_search_batch`` and one stacked scheme comparison.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -229,22 +245,20 @@ def sweep(
         values = [int(v) for v in values]
 
     rep_seeds = _replication_seeds(config.seed, replications)
+    draws = [_draw(config, seed) for seed in rep_seeds]
+    configs = [dataclasses.replace(config, **{axis: value}) for value in values]
+    pops = [zipf_weights(cfg.num_files, cfg.zipf_shape) for cfg in configs]
     points = [(rep, vi, value) for rep in range(replications) for vi, value in enumerate(values)]
-    instances = [
-        generate_scenario(dataclasses.replace(config, **{axis: value}, seed=rep_seeds[rep]))
-        for rep, _, value in points
-    ]
+    instances = [_scenario(configs[vi], draws[rep], pops[vi]) for rep, vi, _ in points]
     placements = local_search_batch(instances, greedy_macp_batch(instances))
-    rows: list[SweepRow] = []
-    for (rep, vi, value), instance, placement in zip(points, instances, placements):
-        sim_cfg = None if sim_config is None else dataclasses.replace(sim_config, seed=int(
-            np.random.SeedSequence([rep_seeds[rep], vi]).generate_state(1, np.uint64)[0]))
-        rows.extend(
-            SweepRow(axis, value, res.scheme, res.analytic_cost, res.sim_cost,
-                     res.sim_stderr, rep, rep_seeds[rep])
-            for res in _compare(instance, placement, sim_cfg)
-        )
-    return SweepResult(axis=axis, values=tuple(values), replications=replications, rows=tuple(rows))
+    sim_configs = [None if sim_config is None else dataclasses.replace(sim_config, seed=int(
+        np.random.SeedSequence([rep_seeds[rep], vi]).generate_state(1, np.uint64)[0]))
+        for rep, vi, _ in points]
+    results = zip(points, _comparisons(instances, placements, sim_configs))
+    rows = tuple(SweepRow(axis, value, res.scheme, res.analytic_cost, res.sim_cost, res.sim_stderr,
+                          rep, rep_seeds[rep])
+                 for (rep, _, value), point in results for res in point)
+    return SweepResult(axis=axis, values=tuple(values), replications=replications, rows=rows)
 
 
 def sweep_csv(result: SweepResult) -> str:

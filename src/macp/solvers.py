@@ -299,12 +299,18 @@ def popularity_placement(instance: Instance) -> CachingPolicy:
     """Each SCBS independently caches its locally most demanded files.
 
     Ranks files by the SCBS's own request rate, ties broken by the smaller
-    file index, and fills the cache with the top entries.
+    file index, and fills the cache with the top entries (``_popular``).
     """
-    # a stable sort keeps equal rates in file order
-    order = np.argsort(-instance.demand[1:], axis=1, kind="stable")
-    rank = order.argsort(axis=1)
-    return CachingPolicy(rank < instance.cache_size[:, None])
+    return CachingPolicy(_popular(instance.demand[1:], instance.cache_size))
+
+
+def _popular(demand, sizes) -> np.ndarray:
+    """``popularity_placement``'s cached sets of (..., N, I) demand and (..., N) cache sizes."""
+    # a stable sort keeps equal rates in file order; one scatter marks the top entries
+    order = np.argsort(-demand, axis=-1, kind="stable")
+    cached = np.empty(demand.shape, dtype=bool)
+    np.put_along_axis(cached, order, np.arange(demand.shape[-1]) < sizes[..., None], axis=-1)
+    return cached
 
 
 def local_search(instance: Instance, policy: CachingPolicy) -> CachingPolicy:

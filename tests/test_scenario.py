@@ -5,12 +5,20 @@ import math
 import numpy as np
 import pytest
 
+import macp.scenario as scenario_module
 from macp import (
+    SCHEMES,
+    Instance,
     ScenarioConfig,
     SimConfig,
     cost_closed_form,
+    cost_unicast,
     generate_scenario,
+    greedy_macp,
+    local_search,
+    popularity_placement,
     run_comparison,
+    simulate,
     sweep,
     sweep_csv,
     zipf_weights,
@@ -19,9 +27,11 @@ from macp.scenario import (
     SWEEP_CSV_COLUMNS,
     SweepResult,
     SweepRow,
+    _comparisons,
     _replication_seeds,
     cost_reduction_summary,
 )
+from helpers import random_policy, reference_popularity_placement
 
 
 # sha256 of numpy's expm1 on the probe grid of ``test_csv_bytes_are_pinned``,
@@ -172,6 +182,69 @@ class TestRunComparison:
             assert abs(r.sim_cost - r.analytic_cost) <= 5 * r.sim_stderr + 1e-4
 
 
+def _mixed_batch() -> list[Instance]:
+    """Instances of one shape whose stacked comparison meets every edge case at once."""
+    rng = np.random.default_rng(71)
+    n, i = 4, 12
+    rates = rng.uniform(0.0, 2.0, (n + 1, i))
+
+    def cell(demand, deadline=1.0, sizes=(3, 3, 3, 3), costs=(0.0,) * 4, backhaul=1.0, mbs=1.0):
+        return Instance(n, i, list(sizes), backhaul, mbs, list(costs), demand, deadline)
+
+    return [
+        cell(rates, sizes=(0, 5, 0, 20)),  # no cache at two SCBSs, one above num_files
+        cell(rng.integers(0, 3, (n + 1, i)) * 0.5, sizes=(4, 2, 7, 1)),  # exact ties
+        cell(rates, 2.5, costs=(0.1, 0.9, 0.0, 0.4), backhaul=0.3),  # unequal SCBS costs
+        cell(rates * 1e-300, sizes=(1, 2, 3, 4)),  # lambda * d near 1e-300
+        # lambda * d summed over the areas near 1e307, costs small enough for a finite total
+        cell(rates * 1e306, 1.2, costs=(1e-3, 0.0, 2e-3, 0.0), backhaul=1e-2, mbs=1e-2),
+        cell(np.zeros((n + 1, i)), sizes=(12, 0, 1, 6)),  # every rate tied at zero
+    ]
+
+
+class TestStackedComparison:
+    @pytest.mark.parametrize("chunk", [None, 2], ids=["one-chunk", "chunks-of-2"])
+    def test_equals_per_instance_functions_bit_for_bit(self, monkeypatch, chunk):
+        batch = _mixed_batch()
+        if chunk is not None:
+            monkeypatch.setattr(scenario_module, "_COMPARE_VALUES", chunk * 4 * 12)
+        rng = np.random.default_rng(5)
+        aware = [random_policy(rng, inst) for inst in batch]
+        stacked = _comparisons(batch, aware, [None] * len(batch))
+        assert len(stacked) == len(batch)
+        for inst, mac, results in zip(batch, aware, stacked):
+            popular = popularity_placement(inst)
+            assert np.array_equal(popular.placement, reference_popularity_placement(inst).placement)
+            assert [r.scheme for r in results] == list(SCHEMES)
+            assert all(np.array_equal(r.policy.placement, popular.placement) for r in results[:2])
+            assert results[2].policy is mac
+            want = (cost_unicast(inst, popular).total, cost_closed_form(inst, popular).total,
+                    cost_closed_form(inst, mac).total)
+            got = tuple(r.analytic_cost for r in results)
+            assert all(type(x) is float for x in got)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+            assert all(r.sim_cost is None and r.sim_stderr is None for r in results)
+
+    def test_unicast_overflow_raises_through_sweep_and_run_comparison(self):
+        # every cost and rate is finite, and so is the multicast objective;
+        # the unicast total of the middle deadline overflows
+        cfg = ScenarioConfig(num_scbs=3, num_files=8, cache_size=2, cost_backhaul=1e300,
+                             cost_mbs_tx=1e300, seed=5)
+        wide = generate_scenario(dataclasses.replace(cfg, deadline=1e10))
+        with pytest.raises(ValueError, match="^the expected unicast cost is not finite$"):
+            cost_unicast(wide, popularity_placement(wide))
+        rates = np.random.default_rng(7).uniform(1.0, 2.0, (5, 12)) * 1e200
+        huge = Instance(4, 12, [3] * 4, 1e200, 1e200, [1e200] * 4, rates, 1.0)
+        for batch in ([wide], _mixed_batch()[:2] + [huge] + _mixed_batch()[2:]):
+            with pytest.raises(ValueError, match="^the expected unicast cost is not finite$"):
+                _comparisons(batch, [popularity_placement(x) for x in batch], [None] * len(batch))
+        with pytest.raises(ValueError, match="^the expected unicast cost is not finite$"):
+            sweep(cfg, "deadline", [1.0, 1e10, 2.0])
+        with pytest.raises(ValueError, match="^the expected unicast cost is not finite$"):
+            run_comparison(wide)
+        assert np.isfinite([r.analytic_cost for r in run_comparison(generate_scenario(cfg))]).all()
+
+
 class TestSweep:
     def test_rejects_bad_axis_and_values(self):
         cfg = ScenarioConfig(num_scbs=3, num_files=10)
@@ -218,22 +291,59 @@ class TestSweep:
         ("deadline", [2.0, 0.5], None),
     ])
     def test_csv_equals_per_point_comparison(self, axis, values, sim):
-        # a sweep solves MAC-MT's placements of all its points in batches
-        # (cache sizes unsorted, repeated, zero or above num_files); every
-        # point's rows, and so the CSV bytes, are still run_comparison's
+        # a sweep solves MAC-MT's placements and computes every scheme's
+        # costs of all its points in batches (cache sizes unsorted, repeated,
+        # zero or above num_files); every point's rows, and so the CSV bytes,
+        # are still those of the per-instance solvers, evaluators and simulator
         cfg = ScenarioConfig(num_scbs=6, num_files=40, seed=61)
         rows = []
         for rep, seed in enumerate(_replication_seeds(cfg.seed, 2)):
             for vi, value in enumerate(values):
                 inst = generate_scenario(dataclasses.replace(cfg, **{axis: value}, seed=seed))
-                sim_cfg = None
-                if sim is not None:
-                    sim_seed = np.random.SeedSequence([seed, vi]).generate_state(1, np.uint64)[0]
-                    sim_cfg = dataclasses.replace(sim, seed=int(sim_seed))
-                rows += [SweepRow(axis, value, r.scheme, r.analytic_cost, r.sim_cost,
-                                  r.sim_stderr, rep, seed) for r in run_comparison(inst, sim_cfg)]
+                popular = popularity_placement(inst)
+                plan = (("PAC-UT", popular, cost_unicast), ("PAC-MT", popular, cost_closed_form),
+                        ("MAC-MT", local_search(inst, greedy_macp(inst).policy), cost_closed_form))
+                for scheme, policy, evaluator in plan:
+                    sim_cost = sim_stderr = None
+                    if sim is not None:
+                        sim_seed = np.random.SeedSequence([seed, vi]).generate_state(1, np.uint64)[0]
+                        mode = "unicast" if scheme == "PAC-UT" else "multicast"
+                        report = simulate(inst, policy,
+                                          dataclasses.replace(sim, seed=int(sim_seed), mode=mode))
+                        sim_cost, sim_stderr = report.mean_cost_per_period, report.std_error
+                    rows.append(SweepRow(axis, value, scheme, evaluator(inst, policy).total,
+                                         sim_cost, sim_stderr, rep, seed))
         want = sweep_csv(SweepResult(axis, tuple(values), 2, tuple(rows)))
         assert sweep_csv(sweep(cfg, axis, values, replications=2, sim_config=sim)) == want
+
+    @pytest.mark.parametrize("axis, values", [
+        ("cache_size", [0, 3, 30]),
+        ("zipf_shape", [0.0, 0.8, 1.6]),
+        ("deadline", [0.5, 4.0]),
+    ])
+    def test_sweep_instances_equal_generate_scenario(self, monkeypatch, axis, values):
+        # a sweep draws each replication's rates once and builds all its points from them
+        built = []
+        compare = scenario_module._comparisons
+
+        def spy(instances, *args):
+            built.extend(instances)
+            return compare(instances, *args)
+
+        monkeypatch.setattr(scenario_module, "_comparisons", spy)
+        cfg = ScenarioConfig(num_scbs=4, num_files=15, cache_size=5, deadline=3.0,
+                             cost_backhaul=0.7, cost_mbs_tx=1.3, cost_scbs=0.2, seed=83)
+        sweep(cfg, axis, values, replications=2)
+        want = [generate_scenario(dataclasses.replace(cfg, **{axis: value}, seed=seed))
+                for seed in _replication_seeds(cfg.seed, 2) for value in values]
+        assert len(built) == len(want)
+        for got, expect in zip(built, want):
+            for field in dataclasses.fields(Instance):
+                a, b = getattr(got, field.name), getattr(expect, field.name)
+                if isinstance(b, np.ndarray):
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+                else:
+                    assert (type(a), a) == (type(b), b), field.name
 
     def test_csv_bytes_are_pinned(self):
         # The CSV bytes of a small config on all three axes, one of them
