@@ -5,9 +5,10 @@ placement until every cache is full) and ``local_search`` improves a given
 placement by swaps and coverage completions.  Each is the batch of one of
 ``greedy_macp_batch`` or ``local_search_batch``, which solve many instances
 of one shape in lockstep numpy steps, the greedy's steps each committing a
-verified run of one file, the search's each scoring again only the columns
-its last move changed.  Members that differ only in nested cache sizes
-follow one lockstep row of the greedy until they fill a row of their own.
+chain of verified runs, each run of one file, the search's each scoring
+again only the columns its last move changed.  Members that differ only in
+nested cache sizes follow one lockstep row of the greedy until they fill a
+row of their own.
 ``popularity_placement`` is the conventional per-SCBS top-k baseline, and
 ``exact_optimal`` exhaustively enumerates feasible placements as an
 optimality oracle for tiny instances.
@@ -77,35 +78,55 @@ def greedy_macp(instance: Instance) -> SolverReport:
 # max(1, _START_VALUES // (N * I)) leaders, 5 at (14, 100).
 _START_VALUES = 1 << 13
 
+# The most runs a greedy step chains per lockstep row, and the values per
+# (cells, rows, chain, states) array of a step: a wide step chains fewer runs,
+# max(1, _STEP_VALUES // (rows * N * (N + 1))) at most, 2 for 40 rows of
+# (14, 100).  Chains of 5 took the fewest steps per ``paper-sweep`` axis for
+# their cost; longer chains on wide steps raised its peak memory.
+_CHAIN, _STEP_VALUES = 5, 3 << 13
+
 
 def greedy_macp_batch(instances) -> list[CachingPolicy]:
     """``greedy_macp``'s placements of instances of one shape, solved in lockstep.
 
     The greedy commits in runs of one file: caching a file at one SCBS pays
-    mostly once every SCBS has it.  Each step makes, for every lockstep row
-    with cache room left, the global pick under ``greedy_macp``'s tie rule,
-    file f at SCBS n, then f's other open cells in the order of their gains
-    now for as long as it can verify that the stepwise greedy takes them.
-    The N states "first t + 1 cells committed" are scored at once, f's sums
-    added SCBS by SCBS as ``_cached_split`` adds them, so their gains are
-    the stepwise greedy's.  The next cell is committed while it is state
-    t's first cell within the tie limit under a lower and an upper bound of
-    the state's objective, and every other file's best gain at the step
-    start lies above that limit (those gains only rise while f runs, to inf
-    where a row fills); a failed check leaves the pick to the next step.
+    mostly once every SCBS has it.  Each step commits, for every lockstep
+    row with cache room left, a chain of up to ``_CHAIN`` runs (fewer on a
+    wide step, see ``_STEP_VALUES``), those of the files with the smallest
+    best gains at the step start, in that order.  A run is its file's pick,
+    its first cell within the tie limit, then its other open cells in the
+    order of their gains now.  The N + 1 states "first s cells committed"
+    of every run are scored at once, each file's sums added SCBS by SCBS as
+    ``_cached_split`` adds them, so their gains are the stepwise greedy's.
 
-    The start is O(N * I) work per row; a step is O(I + N^2) per row, and
-    O(N * I) more for a row that scans a tie or fills a cache.  A step of
-    45 distinct rows costs about four times a step of one, so the batch
-    pays off by its width and by the runs' length.
+    A run goes on from a state while its next cell is within the tie limit
+    under a lower bound of the objective, no cell before it is within the
+    limit under an upper bound, and every other file's best gain lies above
+    that limit: the later files' at the step start, the chain's earlier
+    files' after their runs.  The chain's first pick is the step's global
+    pick under ``greedy_macp``'s tie rule; a later run's pick must pass the
+    same check from its state 0.  So a chain ends at a pick that another
+    file's best undercuts or ties, after a run that fills a row of the
+    lockstep row's leader or of a follower (a full row changes gains), after
+    a pick that needed a tie scan, and at its length; what it leaves is the
+    next step's global pick, so the placements are the stepwise greedy's.
+
+    The start is O(N * I) work per row.  A step is O(I) per row to choose
+    its chain, O(k * N^2) per row for the states of its k runs, and O(N * I)
+    more for a row that scans a tie or fills a cache.  Its cost grows with
+    its width: about 0.26, 0.38, 0.72 and 1.03 ms at 1, 5, 15 and 45
+    distinct members of (14, 100, 20), with chains of 5, 5, 5 and 2 runs,
+    so the batch pays off by its width, by the runs' length and by how many
+    runs a chain verifies.
 
     Members that differ only in nested cache sizes share a row (see
     ``_leaders``): a cache size enters the greedy only through which rows
     are full, so a follower makes its leader's commits until one of them
-    fills a row of its own.  The rest of that step's run is still its
-    stepwise prefix, since the run's other cells lie in rows still open and
-    the other files' gains only rise; the follower then takes a copy of the
-    leader's state, its full rows out, as a row of its own.
+    fills a row of its own.  The rest of that run is still its stepwise
+    prefix, since the run's other cells lie in rows still open and the
+    other files' gains only rise, and the chain ends with it; the follower
+    then takes a copy of the leader's state, its full rows out, as a row of
+    its own.
 
     Returns the placements in input order (none for no instances).  Raises
     ValueError unless every instance has the same ``num_scbs`` and
@@ -118,8 +139,14 @@ def _greedy_runs(instances, trace=None):
     """``greedy_macp_batch``'s cached sets, as a (B, I, N) bool array, and a count.
 
     With ``trace``, a list, the batch is of one instance: the list gets its
-    ``SolverReport.trace`` entries and the count is its ``evaluations``.
-    Otherwise nothing is recorded and the count is 0.
+    ``SolverReport.trace`` entries, replayed from the chain's runs in commit
+    order, and the count is its ``evaluations``.  Otherwise nothing is
+    recorded and the count is 0.
+
+    A step's tie limits take the objective between two bounds that hold at
+    every state of its chain: the step's total with the chain files' terms
+    at 0 and at their largest over the states, widened by the rounding of
+    the sums.
     """
     if not instances:
         return [], 0
@@ -130,10 +157,10 @@ def _greedy_runs(instances, trace=None):
     left = np.array([inst.cache_size for inst in instances])
     lead = _leaders(instances, left)
     rows = np.flatnonzero(lead == np.arange(b))
-    # the objective inputs are held per leader, read by each member through its leader
+    # the objective inputs are held per leader, read by each member through its leader;
+    # pair[:, 0] and pair[:, 1] are the SCBS rates and local costs, cells first
     g, source = rows.size, rows.searchsorted(lead)
-    c_mbs, rate_mbs = np.empty(g), np.empty((g, i))
-    rate, local_cost = np.empty((g, i, n)), np.empty((g, i, n))
+    c_mbs, rate_mbs, pair = np.empty(g), np.empty((g, i)), np.empty((n, 2, g, i))
     # a follower's state is its leader's until it takes a copy of its own
     terms, gain, best, total = np.empty((b, i)), np.empty((b, n, i)), np.empty((b, i)), np.empty(b)
     # the leaders' starts a few at a time: stacked temporaries of a whole sweep
@@ -141,80 +168,129 @@ def _greedy_runs(instances, trace=None):
     width = max(1, _START_VALUES // (n * i))
     for s in range(0, g, width):
         part = rows[s:s + width]
-        (c_mbs[s:s + width], rate_mbs[s:s + width], rate[s:s + width], local_cost[s:s + width],
+        (c_mbs[s:s + width], rate_mbs[s:s + width], rate, local_cost,
          terms[part], start) = _greedy_start([instances[k] for k in part.tolist()])
-        gain[part] = start.transpose(0, 2, 1)
+        pair[:, 0, s:s + width], pair[:, 1, s:s + width] = rate.swapaxes(0, 1), local_cost.swapaxes(0, 1)
+        gain[part] = start
     best[rows], total[rows] = gain[rows].min(axis=1), terms[rows].sum(axis=1)
     evaluations = 0 if trace is None else int(np.count_nonzero(gain < np.inf))
     cached = np.zeros((b, i, n), dtype=bool)
-    states, files = np.arange(n), np.arange(i)
-    # Adding I non-negative terms in any order errs by at most (I - 1) * 2**-53
-    # of their sum: with rounding, a state's total is within this share of the
-    # step's total plus the state's term of the sum with f's term replaced.
-    slack = (i + 2) * 2.0 ** -51
+    states, files = np.arange(n + 1), np.arange(i)
+    cells, lines = states[:n, None, None], np.arange(b)
+    # a cell's rate is summed outside the cached set, its cost inside
+    inside = np.array([False, True])[:, None, None, None]
+    gain_t, cached_t = gain.transpose(1, 0, 2), cached.transpose(2, 0, 1)
 
     live = rows[left[rows].any(axis=1)]
     attached = np.flatnonzero(lead != np.arange(b))
+    # each leader's slots beyond its followers' fewest at each SCBS: the same
+    # while they make the same commits
+    short = np.zeros_like(left)
+    np.maximum.at(short, lead[attached], left[lead[attached]] - left[attached])
     while live.size:
-        at, src = np.arange(live.size), source[live]
-        best_now = best[live]
-        file = best_now.argmin(axis=1)
-        # every file term is non-negative, so |objective| is the objective
-        limit = best_now[at, file] + 1e-12 * np.maximum(total[live], 1.0)
-        within = best_now <= limit[:, None]
-        column = gain[live, :, file]
-        if np.count_nonzero(within) == live.size:
-            row = (column <= limit[:, None]).argmax(axis=1)
-        else:
-            # several files within the limit: the smallest row, then file
-            first = (gain[live] <= limit[:, None, None]).argmax(axis=1)
+        at, src = lines[:live.size], source[live]
+        # a chain of up to k files
+        k = min(_CHAIN, i, max(1, _STEP_VALUES // (live.size * n * (n + 1))))
+        members = np.arange(k)
+        # Adding I non-negative terms in any order errs by at most (I - 1) * 2**-53
+        # of their sum: with rounding, a total after the chain's commits is within
+        # this share of the step's total plus the chain files' largest terms of
+        # the step's total with those terms replaced, a few float operations included.
+        slack = (i + 2 + 2 * k) * 2.0 ** -51
+        best_now, start = best[live], total[live]
+        # the chain: the k files with the smallest bests in order, each one's
+        # next best (of the files after it), and its pick, its first cell
+        # within the limit; every file term is non-negative, so |objective|
+        # is the objective.  Sorts are stable: a process's first ``argpartition``
+        # or default-kind sort loads numpy code that raised its peak memory.
+        near = best_now.argsort(axis=1, kind="stable")[:, :k + 1]
+        chain, value = near[:, :k], best_now[at[:, None], near]
+        nxt = value[:, 1:] if k < i else np.concatenate([value[:, 1:], np.full((live.size, 1), np.inf)], axis=1)
+        limit = value[:, :k] + 1e-12 * np.maximum(start, 1.0)[:, None]
+        column = gain_t[:, live[:, None], chain]
+        pick = (column <= limit).argmax(axis=0)
+        tied = nxt[:, 0] <= limit[:, 0]
+        if tied.any():
+            # several files within the limit: the smallest row, then file, is
+            # the chain's only run
+            within = best_now <= limit[:, :1]
+            first = (gain[live] <= limit[:, :1, None]).argmax(axis=1)
             row, file = np.divmod(np.where(within, first * i + files, n * i).min(axis=1), i)
-            column = gain[live, :, file]
-        best_now[at, file] = np.inf
-        others = best_now.min(axis=1)
-        # The run: the pick, then the file's other open cells by their gains
-        # now.  State t, on the last axis, has the first t + 1 committed.
-        order = np.where(states == row[:, None], -np.inf, column).argsort(axis=1, kind="stable")
-        rank = np.empty_like(order)
-        rank[at[:, None], order] = states
-        committed = rank[..., None] <= states
+            nxt = nxt.copy()
+            nxt[:, 0] = np.where(file == chain[:, 0], nxt[:, 0], value[:, 0])
+            nxt[tied, 1:] = -np.inf
+            pick[:, 0], chain[:, 0], column[..., 0] = row, file, gain[live, :, file].T
+        # The runs: each pick, then the file's other open cells by their gains
+        # now.  On (cells, rows, chain, states) arrays, state s has the run's
+        # first s cells committed, so a sum or a minimum over cells is a row at a time.
+        order = np.where(cells == pick, -np.inf, column).argsort(axis=0, kind="stable")
+        rank = order.argsort(axis=0, kind="stable")
+        on = np.where(cached_t[:, live[:, None], chain], -1, rank)[..., None] < states
         # the file's sums SCBS by SCBS, as ``_cached_split`` adds them
-        on = committed | cached[live, file][..., None]
-        outside = np.where(on, 0.0, rate[src, file][..., None])
-        costs = local_cost[src, file][..., None]
-        rate_out = rate_mbs[src, file][:, None] + outside.cumsum(axis=1)[:, -1]
-        local = np.where(on, costs, 0.0).cumsum(axis=1)[:, -1]
-        c = c_mbs[src, None]
+        values = pair[:, :, src[:, None], chain]
+        both = np.where(on[:, None] == inside, values[..., None], 0.0)
+        rate_out, local = _scbs_sum(both.reshape(n, -1)).reshape(2, live.size, k, n + 1)
+        rate_out += rate_mbs[src[:, None], chain][..., None]
+        # each state's rate outside with each cell taken out of it; ``both`` goes before
+        # the scores' temporaries are made, as they set the peak memory
+        outside = rate_out - both[:, 0]
+        del both
+        c = c_mbs[src, None, None]
         term = _file_terms(c, rate_out, local)
-        scores = _file_terms(c[..., None], rate_out[:, None] - outside, local[:, None] + costs)
-        gains = np.where((column < np.inf)[..., None] & ~committed, scores - term[:, None], np.inf)
-        least = gains.min(axis=1)
-        # each state's tie limit under a lower and an upper bound of its total
-        start = total[live, None]
-        guess, margin = start - terms[live, file][:, None] + term, slack * (start + term)
-        low = least + 1e-12 * np.maximum(guess - margin, 1.0)
-        high = least + 1e-12 * np.maximum(guess + margin, 1.0)
-        # after state t, commit order[t + 1] while it is the stepwise pick
-        after = order[:, 1:]
-        keep = ((gains[at[:, None], after, states[:-1]] <= low[:, :-1])
-                & ((gains[..., :-1] <= high[:, None, :-1]).argmax(axis=1) == after)
-                & (others[:, None] > high[:, :-1]))
-        last = np.logical_and.accumulate(keep, axis=1).sum(axis=1)
+        gains = np.where(on | (column == np.inf)[..., None], np.inf,
+                         _file_terms(c, outside, local + values[:, 1, ..., None]) - term)
+        del outside
+        least = gains.min(axis=0)
+        # state s commits order[s] next, at this gain
+        ahead = order.transpose(1, 2, 0)
+        next_gain = gains[ahead, at[:, None, None], members[:, None], states[:n]]
+        # every total the chain can reach lies between the step's total with
+        # the chain files' terms at 0 and at their most over the states
+        base = start - terms[live[:, None], chain].sum(axis=1)
+        most = term.max(axis=2).sum(axis=1)
+        margin = slack * (start + most)
+        low = least[..., :n] + (1e-12 * np.maximum(base - margin, 1.0))[:, None, None]
+        high = least[..., :n] + (1e-12 * np.maximum(base + most + margin, 1.0))[:, None, None]
+        # A run goes on from state s while order[s] is the stepwise greedy's
+        # next commit: within the limit under the lower bound, no cell before
+        # it within the limit under the upper bound, and the other files'
+        # bests above that limit, the earlier runs' files' bests after their
+        # runs among them.  The first run's pick is the step's.
+        leading = ~((gains[..., :n] <= high) & (cells[..., None] < ahead)).any(axis=0)
+        keep = (next_gain <= low) & leading & (nxt[..., None] > high)
+        keep[:, 0, 0] = True
+        count = np.logical_and.accumulate(keep, axis=2).sum(axis=2)
+        # A run cut short by an earlier file's best leaves that best at most
+        # its next file's, so the next run's pick fails the check.
+        floor = np.minimum.accumulate(least[at[:, None], members, count], axis=1)[:, :-1]
+        count[:, 1:] = np.minimum(count[:, 1:], np.logical_and.accumulate(
+            high[:, 1:] < floor[..., None], axis=2).sum(axis=2))
+        # a run follows only runs that fill no row of the leader or of a follower
+        went = count > 0
+        room = left[live] - short[live]
+        if ((room > 0) & (room < k)).any():
+            run = rank.transpose(1, 2, 0) < count[..., None]
+            went &= ~(run & (run.cumsum(axis=1) == room[:, None])).any(axis=2)
+        count[:, 1:] *= np.logical_and.accumulate(went[:, :-1], axis=1)
+        run = rank.transpose(1, 2, 0) < count[..., None]
         if trace is not None:
-            # the one instance's run, commit by commit: its file takes each
+            # the one instance's runs, commit by commit: each file takes each
             # state's term, and each commit scores the column's cells left open
-            f, open_cells = int(file[0]), int(np.count_nonzero(column[0] < np.inf))
-            for t, r in enumerate(order[0, :last[0] + 1].tolist()):
-                terms[0, f] = term[0, t]
-                trace.append((len(trace) + 1, r + 1, f, float(terms[0].sum())))
-                evaluations += open_cells - t - 1
-        run = committed[at, :, last]
-        cached[live, file] |= run
+            for j in np.flatnonzero(count[0]).tolist():
+                f, open_cells = int(chain[0, j]), int(np.count_nonzero(column[:, 0, j] < np.inf))
+                for t, cell in enumerate(order[:count[0, j], 0, j].tolist()):
+                    terms[0, f] = term[0, j, t + 1]
+                    trace.append((len(trace) + 1, cell + 1, f, float(terms[0].sum())))
+                    evaluations += open_cells - t - 1
+        w, j = np.nonzero(count)
+        v, f, s = live[w], chain[w, j], count[w, j]
+        cached[v, f] |= run[w, j]
+        terms[v, f] = term[w, j, s]
+        gain[v, :, f], best[v, f] = gains[:, w, j, s].T, least[w, j, s]
+        run = run.sum(axis=1)
         left[live] -= run
-        terms[live, file] = term[at, last]
         total[live] = terms[live].sum(axis=1)
-        gain[live, :, file], best[live, file] = gains[at, :, last], least[at, last]
-        full = run & (left[live] == 0)
+        full = (run > 0) & (left[live] <= 0)
         moved = full.any()
         if moved:
             filled, filled_row = np.nonzero(full)
@@ -222,21 +298,23 @@ def _greedy_runs(instances, trace=None):
             filled = live[full.any(axis=1)]
             best[filled] = gain[filled].min(axis=1)
         if attached.size:
-            # each follower commits its leader's run; one that fills a row
-            # with it goes on from a copy of the leader's state, its full
+            # each follower commits its leader's runs; one that fills a row
+            # with them goes on from a copy of the leader's state, its full
             # rows out (the leader's full rows are among them)
             ahead = run[live.searchsorted(lead[attached])]
             left[attached] -= ahead
-            fills = (ahead & (left[attached] == 0)).any(axis=1)
+            fills = ((ahead > 0) & (left[attached] <= 0)).any(axis=1)
             if fills.any():
-                k, attached = attached[fills], attached[~fills]
-                was = lead[k]
-                cached[k], terms[k], total[k] = cached[was], terms[was], total[was]
-                gain[k] = np.where((left[k] == 0)[:, :, None], np.inf, gain[was])
-                best[k] = gain[k].min(axis=1)
-                live, moved = np.sort(np.concatenate([live, k])), True
+                split, attached = attached[fills], attached[~fills]
+                was = lead[split]
+                cached[split], terms[split], total[split] = cached[was], terms[was], total[was]
+                gain[split] = np.where((left[split] <= 0)[:, :, None], np.inf, gain[was])
+                best[split] = gain[split].min(axis=1)
+                live, moved = np.sort(np.concatenate([live, split])), True
+                short[was] = 0
+                np.maximum.at(short, lead[attached], left[lead[attached]] - left[attached])
         if moved:
-            live = live[left[live].any(axis=1)]
+            live = live[(left[live] > 0).any(axis=1)]
 
     return cached, evaluations
 
@@ -275,23 +353,21 @@ def _stacked_rates(instances):
 
 
 def _greedy_start(instances):
-    """The greedy's inputs and gains before its first commit, file-major.
+    """The greedy's inputs and gains before its first commit.
 
     For instances of one shape, returns ``(c_mbs, rate_mbs, rate,
     local_cost, terms, gain)``, each stacked on a first axis: the
-    ``_area_rates`` with ``rate`` and ``local_cost`` as (I, N) arrays, so a
-    file's column is one contiguous row; the file terms of the empty
-    placement; and ``gain[f, n]``, the objective's change when f is cached
-    at SCBS n, infinite where n has no cache.  All of it is elementwise work
-    and ``_scbs_sum``, so each instance's values are its own, bit for bit.
+    ``_area_rates``; the file terms of the empty placement; and ``gain[n,
+    f]``, the objective's change when f is cached at SCBS n, infinite where
+    n has no cache.  All of it is elementwise work and ``_scbs_sum``, so
+    each instance's values are its own, bit for bit.
     """
     c_mbs, rate_mbs, rate, local_cost = _stacked_rates(instances)
     rate_out, local = _cached_split(rate_mbs, rate, local_cost, np.zeros(rate.shape, dtype=bool))
     terms = _file_terms(c_mbs[:, None], rate_out, local)
-    rate, local_cost = rate.transpose(0, 2, 1).copy(), local_cost.transpose(0, 2, 1).copy()
-    has_cache = np.array([inst.cache_size for inst in instances])[:, None, :] > 0
-    gain = np.where(has_cache, _file_terms(c_mbs[:, None, None], rate_out[..., None] - rate,
-                                           local_cost) - terms[..., None], np.inf)
+    has_cache = np.array([inst.cache_size for inst in instances])[..., None] > 0
+    gain = np.where(has_cache, _file_terms(c_mbs[:, None, None], rate_out[:, None] - rate, local_cost)
+                    - terms[:, None], np.inf)
     return c_mbs, rate_mbs, rate, local_cost, terms, gain
 
 
@@ -373,6 +449,10 @@ def local_search_batch(instances, policies) -> list[CachingPolicy]:
                                         policies[start:start + width])]
 
 
+# a cached cell's sign (index 1) and an uncached one's (index 0) in ``_search_chunk``
+_SIGN = np.array([-1.0, 1.0])
+
+
 def _least(values, where):
     """Index and value of the least entry on the last axis where ``where`` holds, or 0 and inf."""
     masked = np.where(where, values, np.inf)
@@ -398,7 +478,6 @@ def _search_chunk(instances, policies) -> list[CachingPolicy]:
     live = np.arange(len(instances))
     # (m, n) with m < n: an earlier SCBS in a group of drops
     earlier = np.triu(np.ones((rate.shape[1],) * 2, dtype=bool), 1)
-    rows = np.arange(rate.shape[1])
     done = [None] * len(instances)
     while True:
         # score the columns the last move changed, every column at first: a column's scores
@@ -407,16 +486,17 @@ def _search_chunk(instances, policies) -> list[CachingPolicy]:
         for k, f in (pairs[s:s + part].T for s in range(0, len(pairs), part)):
             rate_f, cost_f, cached_f = (a[k, :, f] for a in (rate, local_cost, cached))
             # the sign adds a cached cell's values back and takes an uncached one's out
-            sign = np.where(cached_f, 1.0, -1.0)
+            sign = _SIGN.take(cached_f.view(np.uint8))
             toggle[k, :, f] = _file_terms(c_mbs[k], rate_out[k, f, None] + rate_f * sign,
                                           local[k, f, None] - cost_f * sign) - terms[k, f, None]
             lacks_f = ~cached_f & has_cache[k]
             cover0[k, f] = _file_terms(c_mbs[k, 0], rate_bare[k, f], local[k, f] + _scbs_sum(
-                np.where(lacks_f, cost_f, 0.0).T)) - terms[k, f]
+                (cost_f * lacks_f).T)) - terms[k, f]
         at = np.arange(live.size)
         # cheapest slot to free per SCBS; a free slot costs nothing
         out, out_delta = _least(toggle, cached)
-        full = cached.sum(axis=2) >= sizes
+        # bytes counted in int32: the same counts as a bool sum, in less time
+        full = cached.view(np.uint8).sum(axis=2, dtype=np.int32) >= sizes
         use_free = ~full & ~(out_delta < 0.0)
         into, add_delta = _least(toggle, ~cached)
         swap = np.where(use_free, 0.0, out_delta) + add_delta
@@ -429,20 +509,27 @@ def _search_chunk(instances, policies) -> list[CachingPolicy]:
         first = dropper & ~(group & earlier).any(axis=1)
         dropping = lacks & full[..., None]
         # a group of one SCBS m changes out[m]'s term by out_delta[m] bit for bit (the same
-        # inputs, and a matmul with one non-zero product is exact); any other is scored at
-        # its first SCBS m, the j-th such of instance k, from its members' drops
-        alone = first & (group.sum(axis=1) == 1)
+        # inputs); any other is scored at its first SCBS m from its members' drops
+        size = group.sum(axis=1)
+        alone = first & (size == 1)
         k, m = np.nonzero(first & ~alone)
-        j = (first & ~alone).cumsum(axis=1)[k, m] - 1
-        weights = np.zeros((live.size, j.max(initial=-1) + 1, len(rows)), dtype=bool)
-        weights[k, j] = group[k, :, m]
-        ones = dropping.astype(np.float64)
-        rate_in, local_in = (np.matmul(weights * a[at[:, None], rows, out][:, None], ones)[k, j]
-                             for a in (rate, local_cost))
-        # free each (B, N, I) temporary before the next: they set the peak memory
-        del ones
-        shares = np.where(dropping & alone[..., None], out_delta[..., None], 0.0)
-        gone = out[k, m, None]
+        # the larger groups first, so the groups with a p-th member are a prefix
+        by = np.argsort(-size[k, m], kind="stable")
+        k, m = k[by], m[by]
+        gone, size = out[k, m, None], size[k, m]
+        # each group's members in SCBS order, their drops (non-negative, times 1 or 0, which
+        # is exact) added one after another, as ``_scbs_sum`` adds rows
+        place = np.argsort(~group[k, :, m], axis=1, kind="stable")[:, :size.max(initial=1)]
+        drops = np.array([a[k[:, None], place, gone] for a in (rate, local_cost)])[..., None]
+        took = dropping[k[:, None], place]
+        sums = drops[:, :, 0] * took[:, 0]
+        for p, g in enumerate((size > np.arange(1, place.shape[1])[:, None]).sum(axis=1).tolist(), 1):
+            sums[:, :g] += drops[:, :g, p] * took[:g, p]
+        rate_in, local_in = sums
+        # times 1 or 0 (out_delta is finite at a full SCBS with a cache): a product of 0
+        # may be -0.0, which changes a sum of shares only where it is 0, and cover0 plus
+        # 0.0 or -0.0 is cover0
+        shares = np.where(alone, out_delta, 0.0)[..., None] * dropping
         rate_in += rate_out[k[:, None], gone]
         np.subtract(local[k[:, None], gone], local_in, out=local_in)
         shares[k, m] = _file_terms(c_mbs[k], rate_in, local_in) - terms[k[:, None], gone]
@@ -468,7 +555,7 @@ def _search_chunk(instances, policies) -> list[CachingPolicy]:
         x[b[k], n, out[b[k], n]] = False
         k, n = np.nonzero(gaining)
         x[b[k], n, f[k]] = True
-        assert (x.sum(axis=2) <= sizes).all(), "a move overfilled a cache"
+        assert (x.view(np.uint8).sum(axis=2, dtype=np.int32) <= sizes).all(), "a move overfilled a cache"
 
         # the new placement's sums, added again only in the columns the move changed:
         # ``cumsum`` adds the SCBS rows in turn, so they are ``_cached_split``'s bits

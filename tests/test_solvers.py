@@ -370,6 +370,99 @@ class TestGreedyBatch:
             greedy_macp_batch([motivating_instance(), other])
 
 
+def _lockstep_steps(monkeypatch, batch) -> int:
+    """The lockstep steps ``greedy_macp_batch`` takes: each scores its chains in one 4-D call."""
+    calls = []
+    scored = solvers_module._file_terms
+
+    def counting(c_mbs, rate_out, local):
+        calls.append(np.ndim(rate_out) == 4)
+        return scored(c_mbs, rate_out, local)
+
+    with monkeypatch.context() as m:
+        m.setattr(solvers_module, "_file_terms", counting)
+        greedy_macp_batch(batch)
+    return sum(calls)
+
+
+class TestGreedyChains:
+    # A step commits a chain of up to ``_CHAIN`` runs per lockstep row, and a
+    # chain ends wherever the next run is not provably the stepwise greedy's.
+    # Each case is one way a chain ends; the placements, and for one instance
+    # the trace and evaluations, must be the stepwise greedy's.
+
+    def test_ends_where_a_run_fills_a_row_of_the_leader(self):
+        # file 0's run fills SCBS 1; then file 1's pick fills SCBS 2, where
+        # the next file in the chain, file 2, has its only open cell
+        inst = Instance(2, 3, [1, 2], 0.5, 0.5, [0.1, 0.1],
+                        [[0.25, 0.5, 0.25], [1.5, 0.25, 1.5], [0.75, 0.5, 0.75]], 1.0)
+        assert [entry[1:3] for entry in reference_greedy_macp(inst).trace] == [(1, 0), (2, 0), (2, 1)]
+        _assert_same_greedy(inst)
+
+    def test_ends_where_a_run_fills_a_row_of_a_follower(self):
+        # the follower's SCBS 2 fills in the first run of its leader's first
+        # chain, and the leader's next run would not be the follower's
+        fields = dict(num_scbs=2, num_files=3, cost_backhaul=0.5, cost_mbs_tx=0.5,
+                      cost_scbs_tx=[0.2, 0.1], deadline=1.0,
+                      demand=[[0.25, 0.0, 0.5], [0.5, 0.25, 0.5], [1.5, 0.5, 2.0]])
+        batch = [Instance(cache_size=[1, 3], **fields), Instance(cache_size=[1, 1], **fields)]
+        assert solvers_module._leaders(batch, np.array([[1, 3], [1, 1]])).tolist() == [0, 0]
+        for inst, policy in zip(batch, greedy_macp_batch(batch)):
+            assert np.array_equal(policy.placement, reference_greedy_macp(inst).policy.placement)
+
+    @pytest.mark.parametrize("inst, first", [
+        # Files 1 and 2 are mirrored, so after file 0's run their best gains
+        # are equal: the tie goes to file 2, whose best cell is at SCBS 1,
+        # though file 1 comes first in the chain.
+        (Instance(2, 3, [2, 2], 0.5, 0.5, [0.1, 0.1], [[0, 0, 0], [3, 0.5, 1.5], [0, 1.5, 0.5]],
+                  1.0), [(1, 0), (1, 2)]),
+        # files 0 and 1 are mirrored too, and tie at the step's own pick: the
+        # tie scan's run is the chain's only one
+        (Instance(2, 3, [3, 3], 0.5, 0.5, [0.1, 0.1],
+                  [[0.5, 0.5, 0.5], [0.75, 1.0, 2.0], [1.0, 0.75, 1.25]], 1.0), [(1, 1), (2, 1)]),
+    ], ids=["chained pick", "step's pick"])
+    def test_ends_where_a_pick_ties_another_file(self, inst, first):
+        assert [entry[1:3] for entry in reference_greedy_macp(inst).trace][:2] == first
+        _assert_same_greedy(inst)
+
+    @pytest.mark.parametrize("inst", [
+        # after file 0's run its best undercuts file 2's at the next pick
+        Instance(2, 3, [3, 3], 0.5, 0.5, [0.0, 0.2],
+                 [[0.0, 0.0, 0.5], [0.25, 1.5, 0.0], [0.75, 1.25, 0.25]], 1.0),
+        # in the first step's fourth run, an earlier file's best undercuts
+        # the run's after its first commit
+        Instance(3, 5, [4, 2, 4], 0.5, 0.5, [0.1, 0.1, 0.2],
+                 [[0.5, 0.25, 0.25, 0.0, 0.0], [0.5, 1.0, 0.5, 2.0, 1.75],
+                  [2.0, 2.0, 0.0, 1.0, 0.25], [0.5, 0.0, 1.5, 1.0, 0.25]], 1.0),
+    ], ids=["at the pick", "mid-run"])
+    def test_ends_where_an_earlier_files_best_undercuts(self, inst):
+        _assert_same_greedy(inst)
+
+    def test_reaches_its_length(self, monkeypatch):
+        # two more files than a chain has runs, each caching at both SCBSs in
+        # turn, so the first step's chain is full and a second step ends it
+        chain = solvers_module._CHAIN
+        demand = [[0.0] * (chain + 2)] + [[3.0 / (f + 1) for f in range(chain + 2)]] * 2
+        inst = Instance(2, chain + 2, [chain + 2] * 2, 0.5, 0.5, [0.1, 0.1], demand, 1.0)
+        files = [entry[2] for entry in reference_greedy_macp(inst).trace]
+        assert sorted(files[::2]) == list(range(chain + 2)) and files[::2] == files[1::2]
+        _assert_same_greedy(inst)
+        assert _lockstep_steps(monkeypatch, [inst]) == 2
+
+    def test_halves_the_steps_of_single_runs(self, monkeypatch):
+        # A guard against a step quietly going back to one run per row: a
+        # generated axis of six rows in at most half the steps it takes with
+        # one run per step (33 of them; chains of three to five runs take
+        # 10 to 13).
+        config = ScenarioConfig(num_scbs=8, num_files=60, cache_size=12, seed=3)
+        batch = [generate_scenario(dataclasses.replace(config, zipf_shape=z, seed=s))
+                 for s in (3, 4) for z in (0.4, 0.8, 1.2)]
+        chained = _lockstep_steps(monkeypatch, batch)
+        monkeypatch.setattr(solvers_module, "_CHAIN", 1)
+        single = _lockstep_steps(monkeypatch, batch)
+        assert chained <= single / 2, (chained, single)
+
+
 # sha256 of the greedy's (SCBS, file) commits and evaluation counts and of
 # MAC-MT's placements, on the instances below; recorded with numpy 2.4 on
 # x86-64, equal under the AVX-512 and the baseline expm1 kernel
@@ -730,6 +823,50 @@ class TestLocalSearch:
                     assert np.array_equal(policy.placement, want[k]), runs[k][0]
         for (inst, start), placement in zip(runs[::5], want[::5]):
             assert np.array_equal(local_search(inst, start).placement, placement), inst
+
+    def test_grouped_drops_add_in_scbs_order_in_any_batch(self, monkeypatch):
+        # Every SCBS caches only file 0, so completing any other file drops
+        # file 0 at all nine: one group per instance, scored from its rate
+        # and local-cost sums in one call.  Those sums are the same bits for
+        # an instance alone and among six, and equal its rates added one
+        # SCBS after another (a BLAS product gave other last bits here).
+        rng = np.random.default_rng(3)
+        n, i = 9, 4
+        batch = [Instance(n, i, [1] * n, 0.5, 0.5, rng.uniform(0.0, 0.3, size=n),
+                          rng.uniform(0.1, 2.0, size=(n + 1, i)), 1.0) for _ in range(6)]
+        start = CachingPolicy(np.eye(1, i, dtype=np.int8).repeat(n, axis=0))
+
+        def group_sums(instances):
+            seen = []
+            scored = solvers_module._file_terms
+
+            def recording(c_mbs, rate_out, local):
+                # the groups' sums: the first call over files after the toggles' over SCBSs
+                shape = np.shape(rate_out)
+                if len(shape) == 2 and shape[1] == n:
+                    seen.append(None)
+                elif len(shape) == 2 and shape[1] == i and seen and seen[-1] is None:
+                    seen.append((rate_out.copy(), local.copy()))
+                return scored(c_mbs, rate_out, local)
+
+            with monkeypatch.context() as m:
+                m.setattr(solvers_module, "_file_terms", recording)
+                local_search_batch(instances, [start] * len(instances))
+            return next(sums for sums in seen if sums is not None)
+
+        many = group_sums(batch)
+        assert many[0].shape == (6, i)
+        for j, inst in enumerate(batch):
+            alone = group_sums([inst])
+            assert np.array_equal(alone[0][0], many[0][j]) and np.array_equal(alone[1][0], many[1][j])
+            _, rate_mbs, rate, local_cost = _area_rates(inst)
+            rate_out, local = _cached_split(rate_mbs, rate, local_cost, start.placement.astype(bool))
+            drops, costs = 0.0, 0.0
+            for row in range(n):
+                drops, costs = drops + float(rate[row, 0]), costs + float(local_cost[row, 0])
+            # file 0 itself is cached at every member, which drops nothing for it
+            assert alone[0][0].tolist() == [0.0 + rate_out[0]] + [drops + rate_out[0]] * (i - 1)
+            assert alone[1][0].tolist() == [local[0] - 0.0] + [local[0] - costs] * (i - 1)
 
     def test_batch_matches_reference_through_grouped_drops_and_stops(self):
         # One batch, one chunk, from greedy and from random starts.  Some move
