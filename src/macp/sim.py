@@ -13,10 +13,15 @@ request.  Both modes draw only what their cost depends on:
   u < t, absent if u > t, and on a tie (about one pair in 256) present if
   a uniform double is below 256 p - t.  So P(present) is p to within
   2**-61 while most pairs cost one byte, not a 64-bit double;
-* unicast cost is linear in the request counts, so by the superposition of
-  independent Poisson processes it draws one count per period for the
-  macro class (area 0 and every uncached request) and one per SCBS (its
-  cached requests).
+* unicast cost is linear in the request counts, and a period's cost and
+  trace depend on the SCBSs only through sum(c_n k_n) and sum(k_n).  So by
+  the superposition of independent Poisson processes it draws one count per
+  period for the macro class (area 0 and every uncached request) and one
+  per SCBS cost class: the cached requests of every SCBS with that
+  ``cost_scbs_tx``, classes in the order of their first SCBS.  Drawing one
+  count per SCBS instead gave other unicast outputs for the same seed
+  where SCBSs share a cost (every generated scenario); where every SCBS's
+  cost is distinct, each class is one SCBS and the outputs are the same.
 
 Both modes seed ``default_rng(seed)``.  Unicast draws its Poisson counts
 from it; multicast takes its bytes from that generator's raw 64-bit PCG64
@@ -110,8 +115,10 @@ def simulate(
     requested file costs one backhaul-plus-macro transmission if the macro
     area or any SCBS that lacks the file requests it, else one transmission
     per requesting SCBS.  Unicast mode: draw the period's request count of
-    the macro class and of each SCBS, and charge every request
-    individually.  ``trace_path`` optionally writes a per-period CSV
+    the macro class and of each SCBS cost class (the SCBSs of one
+    ``cost_scbs_tx``), and charge every request individually; SCBSs that
+    share a cost therefore share one draw, so the unicast outputs of a seed
+    depend on which SCBSs do.  ``trace_path`` optionally writes a per-period CSV
     (period,cost,mbs_tx,scbs_tx,unicast_tx).
 
     Raises ValueError when a unicast run expects 2**62 requests or more
@@ -127,14 +134,22 @@ def simulate(
     rng = np.random.default_rng(config.seed)
     total = config.periods
     # a unicast period's int64 counts, or a multicast period's random bytes
-    # in whole 64-bit words, so a batch boundary never splits a word
+    # in whole 64-bit words, so a batch boundary never splits a word; unicast
+    # batches are sized for N + 1 counts a period even where SCBSs share a
+    # cost class, since larger batches of fewer counts raised the peak memory
     words = -(-lam.size // 8)
     period_bytes = 8 * (lam.shape[0] if config.mode == "unicast" else words)
     batch = max(1, min(total, _BATCH_BYTES // period_bytes))
     if config.mode == "unicast":
+        # SCBSs of one cost form a class, classes in the order of their first
+        # SCBS, each one's rate its members' cached rates added in SCBS order;
+        # with distinct costs every class is one SCBS and its rate that SCBS's
+        _, first, member = np.unique(c, return_index=True, return_inverse=True)
+        cls = np.argsort(first).argsort()[member]
+        c = c[np.sort(first)]
         rates = np.concatenate((
             [lam[0].sum() + lam[1:][~cached].sum()],
-            np.where(cached, lam[1:], 0.0).sum(axis=1),
+            np.bincount(cls, weights=np.where(cached, lam[1:], 0.0).sum(axis=1), minlength=c.size),
         ))
         expected = float(rates.sum()) * total  # a Python float: inf, not a warning
         if not expected < 2.0**62:
@@ -155,14 +170,18 @@ def simulate(
         pairs = p.size
         bits = rng.bit_generator
         refine = rng.spawn(1)[0]
-        # the SCBSs whose request makes the macro cell send the file
-        uncached = ~cached
+        # the SCBSs whose request makes the macro cell send the file, grouped
+        # by that row: a group's presence rows are ORed, then masked once
+        groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
+        for n, row in enumerate(~cached, 1):
+            groups.setdefault(row.tobytes(), (row, []))[1].append(n)
         # counts of at most I files, exact in the narrowest type that holds I
         count_type = np.min_scalar_type(instance.num_files)
         # one run's batch arrays, sliced to m periods on a ragged last batch
         here_all = np.empty((batch, pairs), dtype=bool)
         tie_all = np.empty((batch, pairs), dtype=bool)
         local_all = np.empty((batch,) + cached.shape, dtype=bool)
+        hit_all = np.empty((batch, instance.num_files), dtype=bool)
 
         def draw(m):
             u = bits.random_raw(m * words).view(np.uint8).reshape(m, 8 * words)[:, :pairs]
@@ -172,8 +191,13 @@ def simulate(
             np.put(here, tie, refine.random(tie.size) < frac[tie % pairs])
             here = here.reshape((m,) + lam.shape)
             triggered = here[:, 0].copy()
-            for n, row in enumerate(uncached, 1):
-                triggered |= here[:, n] & row
+            hit = hit_all[:m]
+            for row, areas in groups.values():
+                np.copyto(hit, here[:, areas[0]])
+                for n in areas[1:]:
+                    hit |= here[:, n]
+                hit &= row
+                triggered |= hit
             # untriggered files are requested at caching SCBSs only
             local = np.bitwise_and(here[:, 1:], ~triggered[:, None, :], out=local_all[:m])
             return (triggered.view(np.uint8).sum(axis=1, dtype=count_type),
@@ -191,12 +215,13 @@ def simulate(
         done = 0
         while done < total:
             m = min(batch, total - done)
-            mbs_counts, per_scbs, uni_counts = draw(m)
-            scbs_counts = per_scbs.sum(axis=1)
-            # a row-wise sum, not ``per_scbs @ c``: BLAS sums a row in an
+            # the local counts per SCBS (multicast) or per cost class (unicast)
+            mbs_counts, local_counts, uni_counts = draw(m)
+            scbs_counts = local_counts.sum(axis=1)
+            # a row-wise sum, not ``local_counts @ c``: BLAS sums a row in an
             # order that depends on its position in the batch
             with np.errstate(over="ignore"):
-                batch_costs = c_mbs * mbs_counts + (per_scbs * c).sum(axis=1)
+                batch_costs = c_mbs * mbs_counts + (local_counts * c).sum(axis=1)
             if not np.isfinite(batch_costs).all():
                 raise ValueError("a simulated period's cost overflows the float range")
 

@@ -40,9 +40,9 @@ from helpers import random_policy, reference_popularity_placement
 # kernel (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
 PINNED_SWEEPS = {
     "937d94ece7506bcc8bb30cce8b1245e8f526c0ad602cf76c13b127a95b5d38c7":
-        "a51dcda6c49161425912c02352b2096664d1ed682d55787fc3ef90c4e1d0759c",
+        "9029331aea23aa9ff2fa566d25ce92744ba653f3c15567bd38bb27138a0c0afe",
     "cef8d0fee8954d626ab2f16fa8dc9b6e23746a6f7e6ef4da85326635fe2719f7":
-        "a4abac684a0a309e263c5a08be70d540808c960417146d27509c50dbac4379b9",
+        "f5394c2f8483e3cef3c19c871acdf942aaa41b7121dcebb37579b9ef3ab7df73",
 }
 
 # The analytic costs of those sweeps in CSV row order, as the AVX-512 kernel
@@ -60,7 +60,7 @@ PINNED_ANALYTIC_COSTS = (
     19.964040982466333, 19.69931572591655, 137.6162579363878, 41.58617413275398,
     37.399677200217575,
 )
-PINNED_SWEEP_CELLS = "d684bf25a86e2d4f80008f2480197f13e6fc70d47ea65b7dcc07ac22f4ec4400"
+PINNED_SWEEP_CELLS = "352d5daa9b250a6b0ff5d18193c458ce01ce09f0e8884b3d50bec45fb2137261"
 
 
 class TestZipfWeights:

@@ -228,6 +228,55 @@ class TestEdgeCases:
         assert (tmp_path / "trace.csv").read_text() == "period,cost,mbs_tx,scbs_tx,unicast_tx\n"
 
 
+class TestCostClasses:
+    """Unicast mode draws one Poisson count per SCBS cost class, not per SCBS."""
+
+    @staticmethod
+    def _run(inst, pol, path):
+        return simulate(inst, pol, SimConfig(3000, "unicast", 17), trace_path=path), path.read_bytes()
+
+    def test_swapping_scbss_of_one_cost_keeps_the_stream(self, tmp_path):
+        # SCBSs 1 and 2 share a cost and cache as many files at different
+        # rates, with no demand outside their caches, so the swap moves no
+        # uncached rate of the macro sum: their class rate is a + b either
+        # way, which is b + a exactly
+        demand = [[0.3, 0.1, 0.0, 0.7, 0.2],
+                  [1.3, 0.0, 0.45, 0.0, 0.0],
+                  [0.0, 0.35, 0.0, 2.1, 0.0],
+                  [0.6, 0.25, 0.2, 0.8, 1.1]]
+        x = np.array([[1, 0, 1, 0, 0], [0, 1, 0, 1, 0], [0, 0, 1, 0, 1]])
+        inst = Instance(3, 5, [2, 2, 2], 0.5, 1.0, [0.3, 0.3, 0.1], demand, 0.8)
+        swapped = Instance(3, 5, [2, 2, 2], 0.5, 1.0, [0.3, 0.3, 0.1],
+                           [demand[0], demand[2], demand[1], demand[3]], 0.8)
+        a = self._run(inst, CachingPolicy(x), tmp_path / "a.csv")
+        b = self._run(swapped, CachingPolicy(x[[1, 0, 2]]), tmp_path / "b.csv")
+        assert a == b
+
+    @pytest.mark.parametrize("seed", [221, 222, 223])
+    def test_two_cost_classes_track_the_expected_cost(self, seed, tmp_path):
+        rng = np.random.default_rng(seed)
+        demand = rng.uniform(0.0, 2.0, size=(6, 4))
+        inst = Instance(5, 4, [1, 2, 1, 3, 2], 0.7, 0.9, [0.2, 0.5, 0.2, 0.5, 0.2], demand, 1.1)
+        pol = random_policy(rng, inst)
+        path = tmp_path / "trace.csv"
+        rep = simulate(inst, pol, SimConfig(20_000, "unicast", seed), trace_path=path)
+        assert abs(rep.mean_cost_per_period - cost_unicast(inst, pol).total) <= 4 * rep.std_error
+        table = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, usecols=(2, 3, 4))
+        assert table.shape == (20_000, 3)
+        assert (table[:, 0] + table[:, 1] == table[:, 2]).all()
+
+    def test_one_class_of_three_scbss_is_one_scbs_of_their_summed_rate(self, tmp_path):
+        # each SCBS caches one file and requests nothing else, so its cached
+        # rate is its one rate, and the class adds them in SCBS order
+        r = [0.3, 1.7, 0.45]
+        many = Instance(3, 3, [1, 1, 1], 0.5, 1.0, [0.25] * 3,
+                        [[0.6, 0.2, 0.9], [r[0], 0, 0], [0, r[1], 0], [0, 0, r[2]]], 1.0)
+        one = Instance(1, 3, [1], 0.5, 1.0, [0.25], [[0.6, 0.2, 0.9], [r[0] + r[1] + r[2], 0, 0]], 1.0)
+        a = self._run(many, CachingPolicy(np.eye(3, dtype=int)), tmp_path / "many.csv")
+        b = self._run(one, CachingPolicy([[1, 0, 0]]), tmp_path / "one.csv")
+        assert a == b
+
+
 class TestCounters:
     def test_multicast_at_most_one_macro_tx_per_file_period(self):
         rng = np.random.default_rng(73)
