@@ -229,9 +229,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, CapacityError) as exc:
-        # malformed or unreadable input, or an exhaustive search over its cap:
-        # one line, no traceback
+    except (ValueError, OSError, CapacityError, MemoryError) as exc:
+        # malformed or unreadable input, an exhaustive search over its cap, or
+        # an array too large to allocate (a huge period count): one line, no traceback
         sys.stderr.write(f"{parser.prog}: error: {exc}\n")
         return 2
 

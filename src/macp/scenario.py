@@ -25,7 +25,7 @@ import numpy as np
 from .cost import _cached_split, _file_terms, _unicast_split
 from .model import CachingPolicy, Instance, Record, numeric_array
 from .sim import SimConfig, simulate
-from .solvers import _popular, _stacked_rates, greedy_macp_batch, local_search, local_search_batch
+from .solvers import _SEARCH_VALUES, _greedy_runs, _popular, _search_chunk, _stack
 
 SCHEMES = ("PAC-UT", "PAC-MT", "MAC-MT")
 SWEEP_AXES = ("cache_size", "zipf_shape", "deadline")
@@ -124,48 +124,54 @@ def run_comparison(
     delivery metric.  MAC-MT's placement is ``greedy_macp``'s, improved by
     ``local_search``.  With ``sim_config`` set, each scheme is additionally
     simulated in its own delivery mode.  This is ``sweep``'s comparison of
-    one instance, whose placements and analytic costs are batches.
+    one instance: ``_comparisons`` of a batch of one.
     """
-    multicast_aware = local_search(instance, greedy_macp_batch([instance])[0])
-    return _comparisons([instance], [multicast_aware], [sim_config])[0]
+    popular, aware, costs = _comparisons([instance])
+    popularity, multicast_aware = CachingPolicy(popular[0]), CachingPolicy(aware[0])
+    simulated = _simulated(instance, popular[0], aware[0], sim_config)
+    return [SchemeResult(scheme, policy, cost, *sim) for scheme, policy, cost, sim in zip(
+        SCHEMES, (popularity, popularity, multicast_aware), costs[0].tolist(), simulated)]
 
 
-# Instances per stacked array of ``_comparisons``: max(1, _COMPARE_VALUES // (N * I)).
-_COMPARE_VALUES = 1 << 14
+def _comparisons(instances):
+    """The schemes' placements and analytic costs of instances of one shape.
 
-
-def _comparisons(instances, multicast_aware, sim_configs) -> list[list[SchemeResult]]:
-    """``run_comparison`` of instances of one shape, MAC-MT's placements and sim configs given.
-
-    Placements and analytic costs are stacked over chunks of instances, each
-    its per-instance function's bit for bit: every step is elementwise or
-    sums one instance's axis.  Simulations run one instance at a time.
+    Returns ``(popular, aware, costs)``: the (B, N, I) bool popularity and
+    MAC-MT placements and the (B, 3) analytic costs in ``SCHEMES`` order.
+    MAC-MT's greedy runs over the whole batch; then each chunk of
+    ``local_search_batch``'s width is one ``_stack``, which feeds the
+    popularity costs first and then ``_search_chunk``, which improves the
+    greedy's placements in place and whose objectives are MAC-MT's costs.
+    Every value is its per-instance function's bit for bit: every step is
+    elementwise or sums one instance's axis.
     """
-    width = max(1, _COMPARE_VALUES // (instances[0].num_scbs * instances[0].num_files))
-    results = []
+    aware = _greedy_runs(instances)[0]
+    width = max(1, _SEARCH_VALUES // (instances[0].num_scbs * instances[0].num_files))
+    popular, costs = np.empty_like(aware), np.empty((len(instances), len(SCHEMES)))
     for start in range(0, len(instances), width):
-        chunk = instances[start:start + width]
-        c_mbs, rate_mbs, rate, local_cost = _stacked_rates(chunk)
-        popular = _popular(np.array([x.demand[1:] for x in chunk]),
-                           np.array([x.cache_size for x in chunk]))
-        aware = np.array([p.placement for p in multicast_aware[start:start + width]], dtype=bool)
-        terms = [_unicast_split(c_mbs[:, None], rate_mbs, rate,
-                                np.array([x.cost_scbs_tx for x in chunk]), popular)[0]]
-        terms += [_file_terms(c_mbs[:, None], *_cached_split(rate_mbs, rate, local_cost, placed))
-                  for placed in (popular, aware)]
-        for k, costs in enumerate(zip(*(t.sum(axis=1).tolist() for t in terms)), start):
-            popularity = CachingPolicy(popular[k - start])
-            results.append([])
-            for scheme, policy, analytic in zip(
-                    SCHEMES, (popularity, popularity, multicast_aware[k]), costs):
-                sim_cost = sim_stderr = None
-                if sim_configs[k] is not None:
-                    mode = "unicast" if scheme == "PAC-UT" else "multicast"
-                    report = simulate(instances[k], policy,
-                                      dataclasses.replace(sim_configs[k], mode=mode))
-                    sim_cost, sim_stderr = report.mean_cost_per_period, report.std_error
-                results[-1].append(SchemeResult(scheme, policy, analytic, sim_cost, sim_stderr))
-    return results
+        chunk, part = instances[start:start + width], slice(start, start + width)
+        c_mbs, rate_mbs, rate, local_cost, sizes = stack = _stack(chunk)
+        popular[part] = _popular(np.array([x.demand[1:] for x in chunk]), sizes)
+        costs[part, 0] = _unicast_split(c_mbs[:, None], rate_mbs, rate, np.array(
+            [x.cost_scbs_tx for x in chunk]), popular[part])[0].sum(axis=1)
+        costs[part, 1] = _file_terms(c_mbs[:, None], *_cached_split(rate_mbs, rate, local_cost,
+                                                                    popular[part])).sum(axis=1)
+        # the search improves the greedy's placements in place
+        costs[part, 2] = _search_chunk(stack, aware[part])[1]
+    return popular, aware, costs
+
+
+def _simulated(instance, popular, aware, sim_config):
+    """Each scheme's simulated ``(mean cost, std error)`` in its own delivery mode, or Nones.
+
+    ``popular`` and ``aware`` are the popularity and MAC-MT placements.
+    """
+    if sim_config is None:
+        return [(None, None)] * len(SCHEMES)
+    runs = ((popular, "unicast"), (popular, "multicast"), (aware, "multicast"))
+    reports = (simulate(instance, CachingPolicy(placed), dataclasses.replace(sim_config, mode=mode))
+               for placed, mode in runs)
+    return [(report.mean_cost_per_period, report.std_error) for report in reports]
 
 
 @dataclass(frozen=True)
@@ -228,8 +234,10 @@ def sweep(
 
     Every point's rows equal ``run_comparison`` on its instance, built
     from its replication's one rate draw.  The points share the config's
-    shape, so the whole axis is one ``greedy_macp_batch``, one
-    ``local_search_batch`` and one stacked scheme comparison.
+    shape, so the whole axis is one ``_comparisons``: one lockstep greedy,
+    then per chunk of instances one stack of objective inputs, which gives
+    the popularity costs and feeds the local search, whose objectives are
+    MAC-MT's costs.  Placements become policies only to be simulated.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -250,15 +258,15 @@ def sweep(
     pops = [zipf_weights(cfg.num_files, cfg.zipf_shape) for cfg in configs]
     points = [(rep, vi, value) for rep in range(replications) for vi, value in enumerate(values)]
     instances = [_scenario(configs[vi], draws[rep], pops[vi]) for rep, vi, _ in points]
-    placements = local_search_batch(instances, greedy_macp_batch(instances))
-    sim_configs = [None if sim_config is None else dataclasses.replace(sim_config, seed=int(
-        np.random.SeedSequence([rep_seeds[rep], vi]).generate_state(1, np.uint64)[0]))
-        for rep, vi, _ in points]
-    results = zip(points, _comparisons(instances, placements, sim_configs))
-    rows = tuple(SweepRow(axis, value, res.scheme, res.analytic_cost, res.sim_cost, res.sim_stderr,
-                          rep, rep_seeds[rep])
-                 for (rep, _, value), point in results for res in point)
-    return SweepResult(axis=axis, values=tuple(values), replications=replications, rows=rows)
+    popular, aware, costs = _comparisons(instances)
+    rows = []
+    for k, (rep, vi, value) in enumerate(points):
+        point_sim = None if sim_config is None else dataclasses.replace(sim_config, seed=int(
+            np.random.SeedSequence([rep_seeds[rep], vi]).generate_state(1, np.uint64)[0]))
+        simulated = _simulated(instances[k], popular[k], aware[k], point_sim)
+        rows += [SweepRow(axis, value, scheme, cost, *sim, rep, rep_seeds[rep])
+                 for scheme, cost, sim in zip(SCHEMES, costs[k].tolist(), simulated)]
+    return SweepResult(axis=axis, values=tuple(values), replications=replications, rows=tuple(rows))
 
 
 def sweep_csv(result: SweepResult) -> str:

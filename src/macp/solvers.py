@@ -71,7 +71,7 @@ def greedy_macp(instance: Instance) -> SolverReport:
     """
     trace: list[tuple[int, int, int, float]] = []
     cached, evaluations = _greedy_runs([instance], trace)
-    return SolverReport(CachingPolicy(cached[0].T.astype(np.int8)), tuple(trace), evaluations)
+    return SolverReport(CachingPolicy(cached[0]), tuple(trace), evaluations)
 
 
 # Values per array of one stacked ``_greedy_start`` in ``greedy_macp_batch``:
@@ -132,11 +132,11 @@ def greedy_macp_batch(instances) -> list[CachingPolicy]:
     ValueError unless every instance has the same ``num_scbs`` and
     ``num_files``.
     """
-    return [CachingPolicy(x.T.astype(np.int8)) for x in _greedy_runs(list(instances))[0]]
+    return [CachingPolicy(x) for x in _greedy_runs(list(instances))[0]]
 
 
 def _greedy_runs(instances, trace=None):
-    """``greedy_macp_batch``'s cached sets, as a (B, I, N) bool array, and a count.
+    """``greedy_macp_batch``'s cached sets, as a (B, N, I) bool array, and a count.
 
     With ``trace``, a list, the batch is of one instance: the list gets its
     ``SolverReport.trace`` entries, replayed from the chain's runs in commit
@@ -162,7 +162,7 @@ def _greedy_runs(instances, trace=None):
     g, source = rows.size, rows.searchsorted(lead)
     c_mbs, rate_mbs, pair = np.empty(g), np.empty((g, i)), np.empty((n, 2, g, i))
     # a follower's state is its leader's until it takes a copy of its own
-    terms, gain, best, total = np.empty((b, i)), np.empty((b, n, i)), np.empty((b, i)), np.empty(b)
+    terms, gain, best = np.empty((b, i)), np.empty((b, n, i)), np.empty((b, i))
     # the leaders' starts a few at a time: stacked temporaries of a whole sweep
     # axis raised the peak memory, and were slower per leader
     width = max(1, _START_VALUES // (n * i))
@@ -172,14 +172,14 @@ def _greedy_runs(instances, trace=None):
          terms[part], start) = _greedy_start([instances[k] for k in part.tolist()])
         pair[:, 0, s:s + width], pair[:, 1, s:s + width] = rate.swapaxes(0, 1), local_cost.swapaxes(0, 1)
         gain[part] = start
-    best[rows], total[rows] = gain[rows].min(axis=1), terms[rows].sum(axis=1)
+    best[rows] = gain[rows].min(axis=1)
     evaluations = 0 if trace is None else int(np.count_nonzero(gain < np.inf))
-    cached = np.zeros((b, i, n), dtype=bool)
+    cached = np.zeros((b, n, i), dtype=bool)
     states, files = np.arange(n + 1), np.arange(i)
     cells, lines = states[:n, None, None], np.arange(b)
     # a cell's rate is summed outside the cached set, its cost inside
     inside = np.array([False, True])[:, None, None, None]
-    gain_t, cached_t = gain.transpose(1, 0, 2), cached.transpose(2, 0, 1)
+    gain_t, cached_t = gain.transpose(1, 0, 2), cached.transpose(1, 0, 2)
 
     live = rows[left[rows].any(axis=1)]
     attached = np.flatnonzero(lead != np.arange(b))
@@ -197,7 +197,7 @@ def _greedy_runs(instances, trace=None):
         # this share of the step's total plus the chain files' largest terms of
         # the step's total with those terms replaced, a few float operations included.
         slack = (i + 2 + 2 * k) * 2.0 ** -51
-        best_now, start = best[live], total[live]
+        best_now, start = best[live], terms[live].sum(axis=1)
         # the chain: the k files with the smallest bests in order, each one's
         # next best (of the files after it), and its pick, its first cell
         # within the limit; every file term is non-negative, so |objective|
@@ -284,12 +284,11 @@ def _greedy_runs(instances, trace=None):
                     evaluations += open_cells - t - 1
         w, j = np.nonzero(count)
         v, f, s = live[w], chain[w, j], count[w, j]
-        cached[v, f] |= run[w, j]
+        cached[v, :, f] |= run[w, j]
         terms[v, f] = term[w, j, s]
         gain[v, :, f], best[v, f] = gains[:, w, j, s].T, least[w, j, s]
         run = run.sum(axis=1)
         left[live] -= run
-        total[live] = terms[live].sum(axis=1)
         full = (run > 0) & (left[live] <= 0)
         moved = full.any()
         if moved:
@@ -307,7 +306,7 @@ def _greedy_runs(instances, trace=None):
             if fills.any():
                 split, attached = attached[fills], attached[~fills]
                 was = lead[split]
-                cached[split], terms[split], total[split] = cached[was], terms[was], total[was]
+                cached[split], terms[split] = cached[was], terms[was]
                 gain[split] = np.where((left[split] <= 0)[:, :, None], np.inf, gain[was])
                 best[split] = gain[split].min(axis=1)
                 live, moved = np.sort(np.concatenate([live, split])), True
@@ -347,9 +346,13 @@ def _leaders(instances, sizes) -> np.ndarray:
     return lead
 
 
-def _stacked_rates(instances):
-    """``_area_rates`` of instances of one shape, each output stacked on a first axis."""
-    return tuple(map(np.array, zip(*map(_area_rates, instances))))
+def _stack(instances):
+    """The objective inputs of instances of one shape, each stacked on a first axis.
+
+    Returns ``(c_mbs, rate_mbs, rate, local_cost, cache_size)``: the
+    ``_area_rates`` and the cache sizes.
+    """
+    return tuple(map(np.array, zip(*((*_area_rates(x), x.cache_size) for x in instances))))
 
 
 def _greedy_start(instances):
@@ -362,10 +365,10 @@ def _greedy_start(instances):
     n has no cache.  All of it is elementwise work and ``_scbs_sum``, so
     each instance's values are its own, bit for bit.
     """
-    c_mbs, rate_mbs, rate, local_cost = _stacked_rates(instances)
+    c_mbs, rate_mbs, rate, local_cost, sizes = _stack(instances)
     rate_out, local = _cached_split(rate_mbs, rate, local_cost, np.zeros(rate.shape, dtype=bool))
     terms = _file_terms(c_mbs[:, None], rate_out, local)
-    has_cache = np.array([inst.cache_size for inst in instances])[..., None] > 0
+    has_cache = sizes[..., None] > 0
     gain = np.where(has_cache, _file_terms(c_mbs[:, None, None], rate_out[:, None] - rate, local_cost)
                     - terms[:, None], np.inf)
     return c_mbs, rate_mbs, rate, local_cost, terms, gain
@@ -426,11 +429,11 @@ _SEARCH_VALUES = 1 << 16
 def local_search_batch(instances, policies) -> list[CachingPolicy]:
     """``local_search`` of each instance from its policy, in lockstep numpy steps.
 
-    The instances go in chunks of ``max(1, _SEARCH_VALUES // (N * I))``;
-    each step scores and makes one move of every instance of the chunk
-    still searching, and an instance leaves the chunk at the step where it
-    stops.  Returns the improved placements in input order (none for no
-    instances).
+    The instances go in chunks of ``max(1, _SEARCH_VALUES // (N * I))``, each
+    chunk one ``_stack`` and one ``_search_chunk``: each step scores and makes
+    one move of every instance of the chunk still searching, and an instance
+    leaves the chunk at the step where it stops.  Returns the improved
+    placements in input order (none for no instances).
 
     Raises ValueError unless there is one policy per instance and every
     instance has the same ``num_scbs`` and ``num_files``.
@@ -444,9 +447,12 @@ def local_search_batch(instances, policies) -> list[CachingPolicy]:
     for inst, policy in zip(instances, policies):
         policy.check_feasible(inst)
     width = max(1, _SEARCH_VALUES // (policies[0].placement.size if policies else 1))
-    return [result for start in range(0, len(instances), width)
-            for result in _search_chunk(instances[start:start + width],
-                                        policies[start:start + width])]
+    results = []
+    for start in range(0, len(instances), width):
+        part = slice(start, start + width)
+        cached = np.array([policy.placement for policy in policies[part]], dtype=bool)
+        results += map(CachingPolicy, _search_chunk(_stack(instances[part]), cached)[0])
+    return results
 
 
 # a cached cell's sign (index 1) and an uncached one's (index 0) in ``_search_chunk``
@@ -459,15 +465,22 @@ def _least(values, where):
     return masked.argmin(axis=-1), masked.min(axis=-1)
 
 
-def _search_chunk(instances, policies) -> list[CachingPolicy]:
-    """``local_search_batch`` of one chunk of instances, as (B, N, I) arrays."""
-    c_mbs, rate_mbs, rate, local_cost = _stacked_rates(instances)
+def _search_chunk(stack, cached):
+    """``local_search_batch`` of one chunk: its ``_stack`` and (B, N, I) bool placements.
+
+    Returns the improved placements, written over ``cached``, and their
+    objectives, a (B,) array: each instance's placement and ``best`` at the
+    step where it stops.  An objective is ``per_file.sum()`` of
+    ``_file_terms`` over ``_cached_split``, bit for bit, so it is the
+    ``cost_closed_form`` total of its placement.  Instances that stop leave
+    the chunk's arrays, which are compacted in place, so the search uses up
+    the stack it is given.
+    """
+    c_mbs, rate_mbs, rate, local_cost, sizes = stack
     c_mbs = c_mbs[:, None]
-    sizes = np.array([inst.cache_size for inst in instances])
     has_cache = sizes > 0
     # rate no completion can cover: areas without any cache
     rate_bare = rate_mbs + _scbs_sum(np.where(has_cache[..., None], 0.0, rate))
-    cached = np.array([policy.placement for policy in policies], dtype=bool)
     rate_out, local = _cached_split(rate_mbs, rate, local_cost, cached)
     terms = _file_terms(c_mbs, rate_out, local)
     best = terms.sum(axis=1)
@@ -475,10 +488,11 @@ def _search_chunk(instances, policies) -> list[CachingPolicy]:
     # when cached at every SCBS with a cache; kept across steps
     toggle, cover0 = np.empty(rate.shape), np.empty(terms.shape)
     touched = np.ones(terms.shape, dtype=bool)
-    live = np.arange(len(instances))
+    live = np.arange(best.size)
+    # ``cached`` is read only before the first move, so it takes the results
+    placed, objective = cached, np.empty_like(best)
     # (m, n) with m < n: an earlier SCBS in a group of drops
     earlier = np.triu(np.ones((rate.shape[1],) * 2, dtype=bool), 1)
-    done = [None] * len(instances)
     while True:
         # score the columns the last move changed, every column at first: a column's scores
         # are its own, bit for bit; a few instances' worth at a time keeps temporaries small
@@ -558,22 +572,22 @@ def _search_chunk(instances, policies) -> list[CachingPolicy]:
         assert (x.view(np.uint8).sum(axis=2, dtype=np.int32) <= sizes).all(), "a move overfilled a cache"
 
         # the new placement's sums, added again only in the columns the move changed:
-        # ``cumsum`` adds the SCBS rows in turn, so they are ``_cached_split``'s bits
+        # ``cumsum`` adds the SCBS rows in turn, so they are ``_cached_split``'s bits.
+        # They are written in place: an instance whose move is refused stops here,
+        # with its placement and objective from before the move.
         changed = (x != cached).any(axis=1)
         k, f = np.nonzero(changed)
         x_f = x[k, :, f]
         out_f = rate_mbs[k, f] + np.where(x_f, 0.0, rate[k, :, f]).cumsum(axis=1)[:, -1]
         local_f = np.where(x_f, local_cost[k, :, f], 0.0).cumsum(axis=1)[:, -1]
-        x_out, x_local, x_terms = rate_out.copy(), local.copy(), terms.copy()
-        x_out[k, f], x_local[k, f] = out_f, local_f
-        x_terms[k, f] = _file_terms(c_mbs[k, 0], out_f, local_f)
-        cost = x_terms.sum(axis=1)
+        rate_out[k, f], local[k, f] = out_f, local_f
+        terms[k, f] = _file_terms(c_mbs[k, 0], out_f, local_f)
+        cost = terms.sum(axis=1)
         going = moving & (cost < best)
-        for j in np.flatnonzero(~going).tolist():
-            done[live[j]] = CachingPolicy(cached[j].astype(np.int8))
+        placed[live[~going]], objective[live[~going]] = cached[~going], best[~going]
         if not going.any():
-            return done
-        state = [x, changed, cost, x_terms, x_out, x_local, toggle, cover0,
+            return placed, objective
+        state = [x, changed, cost, terms, rate_out, local, toggle, cover0,
                  live, c_mbs, rate_mbs, rate, local_cost, sizes, has_cache, rate_bare]
         if not going.all():
             # in place, one array at a time, so no second copy of the state is held

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from macp import CachingPolicy, Instance, ScenarioConfig, SppInstance, cost_closed_form, spp_to_macdp
+from macp import (CachingPolicy, Instance, ScenarioConfig, SppInstance, cost_closed_form,
+                  generate_scenario, spp_to_macdp)
 from macp.cli import _scenario_config, build_parser, main
 from helpers import motivating_instance, motivating_optimal_policy
 
@@ -107,6 +108,11 @@ class TestGenerate:
         inst = Instance.from_json(out.read_text())
         assert (inst.num_scbs, inst.num_files) == (3, 8)
         assert (inst.demand[0] == 0).all()
+
+    def test_prints_to_stdout_without_out(self, capsys):
+        assert main(["generate", "--num-scbs", "2", "--num-files", "3", "--seed", "1"]) == 0
+        config = ScenarioConfig(num_scbs=2, num_files=3, seed=1)
+        assert capsys.readouterr().out == generate_scenario(config).to_json() + "\n"
 
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -472,6 +478,26 @@ class TestInputErrors:
         pol.write_text(CachingPolicy([[1]]).to_json())
         assert main([argv[0], str(inst), str(pol), *argv[1:], "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"macp: error: {message}\n"
+        assert not out.exists()
+
+    # 1e15 periods need a 7.1 PiB cost array, beyond a 47-bit address space,
+    # so the allocation is refused at once and nothing is allocated
+    def test_simulate_periods_too_many_to_allocate_is_one_line_error(
+            self, tmp_path, capsys, instance_file, policy_file):
+        out = tmp_path / "report.json"
+        assert main(["simulate", str(instance_file), str(policy_file), "--periods",
+                     "1000000000000000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("macp: error: Unable to allocate 7.11 PiB") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_simulated_sweep_periods_too_many_to_allocate_is_one_line_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--axis", "cache_size", "--values", "1,2", "--num-scbs", "3",
+                     "--num-files", "8", "--simulate", "--periods", "1000000000000000",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("macp: error: Unable to allocate 7.11 PiB") and err.count("\n") == 1
         assert not out.exists()
 
     def test_sweep_deadline_overflow_is_one_line_error(self, tmp_path, capsys):

@@ -61,6 +61,10 @@ class TestInstance:
         with pytest.raises(ValueError):
             Instance(1, 1, [1], 1, 0.5, [0.6], [[0], [1]], 1)
 
+    def test_rejects_no_scbs(self):
+        with pytest.raises(ValueError, match="^num_scbs must be at least 1, got 0$"):
+            Instance(0, 1, [], 1, 1, [], [[0]], 1)
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             Instance(2, 2, [1], 1, 1, [0, 0], [[0, 0]] * 3, 1)
@@ -153,6 +157,11 @@ class TestCachingPolicy:
     @pytest.mark.parametrize("entries", [[[0.5, 1.7]], [[1.9, 0]], [[1.0, float("nan")]]])
     def test_rejects_fractional_entries(self, entries):
         with pytest.raises(ValueError):
+            CachingPolicy(entries)
+
+    @pytest.mark.parametrize("entries, ndim", [([1, 0], 1), ([[[1]]], 3)])
+    def test_rejects_a_placement_that_is_not_a_matrix(self, entries, ndim):
+        with pytest.raises(ValueError, match=f"^placement must be a 2-D matrix, got ndim={ndim}$"):
             CachingPolicy(entries)
 
     def test_accepts_integral_floats_and_bools(self):
@@ -259,6 +268,11 @@ class TestMbsTriggered:
     def test_empty_subset_rejected(self):
         with pytest.raises(ValueError):
             mbs_triggered(self.policy, frozenset(), 0)
+
+    @pytest.mark.parametrize("file", [-1, 2])
+    def test_file_out_of_range(self, file):
+        with pytest.raises(ValueError, match=f"^file index {file} outside 0..1$"):
+            mbs_triggered(self.policy, {1}, file)
 
     def test_monotone_in_policy(self):
         rng = np.random.default_rng(3)

@@ -125,6 +125,18 @@ class TestDecisionValidation:
         back = DecisionInstance.from_json(big.to_json())
         assert back.cache_size.tolist() == big.cache_size.tolist()
 
+    @pytest.mark.parametrize("area", [-1, 3])
+    def test_rejects_table_area_out_of_range(self, area):
+        table = [(0, frozenset({1, area}), 0.5)]
+        with pytest.raises(ValueError, match="^file 0: area id outside 0..2$"):
+            DecisionInstance(2, 2, [1, 1], 0.5, 1.0, [0.25, 0.5], 1.0, table, 0.9)
+
+    def test_rejects_a_files_probabilities_summing_above_one(self):
+        # each entry lies in [0, 1]; file 0's two sum to 1.2, file 1's one is 0.6
+        table = [(0, frozenset({1}), 0.6), (1, frozenset({2}), 0.6), (0, frozenset({0, 2}), 0.6)]
+        with pytest.raises(ValueError, match=r"^file 0: listed probabilities sum to 1\.2 > 1$"):
+            DecisionInstance(2, 2, [1, 1], 0.5, 1.0, [0.25, 0.5], 1.0, table, 0.9)
+
     @pytest.mark.parametrize("file", [-1, 3])
     def test_rejects_table_file_out_of_range(self, file):
         dec = spp_to_macdp(FIG_SPP)

@@ -21,6 +21,7 @@ from macp import (
     simulate,
     sweep,
     sweep_csv,
+    write_sweep_csv,
     zipf_weights,
 )
 from macp.scenario import (
@@ -31,7 +32,7 @@ from macp.scenario import (
     _replication_seeds,
     cost_reduction_summary,
 )
-from helpers import random_policy, reference_popularity_placement
+from helpers import reference_popularity_placement
 
 
 # sha256 of numpy's expm1 on the probe grid of ``test_csv_bytes_are_pinned``,
@@ -77,6 +78,10 @@ class TestZipfWeights:
         with pytest.raises(ValueError):
             zipf_weights(10, -0.5)
 
+    def test_no_files_rejected(self):
+        with pytest.raises(ValueError, match="^num_files must be positive$"):
+            zipf_weights(0, 0.8)
+
 
 class TestScenarioConfig:
     def test_defaults_match_evaluation_setting(self):
@@ -91,6 +96,11 @@ class TestScenarioConfig:
             ScenarioConfig(zipf_shape=-0.1)
         with pytest.raises(ValueError):
             ScenarioConfig(rate_low=5, rate_high=2)
+
+    @pytest.mark.parametrize("field", ["num_scbs", "num_files"])
+    def test_rejects_no_scbs_or_no_files(self, field):
+        with pytest.raises(ValueError, match="^need at least one SCBS and one file$"):
+            ScenarioConfig(**{field: 0})
 
     @pytest.mark.parametrize("name", ["zipf_shape", "rate_low", "rate_high"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
@@ -205,24 +215,29 @@ def _mixed_batch() -> list[Instance]:
 class TestStackedComparison:
     @pytest.mark.parametrize("chunk", [None, 2], ids=["one-chunk", "chunks-of-2"])
     def test_equals_per_instance_functions_bit_for_bit(self, monkeypatch, chunk):
+        # the comparison reads its chunk width from its own import of the budget
         batch = _mixed_batch()
         if chunk is not None:
-            monkeypatch.setattr(scenario_module, "_COMPARE_VALUES", chunk * 4 * 12)
-        rng = np.random.default_rng(5)
-        aware = [random_policy(rng, inst) for inst in batch]
-        stacked = _comparisons(batch, aware, [None] * len(batch))
-        assert len(stacked) == len(batch)
-        for inst, mac, results in zip(batch, aware, stacked):
-            popular = popularity_placement(inst)
-            assert np.array_equal(popular.placement, reference_popularity_placement(inst).placement)
-            assert [r.scheme for r in results] == list(SCHEMES)
-            assert all(np.array_equal(r.policy.placement, popular.placement) for r in results[:2])
-            assert results[2].policy is mac
-            want = (cost_unicast(inst, popular).total, cost_closed_form(inst, popular).total,
-                    cost_closed_form(inst, mac).total)
-            got = tuple(r.analytic_cost for r in results)
+            monkeypatch.setattr(scenario_module, "_SEARCH_VALUES", chunk * 4 * 12)
+        popular, aware, costs = _comparisons(batch)
+        assert popular.shape == aware.shape == (len(batch), 4, 12)
+        assert popular.dtype == aware.dtype == bool and costs.shape == (len(batch), len(SCHEMES))
+        for inst, pop, mac, got in zip(batch, popular, aware, costs.tolist()):
+            popularity = popularity_placement(inst)
+            assert np.array_equal(popularity.placement, reference_popularity_placement(inst).placement)
+            assert np.array_equal(pop, popularity.placement)
+            searched = local_search(inst, greedy_macp(inst).policy)
+            assert np.array_equal(mac, searched.placement)
+            want = (cost_unicast(inst, popularity).total, cost_closed_form(inst, popularity).total,
+                    cost_closed_form(inst, searched).total)
             assert all(type(x) is float for x in got)
             assert [x.hex() for x in got] == [x.hex() for x in want]
+            # ``run_comparison`` is the comparison of one
+            results = run_comparison(inst)
+            assert [r.scheme for r in results] == list(SCHEMES)
+            assert all(np.array_equal(r.policy.placement, pop) for r in results[:2])
+            assert np.array_equal(results[2].policy.placement, mac)
+            assert [r.analytic_cost.hex() for r in results] == [x.hex() for x in want]
             assert all(r.sim_cost is None and r.sim_stderr is None for r in results)
 
     def test_unicast_overflow_raises_through_sweep_and_run_comparison(self):
@@ -237,7 +252,7 @@ class TestStackedComparison:
         huge = Instance(4, 12, [3] * 4, 1e200, 1e200, [1e200] * 4, rates, 1.0)
         for batch in ([wide], _mixed_batch()[:2] + [huge] + _mixed_batch()[2:]):
             with pytest.raises(ValueError, match="^the expected unicast cost is not finite$"):
-                _comparisons(batch, [popularity_placement(x) for x in batch], [None] * len(batch))
+                _comparisons(batch)
         with pytest.raises(ValueError, match="^the expected unicast cost is not finite$"):
             sweep(cfg, "deadline", [1.0, 1e10, 2.0])
         with pytest.raises(ValueError, match="^the expected unicast cost is not finite$"):
@@ -261,6 +276,10 @@ class TestSweep:
             sweep(cfg, "zipf_shape", [0.8, -0.5])
         with pytest.raises(ValueError):
             sweep(cfg, "deadline", [1.0, float("nan")])
+
+    def test_rejects_no_replications(self):
+        with pytest.raises(ValueError, match="^replications must be >= 1$"):
+            sweep(ScenarioConfig(num_scbs=3, num_files=10), "deadline", [1.0], replications=0)
 
     def test_row_layout(self):
         cfg = ScenarioConfig(num_scbs=3, num_files=10, seed=37)
@@ -396,6 +415,12 @@ class TestSweep:
         assert first[0] == "cache_size"
         assert first[2] == "PAC-UT"
         assert first[4] == "" and first[5] == ""  # analytic-only runs leave sim fields empty
+
+    def test_write_sweep_csv_writes_the_csv_text(self, tmp_path):
+        res = sweep(ScenarioConfig(num_scbs=3, num_files=10, seed=47), "cache_size", [2, 4])
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(res, str(path))
+        assert path.read_bytes() == sweep_csv(res).encode()
 
     def test_mean_analytic_matches_rows(self):
         cfg = ScenarioConfig(num_scbs=3, num_files=10, seed=53)

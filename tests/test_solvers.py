@@ -27,7 +27,7 @@ from macp import (
 import macp.solvers as solvers_module
 from macp.cost import _area_rates, _cached_split, _file_terms
 from macp.scenario import _replication_seeds
-from macp.solvers import _placement_tables, count_feasible_placements
+from macp.solvers import _placement_tables, _search_chunk, _stack, count_feasible_placements
 from helpers import (
     empty_policy,
     iter_feasible_placements,
@@ -891,6 +891,26 @@ class TestLocalSearch:
         got = local_search_batch(*zip(*runs))
         for (inst, _), policy, path in zip(runs, got, paths):
             assert np.array_equal(policy.placement, path[-1]), inst
+
+    def test_chunk_objectives_are_closed_form_totals(self):
+        # ``_search_chunk`` returns each instance's placement and objective at
+        # the step where it stops: from greedy, random and empty starts at
+        # caches of 0 to 5, members of one chunk stop after 0 to 5 moves.
+        # Every objective is the closed form's total bit for bit.
+        rng = np.random.default_rng(11)
+        runs = [(inst, start) for inst in (
+            generate_scenario(ScenarioConfig(num_scbs=5, num_files=10, cache_size=s,
+                                             zipf_shape=0.3 * s, seed=s)) for s in range(6))
+                for start in (greedy_macp(inst).policy, random_policy(rng, inst), empty_policy(5, 10))]
+        starts = [start for _, start in runs]
+        assert {len(list(reference_search_placements(*run))) for run in runs} == set(range(1, 7))
+        placed, objective = _search_chunk(_stack([inst for inst, _ in runs]),
+                                          np.array([p.placement for p in starts], dtype=bool))
+        assert placed.dtype == bool and placed.shape == (len(runs), 5, 10)
+        assert objective.shape == (len(runs),)
+        for (inst, start), x, got in zip(runs, placed, objective.tolist()):
+            assert np.array_equal(x, local_search(inst, start).placement)
+            assert got.hex() == cost_closed_form(inst, CachingPolicy(x)).total.hex()
 
     def test_peak_memory_near_the_greedy_batch(self):
         # The search keeps its (B, N, I) scores between steps and runs a whole
