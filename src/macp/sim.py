@@ -27,7 +27,11 @@ Both modes seed ``default_rng(seed)``.  Unicast draws its Poisson counts
 from it; multicast takes its bytes from that generator's raw 64-bit PCG64
 output, each period's (N+1)*I bytes padded to whole words, and its tie
 uniforms from one stream spawned from it, in row-major (period, area,
-file) order.
+file) order.  The pad bytes are compared against threshold 0 and their
+ties are dropped before any uniform is drawn, so only the pairs' ties
+take uniforms; ties are found through the nonzero 64-bit words of the
+tie mask.  The local counts run over the span from the first to the last
+file that some SCBS caches, since no other file is ever served locally.
 
 Nothing here is taken from the analytic cost model in ``cost.py``: the
 draws come from the per-pair rates alone, never from aggregate
@@ -166,8 +170,10 @@ def simulate(
         # a uniform byte u; 256*p - t is exact, and p = 1 gives t = 255, frac = 1
         t = np.minimum(np.floor(256.0 * p), 255.0)
         frac = (256.0 * p - t).ravel()
-        t = t.astype(np.uint8).ravel()
-        pairs = p.size
+        # pad bytes compare against 0, so they are never present and their
+        # ties are dropped before any uniform is drawn
+        pairs, width = p.size, 8 * words
+        t = np.pad(t.astype(np.uint8).ravel(), (0, width - pairs))
         bits = rng.bit_generator
         refine = rng.spawn(1)[0]
         # the SCBSs whose request makes the macro cell send the file, grouped
@@ -177,19 +183,29 @@ def simulate(
             groups.setdefault(row.tobytes(), (row, []))[1].append(n)
         # counts of at most I files, exact in the narrowest type that holds I
         count_type = np.min_scalar_type(instance.num_files)
+        # a file present at an SCBS that lacks it is triggered, so files
+        # outside the span of the cached ones are never served locally
+        kept = np.flatnonzero(cached.any(axis=0))
+        span = slice(kept[0], kept[-1] + 1) if kept.size else slice(0)
         # one run's batch arrays, sliced to m periods on a ragged last batch
-        here_all = np.empty((batch, pairs), dtype=bool)
-        tie_all = np.empty((batch, pairs), dtype=bool)
-        local_all = np.empty((batch,) + cached.shape, dtype=bool)
+        here_all = np.empty((batch, width), dtype=bool)
+        tie_all = np.empty((batch, width), dtype=bool)
+        local_all = np.empty((batch,) + cached[:, span].shape, dtype=bool)
         hit_all = np.empty((batch, instance.num_files), dtype=bool)
 
         def draw(m):
-            u = bits.random_raw(m * words).view(np.uint8).reshape(m, 8 * words)[:, :pairs]
+            u = bits.random_raw(m * words).view(np.uint8).reshape(m, width)
             here = np.less(u, t, out=here_all[:m])
-            # ties refined from the second stream in row-major (period, area, file) order
-            tie = np.flatnonzero(np.equal(u, t, out=tie_all[:m]))
-            np.put(here, tie, refine.random(tie.size) < frac[tie % pairs])
-            here = here.reshape((m,) + lam.shape)
+            tie = np.equal(u, t, out=tie_all[:m])
+            tie[:, pairs:] = False
+            # ties in row-major (period, area, file) order, found through the
+            # mask's nonzero words, then refined from the second stream
+            tie_words = tie.reshape(-1).view(np.uint64)
+            hot = np.flatnonzero(tie_words != 0)
+            at = np.flatnonzero(tie_words[hot].view(bool))
+            tie = 8 * hot[at >> 3] + (at & 7)
+            here.reshape(-1)[tie] = refine.random(tie.size) < frac[tie % width]
+            here = here[:, :pairs].reshape((m,) + lam.shape)
             triggered = here[:, 0].copy()
             hit = hit_all[:m]
             for row, areas in groups.values():
@@ -199,7 +215,7 @@ def simulate(
                 hit &= row
                 triggered |= hit
             # untriggered files are requested at caching SCBSs only
-            local = np.bitwise_and(here[:, 1:], ~triggered[:, None, :], out=local_all[:m])
+            local = np.bitwise_and(here[:, 1:, span], ~triggered[:, None, span], out=local_all[:m])
             return (triggered.view(np.uint8).sum(axis=1, dtype=count_type),
                     np.einsum("pnf->pn", local.view(np.uint8), dtype=count_type),
                     np.zeros(m, dtype=np.int64))

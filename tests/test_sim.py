@@ -93,9 +93,13 @@ class TestDeterminism:
         # several batches and a ragged last one (at 1 MiB, 59 of 69 periods and one of 62)
         wide = generate_scenario(ScenarioConfig(num_files=1000, cache_size=200, seed=3))
         wide_pol = popularity_placement(wide)
+        # only files 3-6 cached: the local counts run over that span alone,
+        # and 36 pairs leave 4 pad bytes a period
+        part = Instance(3, 9, [2, 2, 2], 0.7, 0.9, [0.2, 0.4, 0.6], rng.uniform(0.1, 2.0, size=(4, 9)), 1.1)
+        part_pol = CachingPolicy(np.eye(3, 9, 3, dtype=bool) | np.eye(3, 9, 4, dtype=bool))
         default = sim_module._BATCH_BYTES
         for name, inst, pol in (("10x4", inst, pol), ("3x5", small, small_pol),
-                                ("15x1000", wide, wide_pol)):
+                                ("4x9", part, part_pol), ("15x1000", wide, wide_pol)):
             for mode in ("multicast", "unicast"):
                 cfg = SimConfig(periods=4096 + 37, mode=mode, seed=5)
                 # what the budget divides: a multicast period's random bytes
@@ -156,6 +160,53 @@ class TestDeterminism:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "1027607ae114c716ec57a69ed68c4df204aa498146d0035940a4b7453cf9dc8a"
         )
+
+    @pytest.mark.parametrize("name, placement, pinned", [
+        ("3x5", np.zeros((3, 5)),
+         (6.354, 0.016746727757329657, 21180, 0,
+          "1c8ca600e81e55709277ca48ee28737def80c7cd86f4251cc82df759291a405b")),
+        ("3x5", [[0, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, 0]],
+         (6.3156, 0.016842685748200685, 20988, 192,
+          "28cedc5000b27059c0c1da7164fcab02a5595a7f6480d5bb7064246cf8c00990")),
+        ("3x5", [[1, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 1]],
+         (5.8447, 0.017533050606574844, 18654, 2526,
+          "d9d02cc817f2848a94583220d1fc92cf394eea28627b060b5f9de494006f6013")),
+        ("3x5", [[0, 1, 1, 0, 0], [0, 0, 1, 1, 0], [0, 1, 0, 1, 0]],
+         (5.7748, 0.017677089350274254, 17909, 3938,
+          "f2749fad496cabab4c20779546fa026d1663fac42443c5a8fe4af8fbb32f8757")),
+        ("2x7", np.zeros((2, 7)),
+         (8.3598, 0.0223420819469705, 27866, 0,
+          "d2cdb498ef01dfd0f1e77b7a36bda817c896762dd3b2a8803d6deb189dfe386c")),
+        ("2x7", [[0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0]],
+         (8.200679999999998, 0.022703598794015893, 27203, 663,
+          "3d16526d3fa5ecb0aca18d0155f0e5143856277106b702a7fc53c34e8b1e7de7")),
+        ("2x7", [[1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1]],
+         (7.71295, 0.02298334193065187, 24901, 2965,
+          "5f6354ed37838ff869a7c168f82a325ec7953e49433e4032468f03a355e381d4")),
+        ("2x7", [[0, 0, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0, 0]],
+         (7.1471, 0.02146059713628419, 21690, 7410,
+          "102bb964c596a84b2972f8024b2c283332e78e868917a6aa25e1ed4a9722edf8")),
+    ], ids=["3x5-empty", "3x5-middle", "3x5-ends", "3x5-run",
+            "2x7-empty", "2x7-middle", "2x7-ends", "2x7-run"])
+    def test_padded_multicast_stream_is_pinned(self, tmp_path, name, placement, pinned):
+        # 20 and 21 pairs end a period's bytes inside a 64-bit word, so each
+        # period has 4 or 3 pad bytes, whose ties must draw no uniform; the
+        # placements cache nothing, one middle file, the first and last files
+        # and a clustered run, so the local counts run over empty, one-file,
+        # full and partial spans of the catalog
+        if name == "3x5":
+            demand = [[0.3, 0.9, 0.1, 0.6, 0.2], [1.1, 0.4, 0.8, 0.05, 0.7],
+                      [0.5, 1.6, 0.3, 0.9, 0.15], [0.25, 0.6, 1.3, 0.4, 1.0]]
+            inst = Instance(3, 5, [3, 3, 3], 0.5, 1.0, [0.25, 0.5, 0.75], demand, 0.8)
+        else:
+            demand = [[0.2, 0.7, 0.4, 0.1, 0.9, 0.3, 0.5], [1.2, 0.35, 0.8, 0.6, 0.05, 1.4, 0.45],
+                      [0.55, 0.9, 0.15, 1.1, 0.7, 0.25, 1.0]]
+            inst = Instance(2, 7, [3, 3], 0.6, 0.9, [0.3, 0.55], demand, 0.9)
+        path = tmp_path / "trace.csv"
+        rep = simulate(inst, CachingPolicy(placement), SimConfig(5000, "multicast", 31), trace_path=path)
+        mean, stderr, mbs_tx, scbs_tx, digest = pinned
+        assert rep == SimReport(mean, stderr, 5000, mbs_tx, scbs_tx, 0)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_different_seeds_differ(self):
         inst = motivating_instance()
