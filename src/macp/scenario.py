@@ -25,7 +25,7 @@ import numpy as np
 from .cost import _cached_split, _file_terms, _unicast_split
 from .model import CachingPolicy, Instance, Record, numeric_array
 from .sim import SimConfig, simulate
-from .solvers import _SEARCH_VALUES, _greedy_runs, _popular, _search_chunk, _stack
+from .solvers import _greedy_runs, _popular, _search, _stack
 
 SCHEMES = ("PAC-UT", "PAC-MT", "MAC-MT")
 SWEEP_AXES = ("cache_size", "zipf_shape", "deadline")
@@ -138,26 +138,20 @@ def _comparisons(instances):
 
     Returns ``(popular, aware, costs)``: the (B, N, I) bool popularity and
     MAC-MT placements and the (B, 3) analytic costs in ``SCHEMES`` order.
-    MAC-MT's greedy runs over the whole batch; then each chunk of
-    ``local_search_batch``'s width is one ``_stack``, which feeds the
-    popularity costs first and then ``_search_chunk``, which improves the
-    greedy's placements in place and whose objectives are MAC-MT's costs.
-    Every value is its per-instance function's bit for bit: every step is
-    elementwise or sums one instance's axis.
+    The batch is one ``_stack`` of objective inputs.  It gives the
+    popularity costs first; then MAC-MT's greedy runs on it, and ``_search``
+    uses it up, improving the greedy's placements in place, its objectives
+    MAC-MT's costs.  Every value is its per-instance function's bit for
+    bit: every step is elementwise or sums one instance's axis.
     """
-    aware = _greedy_runs(instances)[0]
-    width = max(1, _SEARCH_VALUES // (instances[0].num_scbs * instances[0].num_files))
-    popular, costs = np.empty_like(aware), np.empty((len(instances), len(SCHEMES)))
-    for start in range(0, len(instances), width):
-        chunk, part = instances[start:start + width], slice(start, start + width)
-        c_mbs, rate_mbs, rate, local_cost, sizes = stack = _stack(chunk)
-        popular[part] = _popular(np.array([x.demand[1:] for x in chunk]), sizes)
-        costs[part, 0] = _unicast_split(c_mbs[:, None], rate_mbs, rate, np.array(
-            [x.cost_scbs_tx for x in chunk]), popular[part])[0].sum(axis=1)
-        costs[part, 1] = _file_terms(c_mbs[:, None], *_cached_split(rate_mbs, rate, local_cost,
-                                                                    popular[part])).sum(axis=1)
-        # the search improves the greedy's placements in place
-        costs[part, 2] = _search_chunk(stack, aware[part])[1]
+    c_mbs, rate_mbs, rate, local_cost, sizes = stack = _stack(instances)
+    popular = _popular(np.array([x.demand[1:] for x in instances]), sizes)
+    costs = np.empty((len(instances), len(SCHEMES)))
+    costs[:, 0] = _unicast_split(c_mbs[:, None], rate_mbs, rate, np.array(
+        [x.cost_scbs_tx for x in instances]), popular)[0].sum(axis=1)
+    costs[:, 1] = _file_terms(c_mbs[:, None], *_cached_split(rate_mbs, rate, local_cost,
+                                                             popular)).sum(axis=1)
+    aware, costs[:, 2] = _search(stack, _greedy_runs(stack)[0])
     return popular, aware, costs
 
 
@@ -234,10 +228,10 @@ def sweep(
 
     Every point's rows equal ``run_comparison`` on its instance, built
     from its replication's one rate draw.  The points share the config's
-    shape, so the whole axis is one ``_comparisons``: one lockstep greedy,
-    then per chunk of instances one stack of objective inputs, which gives
-    the popularity costs and feeds the local search, whose objectives are
-    MAC-MT's costs.  Placements become policies only to be simulated.
+    shape, so the whole axis is one ``_comparisons``: one stack of objective
+    inputs gives the popularity costs and feeds one lockstep greedy and then
+    the local search, in chunks of the stack, whose objectives are MAC-MT's
+    costs.  Placements become policies only to be simulated.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")

@@ -6,8 +6,9 @@ placement by swaps and coverage completions.  Each is the batch of one of
 ``greedy_macp_batch`` or ``local_search_batch``, which solve many instances
 of one shape in lockstep numpy steps, the greedy's steps each committing a
 chain of verified runs, each run of one file, the search's each scoring
-again only the columns its last move changed.  Members that differ only in
-nested cache sizes follow one lockstep row of the greedy until they fill a
+again only the columns its last move changed.  Both read one ``_stack`` of
+the instances' objective inputs.  Members with the same objective inputs
+whose caches nest follow one lockstep row of the greedy until they fill a
 row of their own.
 ``popularity_placement`` is the conventional per-SCBS top-k baseline, and
 ``exact_optimal`` exhaustively enumerates feasible placements as an
@@ -70,11 +71,11 @@ def greedy_macp(instance: Instance) -> SolverReport:
     each commit.  It is 0 when no SCBS has a cache.
     """
     trace: list[tuple[int, int, int, float]] = []
-    cached, evaluations = _greedy_runs([instance], trace)
+    cached, evaluations = _greedy_runs(_stack([instance]), trace)
     return SolverReport(CachingPolicy(cached[0]), tuple(trace), evaluations)
 
 
-# Values per array of one stacked ``_greedy_start`` in ``greedy_macp_batch``:
+# Values per array of one group of the greedy's starts in ``greedy_macp_batch``:
 # max(1, _START_VALUES // (N * I)) leaders, 5 at (14, 100).
 _START_VALUES = 1 << 13
 
@@ -119,9 +120,9 @@ def greedy_macp_batch(instances) -> list[CachingPolicy]:
     so the batch pays off by its width, by the runs' length and by how many
     runs a chain verifies.
 
-    Members that differ only in nested cache sizes share a row (see
-    ``_leaders``): a cache size enters the greedy only through which rows
-    are full, so a follower makes its leader's commits until one of them
+    Members with the same objective inputs whose caches nest share a row
+    (see ``_leaders``): a cache size enters the greedy only through which
+    rows are full, so a follower makes its leader's commits until one of them
     fills a row of its own.  The rest of that run is still its stepwise
     prefix, since the run's other cells lie in rows still open and the
     other files' gains only rise, and the chain ends with it; the follower
@@ -132,46 +133,47 @@ def greedy_macp_batch(instances) -> list[CachingPolicy]:
     ValueError unless every instance has the same ``num_scbs`` and
     ``num_files``.
     """
-    return [CachingPolicy(x) for x in _greedy_runs(list(instances))[0]]
+    return [CachingPolicy(x) for x in _greedy_runs(_stack(instances))[0]]
 
 
-def _greedy_runs(instances, trace=None):
+def _greedy_runs(stack, trace=None):
     """``greedy_macp_batch``'s cached sets, as a (B, N, I) bool array, and a count.
 
-    With ``trace``, a list, the batch is of one instance: the list gets its
-    ``SolverReport.trace`` entries, replayed from the chain's runs in commit
-    order, and the count is its ``evaluations``.  Otherwise nothing is
-    recorded and the count is 0.
+    ``stack`` is the instances' ``_stack``, which is only read: each
+    lockstep row reads its own entry, a follower's entry being its leader's
+    bit for bit.  With ``trace``, a list, the batch is of one instance: the
+    list gets its ``SolverReport.trace`` entries, replayed from the chain's
+    runs in commit order, and the count is its ``evaluations``.  Otherwise
+    nothing is recorded and the count is 0.
 
     A step's tie limits take the objective between two bounds that hold at
     every state of its chain: the step's total with the chain files' terms
     at 0 and at their largest over the states, widened by the rounding of
     the sums.
     """
-    if not instances:
+    if not stack:
         return [], 0
-    n, i = instances[0].num_scbs, instances[0].num_files
-    if any((inst.num_scbs, inst.num_files) != (n, i) for inst in instances):
-        raise ValueError("batched instances must share num_scbs and num_files")
-    b = len(instances)
-    left = np.array([inst.cache_size for inst in instances])
-    lead = _leaders(instances, left)
+    c_mbs, rate_mbs, rate, local_cost, sizes = stack
+    b, n, i = rate.shape
+    left = sizes.copy()
+    lead = _leaders(stack)
     rows = np.flatnonzero(lead == np.arange(b))
-    # the objective inputs are held per leader, read by each member through its leader;
-    # pair[:, 0] and pair[:, 1] are the SCBS rates and local costs, cells first
-    g, source = rows.size, rows.searchsorted(lead)
-    c_mbs, rate_mbs, pair = np.empty(g), np.empty((g, i)), np.empty((n, 2, g, i))
     # a follower's state is its leader's until it takes a copy of its own
     terms, gain, best = np.empty((b, i)), np.empty((b, n, i)), np.empty((b, i))
-    # the leaders' starts a few at a time: stacked temporaries of a whole sweep
-    # axis raised the peak memory, and were slower per leader
+    # The leaders' starts a few at a time: stacked temporaries of a whole sweep
+    # axis raised the peak memory, and were slower per leader.  A start is the
+    # file terms of the empty placement and gain[n, f], the objective's change
+    # when f is cached at SCBS n, infinite where n has no cache; it is
+    # elementwise work and ``_scbs_sum``, so each row's values are its own.
     width = max(1, _START_VALUES // (n * i))
-    for s in range(0, g, width):
+    for s in range(0, rows.size, width):
         part = rows[s:s + width]
-        (c_mbs[s:s + width], rate_mbs[s:s + width], rate, local_cost,
-         terms[part], start) = _greedy_start([instances[k] for k in part.tolist()])
-        pair[:, 0, s:s + width], pair[:, 1, s:s + width] = rate.swapaxes(0, 1), local_cost.swapaxes(0, 1)
-        gain[part] = start
+        c, rates = c_mbs[part, None], rate[part]
+        rate_out, local = _cached_split(rate_mbs[part], rates, local_cost[part],
+                                        np.zeros(rates.shape, dtype=bool))
+        terms[part] = _file_terms(c, rate_out, local)
+        gain[part] = np.where(sizes[part, :, None] > 0, _file_terms(
+            c[..., None], rate_out[:, None] - rates, local_cost[part]) - terms[part, None], np.inf)
     best[rows] = gain[rows].min(axis=1)
     evaluations = 0 if trace is None else int(np.count_nonzero(gain < np.inf))
     cached = np.zeros((b, n, i), dtype=bool)
@@ -180,6 +182,7 @@ def _greedy_runs(instances, trace=None):
     # a cell's rate is summed outside the cached set, its cost inside
     inside = np.array([False, True])[:, None, None, None]
     gain_t, cached_t = gain.transpose(1, 0, 2), cached.transpose(1, 0, 2)
+    rate_t, local_t = rate.transpose(1, 0, 2), local_cost.transpose(1, 0, 2)
 
     live = rows[left[rows].any(axis=1)]
     attached = np.flatnonzero(lead != np.arange(b))
@@ -188,7 +191,7 @@ def _greedy_runs(instances, trace=None):
     short = np.zeros_like(left)
     np.maximum.at(short, lead[attached], left[lead[attached]] - left[attached])
     while live.size:
-        at, src = lines[:live.size], source[live]
+        at = lines[:live.size]
         # a chain of up to k files
         k = min(_CHAIN, i, max(1, _STEP_VALUES // (live.size * n * (n + 1))))
         members = np.arange(k)
@@ -226,16 +229,18 @@ def _greedy_runs(instances, trace=None):
         order = np.where(cells == pick, -np.inf, column).argsort(axis=0, kind="stable")
         rank = order.argsort(axis=0, kind="stable")
         on = np.where(cached_t[:, live[:, None], chain], -1, rank)[..., None] < states
-        # the file's sums SCBS by SCBS, as ``_cached_split`` adds them
-        values = pair[:, :, src[:, None], chain]
+        # the file's sums SCBS by SCBS, as ``_cached_split`` adds them; values[:, 0]
+        # and values[:, 1] are the SCBS rates and local costs, cells first
+        values = np.array([rate_t[:, live[:, None], chain],
+                           local_t[:, live[:, None], chain]]).swapaxes(0, 1)
         both = np.where(on[:, None] == inside, values[..., None], 0.0)
         rate_out, local = _scbs_sum(both.reshape(n, -1)).reshape(2, live.size, k, n + 1)
-        rate_out += rate_mbs[src[:, None], chain][..., None]
+        rate_out += rate_mbs[live[:, None], chain][..., None]
         # each state's rate outside with each cell taken out of it; ``both`` goes before
         # the scores' temporaries are made, as they set the peak memory
         outside = rate_out - both[:, 0]
         del both
-        c = c_mbs[src, None, None]
+        c = c_mbs[live, None, None]
         term = _file_terms(c, rate_out, local)
         gains = np.where(on | (column == np.inf)[..., None], np.inf,
                          _file_terms(c, outside, local + values[:, 1, ..., None]) - term)
@@ -318,27 +323,25 @@ def _greedy_runs(instances, trace=None):
     return cached, evaluations
 
 
-def _leaders(instances, sizes) -> np.ndarray:
+def _leaders(stack) -> np.ndarray:
     """Each member's leader in ``greedy_macp_batch``: itself, or the member it follows.
 
     A member with some cache follows the first leader, members taken by
-    total cache size largest first, that has the same objective inputs
-    (demand, deadline and costs), at least its cache size at every SCBS and
-    no cache at the same SCBSs.  A member with no cache leads itself.
+    total cache size largest first, that has the same objective inputs (the
+    bytes of its ``c_mbs``, ``rate_mbs``, ``rate`` and ``local_cost`` in
+    ``stack``, all the greedy reads but the cache sizes), at least its cache
+    size at every SCBS and no cache at the same SCBSs.  A member with no
+    cache leads itself.
     """
-    lead = np.arange(len(instances))
+    sizes = stack[4]
+    lead = np.arange(len(sizes))
     groups: dict[tuple, list[int]] = {}
     for k in np.argsort(-sizes.sum(axis=1), kind="stable").tolist():
         if not sizes[k].any():
             continue
-        inst = instances[k]
-        # the demand by the hash of its bytes, its values compared within a group
-        key = (hash(inst.demand.tobytes()), inst.deadline, inst.cost_backhaul, inst.cost_mbs_tx,
-               inst.cost_scbs_tx.tobytes())
-        group = groups.setdefault(key, [])
+        group = groups.setdefault(tuple(a[k].tobytes() for a in stack[:4]), [])
         for j in group:
-            if (((sizes[j] >= sizes[k]) & ((sizes[j] > 0) == (sizes[k] > 0))).all()
-                    and np.array_equal(instances[j].demand, inst.demand)):
+            if ((sizes[j] >= sizes[k]) & ((sizes[j] > 0) == (sizes[k] > 0))).all():
                 lead[k] = j
                 break
         else:
@@ -350,28 +353,14 @@ def _stack(instances):
     """The objective inputs of instances of one shape, each stacked on a first axis.
 
     Returns ``(c_mbs, rate_mbs, rate, local_cost, cache_size)``: the
-    ``_area_rates`` and the cache sizes.
+    ``_area_rates`` and the cache sizes; an empty tuple for no instances.
+    Raises ValueError unless every instance has the same ``num_scbs`` and
+    ``num_files``.
     """
+    instances = list(instances)
+    if len({(x.num_scbs, x.num_files) for x in instances}) > 1:
+        raise ValueError("batched instances must share num_scbs and num_files")
     return tuple(map(np.array, zip(*((*_area_rates(x), x.cache_size) for x in instances))))
-
-
-def _greedy_start(instances):
-    """The greedy's inputs and gains before its first commit.
-
-    For instances of one shape, returns ``(c_mbs, rate_mbs, rate,
-    local_cost, terms, gain)``, each stacked on a first axis: the
-    ``_area_rates``; the file terms of the empty placement; and ``gain[n,
-    f]``, the objective's change when f is cached at SCBS n, infinite where
-    n has no cache.  All of it is elementwise work and ``_scbs_sum``, so
-    each instance's values are its own, bit for bit.
-    """
-    c_mbs, rate_mbs, rate, local_cost, sizes = _stack(instances)
-    rate_out, local = _cached_split(rate_mbs, rate, local_cost, np.zeros(rate.shape, dtype=bool))
-    terms = _file_terms(c_mbs[:, None], rate_out, local)
-    has_cache = sizes[..., None] > 0
-    gain = np.where(has_cache, _file_terms(c_mbs[:, None, None], rate_out[:, None] - rate, local_cost)
-                    - terms[:, None], np.inf)
-    return c_mbs, rate_mbs, rate, local_cost, terms, gain
 
 
 def popularity_placement(instance: Instance) -> CachingPolicy:
@@ -421,7 +410,7 @@ def local_search(instance: Instance, policy: CachingPolicy) -> CachingPolicy:
     return local_search_batch([instance], [policy])[0]
 
 
-# Values per array of a ``local_search_batch`` chunk: max(1, _SEARCH_VALUES // (N * I))
+# Values per array of a ``_search`` chunk: max(1, _SEARCH_VALUES // (N * I))
 # instances, so a sweep axis of up to 46 instances of (14, 100) is one chunk.
 _SEARCH_VALUES = 1 << 16
 
@@ -429,9 +418,9 @@ _SEARCH_VALUES = 1 << 16
 def local_search_batch(instances, policies) -> list[CachingPolicy]:
     """``local_search`` of each instance from its policy, in lockstep numpy steps.
 
-    The instances go in chunks of ``max(1, _SEARCH_VALUES // (N * I))``, each
-    chunk one ``_stack`` and one ``_search_chunk``: each step scores and makes
-    one move of every instance of the chunk still searching, and an instance
+    The instances are one ``_stack``, searched by ``_search`` in chunks of
+    ``max(1, _SEARCH_VALUES // (N * I))``: each step scores and makes one
+    move of every instance of the chunk still searching, and an instance
     leaves the chunk at the step where it stops.  Returns the improved
     placements in input order (none for no instances).
 
@@ -441,18 +430,27 @@ def local_search_batch(instances, policies) -> list[CachingPolicy]:
     instances, policies = list(instances), list(policies)
     if len(instances) != len(policies):
         raise ValueError("need one policy per instance")
-    if any((inst.num_scbs, inst.num_files) != (instances[0].num_scbs, instances[0].num_files)
-           for inst in instances):
-        raise ValueError("batched instances must share num_scbs and num_files")
+    stack = _stack(instances)
     for inst, policy in zip(instances, policies):
         policy.check_feasible(inst)
-    width = max(1, _SEARCH_VALUES // (policies[0].placement.size if policies else 1))
-    results = []
-    for start in range(0, len(instances), width):
+    cached = np.array([policy.placement for policy in policies], dtype=bool)
+    return list(map(CachingPolicy, _search(stack, cached)[0]))
+
+
+def _search(stack, cached):
+    """``local_search_batch`` of a ``_stack`` and (B, N, I) bool placements.
+
+    Runs ``_search_chunk`` on chunks of ``max(1, _SEARCH_VALUES // (N * I))``
+    instances, each the stack's slices, so the search uses up the stack.
+    Returns the improved placements, written over ``cached``, and their
+    (B,) objectives, each ``cost_closed_form``'s total of its placement.
+    """
+    width = max(1, _SEARCH_VALUES // math.prod(cached.shape[1:]))
+    objective = np.empty(len(cached))
+    for start in range(0, len(cached), width):
         part = slice(start, start + width)
-        cached = np.array([policy.placement for policy in policies[part]], dtype=bool)
-        results += map(CachingPolicy, _search_chunk(_stack(instances[part]), cached)[0])
-    return results
+        objective[part] = _search_chunk(tuple(a[part] for a in stack), cached[part])[1]
+    return cached, objective
 
 
 # a cached cell's sign (index 1) and an uncached one's (index 0) in ``_search_chunk``
@@ -466,7 +464,7 @@ def _least(values, where):
 
 
 def _search_chunk(stack, cached):
-    """``local_search_batch`` of one chunk: its ``_stack`` and (B, N, I) bool placements.
+    """``_search`` of one chunk: its ``_stack`` and (B, N, I) bool placements.
 
     Returns the improved placements, written over ``cached``, and their
     objectives, a (B,) array: each instance's placement and ``best`` at the

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import macp.scenario as scenario_module
+import macp.solvers as solvers_module
 from macp import (
     SCHEMES,
     Instance,
@@ -215,10 +216,10 @@ def _mixed_batch() -> list[Instance]:
 class TestStackedComparison:
     @pytest.mark.parametrize("chunk", [None, 2], ids=["one-chunk", "chunks-of-2"])
     def test_equals_per_instance_functions_bit_for_bit(self, monkeypatch, chunk):
-        # the comparison reads its chunk width from its own import of the budget
+        # the comparison's search reads its chunk width from the solvers' budget
         batch = _mixed_batch()
         if chunk is not None:
-            monkeypatch.setattr(scenario_module, "_SEARCH_VALUES", chunk * 4 * 12)
+            monkeypatch.setattr(solvers_module, "_SEARCH_VALUES", chunk * 4 * 12)
         popular, aware, costs = _comparisons(batch)
         assert popular.shape == aware.shape == (len(batch), 4, 12)
         assert popular.dtype == aware.dtype == bool and costs.shape == (len(batch), len(SCHEMES))

@@ -26,7 +26,7 @@ from macp import (
 )
 import macp.solvers as solvers_module
 from macp.cost import _area_rates, _cached_split, _file_terms
-from macp.scenario import _replication_seeds
+from macp.scenario import _comparisons, _replication_seeds
 from macp.solvers import _placement_tables, _search_chunk, _stack, count_feasible_placements
 from helpers import (
     empty_policy,
@@ -299,8 +299,38 @@ class TestGreedyBatch:
                   dataclasses.replace(base, cache_size=[3, 3, 3, 3], deadline=base.deadline / 2),
                   dataclasses.replace(base, cache_size=[3, 3, 3, 3], cost_backhaul=0.5),
                   dataclasses.replace(base, cache_size=[3, 3, 3, 3], cost_scbs_tx=[0, 0, 0, 0.1])]
-        lead = solvers_module._leaders(batch, np.array([inst.cache_size for inst in batch]))
+        lead = solvers_module._leaders(_stack(batch))
         assert lead.tolist() == [1, 1, 1, 1, 4, 5, 5, 7, 9, 9, 10, 11, 12]
+        for inst, policy in zip(batch, greedy_macp_batch(batch)):
+            assert np.array_equal(policy.placement, reference_greedy_macp(inst).policy.placement)
+
+    def test_followers_match_on_objective_inputs(self):
+        # Members whose fields differ from the leader's but whose objective
+        # inputs are the same bits follow it: macro costs with the same sum,
+        # demand doubled at half the deadline, and an SCBS cost changed where
+        # that SCBS has no demand.  A member one rate ulp away leads itself.
+        config = ScenarioConfig(num_scbs=4, num_files=12, cache_size=5, deadline=1.0,
+                                cost_scbs=0.2, seed=12)
+        demand = generate_scenario(config).demand.copy()
+        demand[2] = 0.0
+        leader = dataclasses.replace(generate_scenario(config), demand=demand)
+        off = demand.copy()
+        off[1, 3] = np.nextafter(off[1, 3], np.inf)
+        batch = [leader,
+                 dataclasses.replace(leader, cache_size=[3, 3, 3, 3], cost_backhaul=0.5,
+                                     cost_mbs_tx=1.5),
+                 dataclasses.replace(leader, cache_size=[4, 2, 5, 3], demand=demand * 2,
+                                     deadline=0.5),
+                 dataclasses.replace(leader, cache_size=[2, 2, 2, 2],
+                                     cost_scbs_tx=[0.2, 0.7, 0.2, 0.2]),
+                 dataclasses.replace(leader, demand=off)]
+        stack = _stack(batch)
+        # the doubled demand at half the deadline is the leader's stack entry, bit for bit
+        assert all(a[2].tobytes() == a[0].tobytes() for a in stack[:4])
+        rate = stack[2]
+        assert np.flatnonzero(rate[4] != rate[0]).size == 1
+        assert rate[4, 0, 3] == np.nextafter(rate[0, 0, 3], np.inf)
+        assert solvers_module._leaders(stack).tolist() == [0, 0, 0, 0, 4]
         for inst, policy in zip(batch, greedy_macp_batch(batch)):
             assert np.array_equal(policy.placement, reference_greedy_macp(inst).policy.placement)
 
@@ -406,7 +436,7 @@ class TestGreedyChains:
                       cost_scbs_tx=[0.2, 0.1], deadline=1.0,
                       demand=[[0.25, 0.0, 0.5], [0.5, 0.25, 0.5], [1.5, 0.5, 2.0]])
         batch = [Instance(cache_size=[1, 3], **fields), Instance(cache_size=[1, 1], **fields)]
-        assert solvers_module._leaders(batch, np.array([[1, 3], [1, 1]])).tolist() == [0, 0]
+        assert solvers_module._leaders(_stack(batch)).tolist() == [0, 0]
         for inst, policy in zip(batch, greedy_macp_batch(batch)):
             assert np.array_equal(policy.placement, reference_greedy_macp(inst).policy.placement)
 
@@ -918,10 +948,13 @@ class TestLocalSearch:
         # instances of seed 7, in (B, N, I) float64 arrays of 0.504 MB: 6.5
         # for the search (5.3 when it re-scored every column in chunks of 16,
         # 8.7 before its temporaries were trimmed), 4.9 for the greedy when
-        # each member had its own lockstep row and 2.1 since the members
-        # follow one row per replication.  The search may hold about one more
-        # array at its peak than now, 1.5 times the greedy's old peak, and
-        # the greedy no more than before.
+        # each member had its own lockstep row, 2.1 once the members followed
+        # one row per replication and 4.4 since it reads every member's
+        # objective inputs from one stack, and 6.84 for the whole comparison
+        # of schemes, whose stack feeds the greedy and the search.  The
+        # search may hold about one more array at its peak than now, 1.5
+        # times the greedy's old peak, the greedy no more than when each
+        # member had its own row, and the comparison 5% more than 6.84.
         config = ScenarioConfig(seed=7)
         seeds = _replication_seeds(config.seed, 5)
         batch = [generate_scenario(dataclasses.replace(config, cache_size=size, seed=seed))
@@ -935,10 +968,15 @@ class TestLocalSearch:
             before = tracemalloc.get_traced_memory()[0]
             local_search_batch(batch, starts)
             search_peak = tracemalloc.get_traced_memory()[1] - before
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _comparisons(batch)
+            comparison_peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert greedy_peak <= 4.9 * array, greedy_peak / array
         assert search_peak <= 7.35 * array, search_peak / array
+        assert comparison_peak <= 7.18 * array, comparison_peak / array
 
     def test_batch_arguments(self):
         inst = motivating_instance()
