@@ -25,9 +25,7 @@ from .solvers import (
     SolverReport,
     exact_optimal,
     greedy_macp,
-    greedy_macp_batch,
     local_search,
-    local_search_batch,
     popularity_placement,
 )
 from .reduction import (
@@ -70,9 +68,7 @@ __all__ = [
     "cost_unicast",
     "SolverReport",
     "greedy_macp",
-    "greedy_macp_batch",
     "local_search",
-    "local_search_batch",
     "popularity_placement",
     "exact_optimal",
     "SppInstance",

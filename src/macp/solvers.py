@@ -2,14 +2,14 @@
 
 ``greedy_macp`` is the multicast-aware heuristic (commit the single best
 placement until every cache is full) and ``local_search`` improves a given
-placement by swaps and coverage completions.  Each is the batch of one of
-``greedy_macp_batch`` or ``local_search_batch``, which solve many instances
-of one shape in lockstep numpy steps, the greedy's steps each committing a
-chain of verified runs, each run of one file, the search's each scoring
-again only the columns its last move changed.  Both read one ``_stack`` of
-the instances' objective inputs.  Members with the same objective inputs
-whose caches nest follow one lockstep row of the greedy until they fill a
-row of their own.
+placement by swaps and coverage completions.  Each runs a private kernel
+on the ``_stack`` of its one instance's objective inputs: ``_greedy_runs``,
+whose lockstep steps each commit a chain of verified runs, each run of one
+file, and ``_search``, whose steps each score again only the columns the
+last move changed.  A sweep runs the same two kernels on one stack of a
+whole axis (``scenario._comparisons``), where members with the same
+objective inputs whose caches nest follow one lockstep row of the greedy
+until they fill a row of their own.
 ``popularity_placement`` is the conventional per-SCBS top-k baseline, and
 ``exact_optimal`` exhaustively enumerates feasible placements as an
 optimality oracle for tiny instances.
@@ -59,10 +59,10 @@ def greedy_macp(instance: Instance) -> SolverReport:
     |objective|)`` of the minimal gain, the objective being the one before
     the commit; among them the smallest SCBS wins, then the smallest file.
 
-    This is ``greedy_macp_batch`` of one instance, its trace replayed from
-    the runs its steps commit: after each commit of a run, the file takes
-    the term the step scored for that state and the terms are summed
-    again (O(I) per commit), so each trace objective is
+    This is ``_greedy_runs`` of the instance's ``_stack``, its trace
+    replayed from the runs its steps commit: after each commit of a run,
+    the file takes the term the step scored for that state and the terms
+    are summed again (O(I) per commit), so each trace objective is
     ``cost_closed_form``'s total of the placement so far, bit for bit.
     ``evaluations`` counts the gains a greedy of one commit per step
     computes, for allowed cells only (the file not cached there and the
@@ -75,7 +75,7 @@ def greedy_macp(instance: Instance) -> SolverReport:
     return SolverReport(CachingPolicy(cached[0]), tuple(trace), evaluations)
 
 
-# Values per array of one group of the greedy's starts in ``greedy_macp_batch``:
+# Values per array of one group of the greedy's starts in ``_greedy_runs``:
 # max(1, _START_VALUES // (N * I)) leaders, 5 at (14, 100).
 _START_VALUES = 1 << 13
 
@@ -87,8 +87,16 @@ _START_VALUES = 1 << 13
 _CHAIN, _STEP_VALUES = 5, 3 << 13
 
 
-def greedy_macp_batch(instances) -> list[CachingPolicy]:
-    """``greedy_macp``'s placements of instances of one shape, solved in lockstep.
+def _greedy_runs(stack, trace=None):
+    """``greedy_macp``'s cached sets of a ``_stack``'s instances, solved in lockstep.
+
+    Returns a (B, N, I) bool array, the placements in stack order, and a
+    count.  ``stack`` is only read: each lockstep row reads its own entry,
+    a follower's entry being its leader's bit for bit.  With ``trace``, a
+    list, the stack is of one instance: the list gets its
+    ``SolverReport.trace`` entries, replayed from the chain's runs in commit
+    order, and the count is its ``evaluations``.  Otherwise nothing is
+    recorded and the count is 0.
 
     The greedy commits in runs of one file: caching a file at one SCBS pays
     mostly once every SCBS has it.  Each step commits, for every lockstep
@@ -129,30 +137,11 @@ def greedy_macp_batch(instances) -> list[CachingPolicy]:
     then takes a copy of the leader's state, its full rows out, as a row of
     its own.
 
-    Returns the placements in input order (none for no instances).  Raises
-    ValueError unless every instance has the same ``num_scbs`` and
-    ``num_files``.
-    """
-    return [CachingPolicy(x) for x in _greedy_runs(_stack(instances))[0]]
-
-
-def _greedy_runs(stack, trace=None):
-    """``greedy_macp_batch``'s cached sets, as a (B, N, I) bool array, and a count.
-
-    ``stack`` is the instances' ``_stack``, which is only read: each
-    lockstep row reads its own entry, a follower's entry being its leader's
-    bit for bit.  With ``trace``, a list, the batch is of one instance: the
-    list gets its ``SolverReport.trace`` entries, replayed from the chain's
-    runs in commit order, and the count is its ``evaluations``.  Otherwise
-    nothing is recorded and the count is 0.
-
     A step's tie limits take the objective between two bounds that hold at
     every state of its chain: the step's total with the chain files' terms
     at 0 and at their largest over the states, widened by the rounding of
     the sums.
     """
-    if not stack:
-        return [], 0
     c_mbs, rate_mbs, rate, local_cost, sizes = stack
     b, n, i = rate.shape
     left = sizes.copy()
@@ -324,7 +313,7 @@ def _greedy_runs(stack, trace=None):
 
 
 def _leaders(stack) -> np.ndarray:
-    """Each member's leader in ``greedy_macp_batch``: itself, or the member it follows.
+    """Each member's leader in ``_greedy_runs``: itself, or the member it follows.
 
     A member with some cache follows the first leader, members taken by
     total cache size largest first, that has the same objective inputs (the
@@ -350,14 +339,12 @@ def _leaders(stack) -> np.ndarray:
 
 
 def _stack(instances):
-    """The objective inputs of instances of one shape, each stacked on a first axis.
+    """The objective inputs of a sequence of instances of one shape, stacked on a first axis.
 
     Returns ``(c_mbs, rate_mbs, rate, local_cost, cache_size)``: the
-    ``_area_rates`` and the cache sizes; an empty tuple for no instances.
-    Raises ValueError unless every instance has the same ``num_scbs`` and
-    ``num_files``.
+    ``_area_rates`` and the cache sizes.  Raises ValueError unless every
+    instance has the same ``num_scbs`` and ``num_files``.
     """
-    instances = list(instances)
     if len({(x.num_scbs, x.num_files) for x in instances}) > 1:
         raise ValueError("batched instances must share num_scbs and num_files")
     return tuple(map(np.array, zip(*((*_area_rates(x), x.cache_size) for x in instances))))
@@ -404,10 +391,11 @@ def local_search(instance: Instance, policy: CachingPolicy) -> CachingPolicy:
     the smallest file.  A completion's rate outside is a separate sum
     (``rate_bare``), so the best swap counts as tied with the best
     completion when it scores within the greedy's tie limit,
-    ``1e-12 * max(1, |objective|)``, of it.  This is ``local_search_batch``
-    of one instance.
+    ``1e-12 * max(1, |objective|)``, of it.  This is ``_search`` of the
+    instance's ``_stack``, after ``policy.check_feasible(instance)``.
     """
-    return local_search_batch([instance], [policy])[0]
+    policy.check_feasible(instance)
+    return CachingPolicy(_search(_stack([instance]), policy.placement.astype(bool)[None])[0][0])
 
 
 # Values per array of a ``_search`` chunk: max(1, _SEARCH_VALUES // (N * I))
@@ -415,34 +403,14 @@ def local_search(instance: Instance, policy: CachingPolicy) -> CachingPolicy:
 _SEARCH_VALUES = 1 << 16
 
 
-def local_search_batch(instances, policies) -> list[CachingPolicy]:
-    """``local_search`` of each instance from its policy, in lockstep numpy steps.
-
-    The instances are one ``_stack``, searched by ``_search`` in chunks of
-    ``max(1, _SEARCH_VALUES // (N * I))``: each step scores and makes one
-    move of every instance of the chunk still searching, and an instance
-    leaves the chunk at the step where it stops.  Returns the improved
-    placements in input order (none for no instances).
-
-    Raises ValueError unless there is one policy per instance and every
-    instance has the same ``num_scbs`` and ``num_files``.
-    """
-    instances, policies = list(instances), list(policies)
-    if len(instances) != len(policies):
-        raise ValueError("need one policy per instance")
-    stack = _stack(instances)
-    for inst, policy in zip(instances, policies):
-        policy.check_feasible(inst)
-    cached = np.array([policy.placement for policy in policies], dtype=bool)
-    return list(map(CachingPolicy, _search(stack, cached)[0]))
-
-
 def _search(stack, cached):
-    """``local_search_batch`` of a ``_stack`` and (B, N, I) bool placements.
+    """``local_search`` of a ``_stack``'s instances from (B, N, I) bool placements.
 
     Runs ``_search_chunk`` on chunks of ``max(1, _SEARCH_VALUES // (N * I))``
     instances, each the stack's slices, so the search uses up the stack.
-    Returns the improved placements, written over ``cached``, and their
+    Each step scores and makes one move of every instance of the chunk
+    still searching, and an instance leaves the chunk at the step where it
+    stops.  Returns the improved placements, written over ``cached``, and their
     (B,) objectives, each ``cost_closed_form``'s total of its placement.
     """
     width = max(1, _SEARCH_VALUES // math.prod(cached.shape[1:]))

@@ -183,6 +183,15 @@ class TestRunComparison:
             results["PAC-UT"].analytic_cost, rel=5e-3
         )
 
+    def test_no_rate_spread_leaves_no_gain(self):
+        # rate_low == rate_high makes every SCBS row the same and popularity
+        # optimal (README, "Where MAC-MT's gain comes from"), so MAC-MT ties PAC-MT
+        inst = generate_scenario(ScenarioConfig(seed=4, rate_high=1.0))
+        assert (inst.demand[1:] == inst.demand[1]).all()
+        results = {r.scheme: r.analytic_cost for r in run_comparison(inst)}
+        assert results["PAC-MT"] == pytest.approx(80.69247064564357, rel=1e-12, abs=0)
+        assert results["MAC-MT"] == pytest.approx(results["PAC-MT"], rel=1e-12, abs=0)
+
     def test_simulation_attaches_confidence(self):
         inst = generate_scenario(ScenarioConfig(num_scbs=3, num_files=8, cache_size=2, seed=29))
         results = run_comparison(inst, SimConfig(periods=4000, mode="multicast", seed=31))

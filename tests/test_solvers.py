@@ -17,17 +17,23 @@ from macp import (
     exact_optimal,
     generate_scenario,
     greedy_macp,
-    greedy_macp_batch,
     local_search,
-    local_search_batch,
     macdp_decide,
     popularity_placement,
     spp_to_macdp,
 )
+import macp
 import macp.solvers as solvers_module
 from macp.cost import _area_rates, _cached_split, _file_terms
 from macp.scenario import _comparisons, _replication_seeds
-from macp.solvers import _placement_tables, _search_chunk, _stack, count_feasible_placements
+from macp.solvers import (
+    _greedy_runs,
+    _placement_tables,
+    _search,
+    _search_chunk,
+    _stack,
+    count_feasible_placements,
+)
 from helpers import (
     empty_policy,
     iter_feasible_placements,
@@ -204,7 +210,20 @@ def _with_sizes(inst: Instance, sizes) -> Instance:
                     inst.cost_scbs_tx, inst.demand, inst.deadline)
 
 
+def _stepwise(inst: Instance) -> np.ndarray:
+    """``reference_greedy_macp``'s placement as a bool array."""
+    return reference_greedy_macp(inst).policy.placement.astype(bool)
+
+
+def _bools(policies) -> np.ndarray:
+    """The policies' placements as one (B, N, I) bool array, as ``_search`` takes them."""
+    return np.array([policy.placement for policy in policies], dtype=bool)
+
+
 class TestGreedyBatch:
+    # ``_greedy_runs`` on a stack of many instances, as ``_comparisons`` runs
+    # it on a sweep axis: each placement must be the stepwise greedy's.
+
     def test_matches_stepwise_reference(self):
         # 400 random batches of one shape on 1 to 8 SCBSs: up to five
         # members that differ in their cache sizes (zero, unequal, or above
@@ -233,19 +252,18 @@ class TestGreedyBatch:
                 batches.append([generate_scenario(dataclasses.replace(config, **{axis: v}))
                                 for v in values])
         for members in batches:
-            placements = greedy_macp_batch(members)
-            assert len(placements) == len(members)
-            for inst, policy in zip(members, placements):
-                want = reference_greedy_macp(inst).policy.placement
-                assert np.array_equal(policy.placement, want), inst
+            placed = _greedy_runs(_stack(members))[0]
+            assert placed.dtype == bool and len(placed) == len(members)
+            for inst, x in zip(members, placed):
+                assert np.array_equal(x, _stepwise(inst)), inst
 
     def test_zero_unequal_and_clamped_caches_in_one_batch(self):
         base = generate_scenario(ScenarioConfig(num_scbs=4, num_files=6, seed=3))
         sizes = ([0, 0, 0, 0], [0, 2, 0, 5], [1, 3, 2, 4], [9, 9, 9, 9], [6, 0, 7, 1])
         batch = [_with_sizes(base, s) for s in sizes]
-        for inst, policy in zip(batch, greedy_macp_batch(batch)):
-            assert np.array_equal(policy.placement, reference_greedy_macp(inst).policy.placement)
-            assert (policy.placement.sum(axis=1) == inst.cache_size).all()
+        for inst, x in zip(batch, _greedy_runs(_stack(batch))[0]):
+            assert np.array_equal(x, _stepwise(inst))
+            assert (x.sum(axis=1) == inst.cache_size).all()
 
     def test_ties_in_one_member_only(self):
         # the tie-rule cases, batched with a member of their shape whose
@@ -258,16 +276,14 @@ class TestGreedyBatch:
         rng = np.random.default_rng(5)
         for inst in tied:
             plain = dataclasses.replace(inst, demand=rng.uniform(0.1, 2.0, size=inst.demand.shape))
-            for policy, member in zip(greedy_macp_batch([plain, inst, plain]),
-                                      [plain, inst, plain]):
-                want = reference_greedy_macp(member).policy.placement
-                assert np.array_equal(policy.placement, want)
+            batch = [plain, inst, plain]
+            for member, x in zip(batch, _greedy_runs(_stack(batch))[0]):
+                assert np.array_equal(x, _stepwise(member))
 
-    def test_one_instance_and_none(self):
+    def test_one_instance(self):
         inst = motivating_instance()
-        (policy,) = greedy_macp_batch([inst])
-        assert np.array_equal(policy.placement, reference_greedy_macp(inst).policy.placement)
-        assert greedy_macp_batch([]) == []
+        (x,) = _greedy_runs(_stack([inst]))[0]
+        assert np.array_equal(x, _stepwise(inst))
 
     @pytest.mark.parametrize("change", [
         {"cache_size": [2, 1, 2]},
@@ -282,8 +298,8 @@ class TestGreedyBatch:
                       cost_mbs_tx=0.5, cost_scbs_tx=[0.1, 0.1, 0.1],
                       demand=np.full((4, 4), 0.5), deadline=1.0)
         batch = [Instance(**fields), Instance(**{**fields, **change})]
-        for inst, policy in zip(batch, greedy_macp_batch(batch)):
-            assert np.array_equal(policy.placement, reference_greedy_macp(inst).policy.placement)
+        for inst, x in zip(batch, _greedy_runs(_stack(batch))[0]):
+            assert np.array_equal(x, _stepwise(inst))
 
     def test_nested_caches_follow_one_row(self):
         # One demand draw with nested caches, equal ones among them, follows
@@ -301,8 +317,8 @@ class TestGreedyBatch:
                   dataclasses.replace(base, cache_size=[3, 3, 3, 3], cost_scbs_tx=[0, 0, 0, 0.1])]
         lead = solvers_module._leaders(_stack(batch))
         assert lead.tolist() == [1, 1, 1, 1, 4, 5, 5, 7, 9, 9, 10, 11, 12]
-        for inst, policy in zip(batch, greedy_macp_batch(batch)):
-            assert np.array_equal(policy.placement, reference_greedy_macp(inst).policy.placement)
+        for inst, x in zip(batch, _greedy_runs(_stack(batch))[0]):
+            assert np.array_equal(x, _stepwise(inst))
 
     def test_followers_match_on_objective_inputs(self):
         # Members whose fields differ from the leader's but whose objective
@@ -331,8 +347,8 @@ class TestGreedyBatch:
         assert np.flatnonzero(rate[4] != rate[0]).size == 1
         assert rate[4, 0, 3] == np.nextafter(rate[0, 0, 3], np.inf)
         assert solvers_module._leaders(stack).tolist() == [0, 0, 0, 0, 4]
-        for inst, policy in zip(batch, greedy_macp_batch(batch)):
-            assert np.array_equal(policy.placement, reference_greedy_macp(inst).policy.placement)
+        for inst, x in zip(batch, _greedy_runs(_stack(batch))[0]):
+            assert np.array_equal(x, _stepwise(inst))
 
     def test_follower_fills_a_row_inside_its_leaders_run(self):
         # The follower's SCBS 2 fills at the middle commit of one of the
@@ -355,8 +371,8 @@ class TestGreedyBatch:
             end += 1
         assert files[t - 1] == files[t] == files[t + 1]
         assert alone[:end] == ahead[:end] and alone[end][1:3] != ahead[end][1:3]
-        for member, policy in zip([leader, follower], greedy_macp_batch([leader, follower])):
-            assert np.array_equal(policy.placement, reference_greedy_macp(member).policy.placement)
+        for member, x in zip([leader, follower], _greedy_runs(_stack([leader, follower]))[0]):
+            assert np.array_equal(x, _stepwise(member))
 
     @pytest.mark.parametrize("event, inst", [
         # file 1 then file 2 at SCBS 1, whose cache still has room
@@ -391,17 +407,17 @@ class TestGreedyBatch:
         assert all(len(set(files[k:k + n])) == 1 for k in range(0, n * i, n))
         assert len({entry[2] for entry in reference_greedy_macp(short).trace}) == 1
         batch = [whole, inst, short, inst]
-        for member, policy in zip(batch, greedy_macp_batch(batch)):
-            assert np.array_equal(policy.placement, reference_greedy_macp(member).policy.placement)
+        for member, x in zip(batch, _greedy_runs(_stack(batch))[0]):
+            assert np.array_equal(x, _stepwise(member))
 
     def test_rejects_mixed_shapes(self):
         other = Instance(2, 2, [1, 1], 0.5, 0.5, [0.0, 0.0], np.full((3, 2), 0.5), 1.0)
         with pytest.raises(ValueError, match="share num_scbs and num_files"):
-            greedy_macp_batch([motivating_instance(), other])
+            _stack([motivating_instance(), other])
 
 
 def _lockstep_steps(monkeypatch, batch) -> int:
-    """The lockstep steps ``greedy_macp_batch`` takes: each scores its chains in one 4-D call."""
+    """The lockstep steps ``_greedy_runs`` takes: each scores its chains in one 4-D call."""
     calls = []
     scored = solvers_module._file_terms
 
@@ -411,7 +427,7 @@ def _lockstep_steps(monkeypatch, batch) -> int:
 
     with monkeypatch.context() as m:
         m.setattr(solvers_module, "_file_terms", counting)
-        greedy_macp_batch(batch)
+        _greedy_runs(_stack(batch))
     return sum(calls)
 
 
@@ -437,8 +453,8 @@ class TestGreedyChains:
                       demand=[[0.25, 0.0, 0.5], [0.5, 0.25, 0.5], [1.5, 0.5, 2.0]])
         batch = [Instance(cache_size=[1, 3], **fields), Instance(cache_size=[1, 1], **fields)]
         assert solvers_module._leaders(_stack(batch)).tolist() == [0, 0]
-        for inst, policy in zip(batch, greedy_macp_batch(batch)):
-            assert np.array_equal(policy.placement, reference_greedy_macp(inst).policy.placement)
+        for inst, x in zip(batch, _greedy_runs(_stack(batch))[0]):
+            assert np.array_equal(x, _stepwise(inst))
 
     @pytest.mark.parametrize("inst, first", [
         # Files 1 and 2 are mirrored, so after file 0's run their best gains
@@ -502,8 +518,8 @@ PINNED_CHOICES = "caa820793bdc0730d5b6e7680f724c1c024ed90d0de8dd72451704a90defc7
 def test_choices_are_pinned_on_any_expm1_kernel():
     # The choices, not the float objectives, so the digest holds whichever
     # kernel numpy's expm1 runs: the points of the pinned sweep CSV's three
-    # runs, one batch per axis as ``sweep`` makes them, and the paper's
-    # default instance at seeds 4 and 5.
+    # runs, one batch per axis as ``sweep`` makes them and compares them
+    # (``_comparisons``), and the paper's default instance at seeds 4 and 5.
     cfg = ScenarioConfig(num_scbs=5, num_files=24, cache_size=4, seed=2024)
     seeds = _replication_seeds(cfg.seed, 2)
     batches = [
@@ -515,11 +531,21 @@ def test_choices_are_pinned_on_any_expm1_kernel():
     batches.append([generate_scenario(ScenarioConfig(seed=s)) for s in (4, 5)])
     digest = hashlib.sha256()
     for batch in batches:
-        for inst, policy in zip(batch, local_search_batch(batch, greedy_macp_batch(batch))):
+        for inst, x in zip(batch, _comparisons(batch)[1]):
             report = greedy_macp(inst)
             digest.update(repr(([t[1:3] for t in report.trace], report.evaluations)).encode())
-            digest.update(policy.placement.tobytes())
+            digest.update(x.tobytes())
     assert digest.hexdigest() == PINNED_CHOICES
+
+
+def test_public_surface():
+    # every exported name resolves, none twice; the lockstep kernels a sweep
+    # runs stay private, so each solver has one public entry
+    assert len(set(macp.__all__)) == len(macp.__all__)
+    assert all(hasattr(macp, name) for name in macp.__all__)
+    for name in ("greedy_macp_batch", "local_search_batch"):
+        assert name not in macp.__all__
+        assert not hasattr(macp, name) and not hasattr(solvers_module, name)
 
 
 def _saturated(rng: np.random.Generator, inst: Instance) -> Instance:
@@ -686,6 +712,53 @@ class TestPopularity:
                                   reference_popularity_placement(inst).placement)
 
 
+def _popularity_gap(inst: Instance) -> tuple[float, float]:
+    """``popularity_placement``'s and ``exact_optimal``'s closed-form totals."""
+    return (cost_closed_form(inst, popularity_placement(inst)).total,
+            cost_closed_form(inst, exact_optimal(inst).policy).total)
+
+
+class TestPopularityOptimality:
+    # With identical SCBS rows, equal caches, free SCBS transmissions and no
+    # macro-only demand, file f's term when k of the N SCBSs cache it is
+    # c_mbs * (1 - exp(-(N - k) * a_f)), concave in k; so some optimum caches
+    # each file at every SCBS or at none, and the S most popular files are
+    # the best S: popularity's placement.  Breaking any one condition can
+    # leave popularity strictly above the optimum.
+
+    def test_popularity_is_optimal_without_rate_spread(self):
+        # 150 tiny instances, every other one with rates tied in threes
+        rng = np.random.default_rng(14)
+        for k in range(150):
+            i, size = int(rng.integers(3, 7)), int(rng.integers(1, 3))
+            row = rng.integers(1, 4, size=i) * 0.5 if k % 2 else rng.uniform(0.05, 2.0, size=i)
+            inst = Instance(3, i, [size] * 3, float(rng.uniform(0.2, 1.0)),
+                            float(rng.uniform(0.2, 1.0)), [0.0] * 3,
+                            np.vstack([np.zeros(i)] + [row] * 3), float(rng.uniform(0.5, 2.0)))
+            popular, best = _popularity_gap(inst)
+            # equal rates tie up to the order of the sums: the greedy's tie limit
+            assert best <= popular <= best + 1e-12 * max(1.0, best), inst
+
+    @pytest.mark.parametrize("broken, plain", [
+        # a cached file costs c_n at each SCBS with a request, so the rarer
+        # file gains more from a slot than the one requested almost surely
+        (Instance(2, 2, [1, 1], 0.5, 0.5, [0.45, 0.45], [[0, 0], [5.0, 0.5], [5.0, 0.5]], 1.0),
+         {"cost_scbs_tx": [0.0, 0.0]}),
+        # file 0's macro-only demand fires the macro multicast whatever is cached
+        (Instance(2, 2, [1, 1], 0.5, 0.5, [0.0, 0.0], [[10.0, 0], [1.0, 0.5], [1.0, 0.5]], 1.0),
+         {"demand": [[0, 0], [1.0, 0.5], [1.0, 0.5]]}),
+        # one cache covers one area only, which pays most at lambda * d = ln 2
+        (Instance(2, 2, [0, 1], 0.5, 0.5, [0.0, 0.0], [[0, 0], [3.0, 0.5], [3.0, 0.5]], 1.0),
+         {"cache_size": [1, 1]}),
+    ], ids=["SCBS cost", "macro-only demand", "unequal caches"])
+    def test_each_broken_condition_can_make_popularity_worse(self, broken, plain):
+        popular, best = _popularity_gap(broken)
+        assert popular > best * 1.1
+        # the same instance with that condition restored: popularity is optimal
+        popular, best = _popularity_gap(dataclasses.replace(broken, **plain))
+        assert best <= popular <= best + 1e-12 * max(1.0, best)
+
+
 class TestExactOptimal:
     def test_walkthrough_policy(self):
         report = exact_optimal(motivating_instance())
@@ -829,7 +902,7 @@ class TestLocalSearch:
             assert np.array_equal(a.placement, b.placement)
 
     def test_matches_full_rescore_reference(self, monkeypatch):
-        # local_search_batch makes the moves of the search that re-scored
+        # ``_search`` makes the moves of the search that re-scored
         # every column and called cost_closed_form on each candidate, from
         # greedy and from random starts: in batches of one shape, in chunks
         # of the default width, of 3 and of 1 (instances leave a chunk at
@@ -838,7 +911,7 @@ class TestLocalSearch:
         rng = np.random.default_rng(67)
         runs = [(inst, start) for inst in _equivalence_cases(61)
                 for start in (greedy_macp(inst).policy, random_policy(rng, inst))]
-        want = [reference_local_search(inst, start).placement for inst, start in runs]
+        want = [reference_local_search(inst, start).placement.astype(bool) for inst, start in runs]
         groups = {}
         for k, (inst, _) in enumerate(runs):
             groups.setdefault((inst.num_scbs, inst.num_files), []).append(k)
@@ -848,11 +921,11 @@ class TestLocalSearch:
             for (n, i), members in groups.items():
                 monkeypatch.setattr(solvers_module, "_SEARCH_VALUES",
                                     default if width is None else width * n * i)
-                got = local_search_batch(*zip(*(runs[k] for k in members)))
-                for k, policy in zip(members, got):
-                    assert np.array_equal(policy.placement, want[k]), runs[k][0]
+                instances, starts = zip(*(runs[k] for k in members))
+                for k, x in zip(members, _search(_stack(instances), _bools(starts))[0]):
+                    assert np.array_equal(x, want[k]), runs[k][0]
         for (inst, start), placement in zip(runs[::5], want[::5]):
-            assert np.array_equal(local_search(inst, start).placement, placement), inst
+            assert np.array_equal(local_search(inst, start).placement.astype(bool), placement), inst
 
     def test_grouped_drops_add_in_scbs_order_in_any_batch(self, monkeypatch):
         # Every SCBS caches only file 0, so completing any other file drops
@@ -881,7 +954,7 @@ class TestLocalSearch:
 
             with monkeypatch.context() as m:
                 m.setattr(solvers_module, "_file_terms", recording)
-                local_search_batch(instances, [start] * len(instances))
+                _search(_stack(instances), _bools([start] * len(instances)))
             return next(sums for sums in seen if sums is not None)
 
         many = group_sums(batch)
@@ -918,9 +991,9 @@ class TestLocalSearch:
                 mixed += (counts == 1).any() and (counts >= 2).any()
         assert mixed > 0
         assert len({len(path) for path in paths}) > 1
-        got = local_search_batch(*zip(*runs))
-        for (inst, _), policy, path in zip(runs, got, paths):
-            assert np.array_equal(policy.placement, path[-1]), inst
+        instances, starts = zip(*runs)
+        for inst, x, path in zip(instances, _search(_stack(instances), _bools(starts))[0], paths):
+            assert np.array_equal(x, path[-1]), inst
 
     def test_chunk_objectives_are_closed_form_totals(self):
         # ``_search_chunk`` returns each instance's placement and objective at
@@ -934,8 +1007,7 @@ class TestLocalSearch:
                 for start in (greedy_macp(inst).policy, random_policy(rng, inst), empty_policy(5, 10))]
         starts = [start for _, start in runs]
         assert {len(list(reference_search_placements(*run))) for run in runs} == set(range(1, 7))
-        placed, objective = _search_chunk(_stack([inst for inst, _ in runs]),
-                                          np.array([p.placement for p in starts], dtype=bool))
+        placed, objective = _search_chunk(_stack([inst for inst, _ in runs]), _bools(starts))
         assert placed.dtype == bool and placed.shape == (len(runs), 5, 10)
         assert objective.shape == (len(runs),)
         for (inst, start), x, got in zip(runs, placed, objective.tolist()):
@@ -950,8 +1022,9 @@ class TestLocalSearch:
         # 8.7 before its temporaries were trimmed), 4.9 for the greedy when
         # each member had its own lockstep row, 2.1 once the members followed
         # one row per replication and 4.4 since it reads every member's
-        # objective inputs from one stack, and 6.84 for the whole comparison
-        # of schemes, whose stack feeds the greedy and the search.  The
+        # objective inputs from one stack (traced with the stack it builds,
+        # as are the search's), and 6.84 for the whole comparison of schemes,
+        # whose stack feeds the greedy and the search.  The
         # search may hold about one more array at its peak than now, 1.5
         # times the greedy's old peak, the greedy no more than when each
         # member had its own row, and the comparison 5% more than 6.84.
@@ -962,11 +1035,11 @@ class TestLocalSearch:
         array = len(batch) * batch[0].num_scbs * batch[0].num_files * 8
         tracemalloc.start()
         try:
-            starts = greedy_macp_batch(batch)
+            starts = _greedy_runs(_stack(batch))[0]
             greedy_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            local_search_batch(batch, starts)
+            _search(_stack(batch), starts)
             search_peak = tracemalloc.get_traced_memory()[1] - before
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
@@ -978,16 +1051,14 @@ class TestLocalSearch:
         assert search_peak <= 7.35 * array, search_peak / array
         assert comparison_peak <= 7.18 * array, comparison_peak / array
 
-    def test_batch_arguments(self):
+    def test_rejects_an_infeasible_start(self):
+        # a start that overfills a cache or has another shape; mixed shapes
+        # in one stack are ``TestGreedyBatch.test_rejects_mixed_shapes``
         inst = motivating_instance()
-        other = Instance(2, 2, [1, 1], 0.5, 0.5, [0.0, 0.0], np.full((3, 2), 0.5), 1.0)
-        assert local_search_batch([], []) == []
-        with pytest.raises(ValueError, match="one policy per instance"):
-            local_search_batch([inst], [])
-        with pytest.raises(ValueError, match="share num_scbs and num_files"):
-            local_search_batch([inst, other], [empty_policy(2, 3), empty_policy(2, 2)])
-        with pytest.raises(ValueError):
-            local_search_batch([inst], [CachingPolicy([[1, 1, 0], [0, 0, 0]])])
+        for start, message in (([[1, 1, 0], [0, 0, 0]], "SCBS 1 holds 2 files"),
+                               ([[1, 0], [0, 1]], "does not match instance")):
+            with pytest.raises(ValueError, match=message):
+                local_search(inst, CachingPolicy(start))
 
 
 def _exhaustive_cases(seed: int, count: int) -> list[Instance]:
