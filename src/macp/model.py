@@ -62,10 +62,12 @@ def numeric_array(name: str, value, dtype) -> np.ndarray:
         raise ValueError(f"{name} must be a regular array of numbers") from None
     integral = np.dtype(dtype).kind in "iu"
     if integral:
-        # on the items: numpy holds an int beyond 64 bits as an object, reads
-        # 2**63 among ints as a float, and casts a float out of range with a warning
+        # on the items, a numpy scalar as the number it holds: numpy holds an int beyond
+        # 64 bits as an object, reads 2**63 among ints as a float, casts a float out of
+        # range with a warning and wraps an integer scalar
         info = np.iinfo(dtype)
         for v in np.asarray(value, dtype=object).ravel().tolist():
+            v = v.item() if isinstance(v, np.generic) else v
             if isinstance(v, (int, float)) and abs(v) < math.inf and not info.min <= v <= info.max:
                 raise ValueError(f"{name} value {v!r} is outside the {info.bits}-bit integer range")
     elif arr.dtype.kind == "O":

@@ -175,10 +175,6 @@ def _greedy_runs(stack, trace=None):
 
     live = rows[left[rows].any(axis=1)]
     attached = np.flatnonzero(lead != np.arange(b))
-    # each leader's slots beyond its followers' fewest at each SCBS: the same
-    # while they make the same commits
-    short = np.zeros_like(left)
-    np.maximum.at(short, lead[attached], left[lead[attached]] - left[attached])
     while live.size:
         at = lines[:live.size]
         # a chain of up to k files
@@ -261,7 +257,9 @@ def _greedy_runs(stack, trace=None):
             high[:, 1:] < floor[..., None], axis=2).sum(axis=2))
         # a run follows only runs that fill no row of the leader or of a follower
         went = count > 0
-        room = left[live] - short[live]
+        # the fewest slots left at each SCBS among a leader and its followers
+        room = left[live]
+        np.minimum.at(room, live.searchsorted(lead[attached]), left[attached])
         if ((room > 0) & (room < k)).any():
             run = rank.transpose(1, 2, 0) < count[..., None]
             went &= ~(run & (run.cumsum(axis=1) == room[:, None])).any(axis=2)
@@ -284,8 +282,7 @@ def _greedy_runs(stack, trace=None):
         run = run.sum(axis=1)
         left[live] -= run
         full = (run > 0) & (left[live] <= 0)
-        moved = full.any()
-        if moved:
+        if full.any():
             filled, filled_row = np.nonzero(full)
             gain[live[filled], filled_row] = np.inf
             filled = live[full.any(axis=1)]
@@ -303,11 +300,8 @@ def _greedy_runs(stack, trace=None):
                 cached[split], terms[split] = cached[was], terms[was]
                 gain[split] = np.where((left[split] <= 0)[:, :, None], np.inf, gain[was])
                 best[split] = gain[split].min(axis=1)
-                live, moved = np.sort(np.concatenate([live, split])), True
-                short[was] = 0
-                np.maximum.at(short, lead[attached], left[lead[attached]] - left[attached])
-        if moved:
-            live = live[(left[live] > 0).any(axis=1)]
+                live = np.sort(np.concatenate([live, split]))
+        live = live[(left[live] > 0).any(axis=1)]
 
     return cached, evaluations
 
@@ -408,10 +402,12 @@ def _search(stack, cached):
 
     Runs ``_search_chunk`` on chunks of ``max(1, _SEARCH_VALUES // (N * I))``
     instances, each the stack's slices, so the search uses up the stack.
-    Each step scores and makes one move of every instance of the chunk
-    still searching, and an instance leaves the chunk at the step where it
-    stops.  Returns the improved placements, written over ``cached``, and their
-    (B,) objectives, each ``cost_closed_form``'s total of its placement.
+    Each step sums and scores again the columns of every instance of the
+    chunk still searching that its last move changed, and makes one move of
+    each; an instance leaves the chunk at the first step whose total is not
+    below its last one.  Returns the improved placements, written over
+    ``cached``, and their (B,) objectives, each ``cost_closed_form``'s total
+    of its placement.
     """
     width = max(1, _SEARCH_VALUES // math.prod(cached.shape[1:]))
     objective = np.empty(len(cached))
@@ -435,43 +431,71 @@ def _search_chunk(stack, cached):
     """``_search`` of one chunk: its ``_stack`` and (B, N, I) bool placements.
 
     Returns the improved placements, written over ``cached``, and their
-    objectives, a (B,) array: each instance's placement and ``best`` at the
-    step where it stops.  An objective is ``per_file.sum()`` of
-    ``_file_terms`` over ``_cached_split``, bit for bit, so it is the
-    ``cost_closed_form`` total of its placement.  Instances that stop leave
-    the chunk's arrays, which are compacted in place, so the search uses up
-    the stack it is given.
+    objectives, a (B,) array.  Each step starts with one pass over the
+    columns the last move changed, every column at the first step: from the
+    column's gathered rates, local costs and cells it takes the file's sums
+    through ``_cached_split``, its term, its cells' toggle scores and its
+    completion score.  The step's total, ``per_file.sum()`` of the terms, is
+    then the ``cost_closed_form`` total of the placement, bit for bit.  One
+    rule stops an instance: its total is not below the last step's (``inf``
+    at the first).  That holds when it made no move, so no column changed,
+    and when its exact total refused the move its scores chose; either way
+    it keeps the placement from before its last move and that placement's
+    total.  Instances that stop leave the chunk's arrays, which are
+    compacted in place, so the search uses up the stack it is given.
     """
     c_mbs, rate_mbs, rate, local_cost, sizes = stack
     c_mbs = c_mbs[:, None]
     has_cache = sizes > 0
     # rate no completion can cover: areas without any cache
     rate_bare = rate_mbs + _scbs_sum(np.where(has_cache[..., None], 0.0, rate))
-    rate_out, local = _cached_split(rate_mbs, rate, local_cost, cached)
-    terms = _file_terms(c_mbs, rate_out, local)
-    best = terms.sum(axis=1)
-    # each cell's change of its file's term when toggled, and each file's own change
-    # when cached at every SCBS with a cache; kept across steps
-    toggle, cover0 = np.empty(rate.shape), np.empty(terms.shape)
-    touched = np.ones(terms.shape, dtype=bool)
+    # each file's sums and term, each cell's change of its file's term when toggled, and
+    # each file's own change when cached at every SCBS with a cache; kept across steps
+    rate_out, local, terms, cover0 = (np.empty(rate_bare.shape) for _ in range(4))
+    toggle, touched = np.empty(rate.shape), np.ones(rate_bare.shape, dtype=bool)
+    best = np.full(len(sizes), np.inf)
     live = np.arange(best.size)
-    # ``cached`` is read only before the first move, so it takes the results
-    placed, objective = cached, np.empty_like(best)
+    # ``cached`` takes the results: an instance's row is written when it stops, and
+    # read no more
+    placed, objective, before = cached, np.empty_like(best), cached
     # (m, n) with m < n: an earlier SCBS in a group of drops
     earlier = np.triu(np.ones((rate.shape[1],) * 2, dtype=bool), 1)
     while True:
-        # score the columns the last move changed, every column at first: a column's scores
-        # are its own, bit for bit; a few instances' worth at a time keeps temporaries small
+        # sum and score the columns the last move changed, every column at first: a column's
+        # sums and scores are its own, bit for bit; a few instances' worth at a time keeps
+        # temporaries small
         pairs, part = np.argwhere(touched), 8 * cover0.shape[1]
         for k, f in (pairs[s:s + part].T for s in range(0, len(pairs), part)):
             rate_f, cost_f, cached_f = (a[k, :, f] for a in (rate, local_cost, cached))
+            out_f, local_f = _cached_split(rate_mbs[k, f], rate_f.T, cost_f.T, cached_f.T)
+            rate_out[k, f], local[k, f] = out_f, local_f
+            terms[k, f] = term_f = _file_terms(c_mbs[k, 0], out_f, local_f)
             # the sign adds a cached cell's values back and takes an uncached one's out
             sign = _SIGN.take(cached_f.view(np.uint8))
-            toggle[k, :, f] = _file_terms(c_mbs[k], rate_out[k, f, None] + rate_f * sign,
-                                          local[k, f, None] - cost_f * sign) - terms[k, f, None]
+            toggle[k, :, f] = _file_terms(c_mbs[k], out_f[:, None] + rate_f * sign,
+                                          local_f[:, None] - cost_f * sign) - term_f[:, None]
             lacks_f = ~cached_f & has_cache[k]
-            cover0[k, f] = _file_terms(c_mbs[k, 0], rate_bare[k, f], local[k, f] + _scbs_sum(
-                (cost_f * lacks_f).T)) - terms[k, f]
+            cover0[k, f] = _file_terms(c_mbs[k, 0], rate_bare[k, f], local_f + _scbs_sum(
+                (cost_f * lacks_f).T)) - term_f
+        # An instance stops once its total does not fall: it made no move, so nothing
+        # was touched and the total is the same sum, or its exact total refused the
+        # move.  It keeps the placement from before its last move and that total.
+        cost = terms.sum(axis=1)
+        stop = ~(cost < best)
+        placed[live[stop]], objective[live[stop]] = before[stop], best[stop]
+        if stop.all():
+            return placed, objective
+        state = [cost, terms, rate_out, local, toggle, cover0,
+                 live, c_mbs, rate_mbs, rate, local_cost, sizes, has_cache, rate_bare]
+        if stop.any():
+            # in place, one array at a time, so no second copy of the state is held;
+            # ``cached`` is copied instead, as it is ``placed`` at the first step
+            keep = np.flatnonzero(~stop)
+            for a in state:
+                a[:keep.size] = a[keep]
+            state, cached = [a[:keep.size] for a in state], cached[keep]
+        (best, terms, rate_out, local, toggle, cover0,
+         live, c_mbs, rate_mbs, rate, local_cost, sizes, has_cache, rate_bare) = state
         at = np.arange(live.size)
         # cheapest slot to free per SCBS; a free slot costs nothing
         out, out_delta = _least(toggle, cached)
@@ -536,33 +560,8 @@ def _search_chunk(stack, cached):
         k, n = np.nonzero(gaining)
         x[b[k], n, f[k]] = True
         assert (x.view(np.uint8).sum(axis=2, dtype=np.int32) <= sizes).all(), "a move overfilled a cache"
-
-        # the new placement's sums, added again only in the columns the move changed:
-        # ``cumsum`` adds the SCBS rows in turn, so they are ``_cached_split``'s bits.
-        # They are written in place: an instance whose move is refused stops here,
-        # with its placement and objective from before the move.
-        changed = (x != cached).any(axis=1)
-        k, f = np.nonzero(changed)
-        x_f = x[k, :, f]
-        out_f = rate_mbs[k, f] + np.where(x_f, 0.0, rate[k, :, f]).cumsum(axis=1)[:, -1]
-        local_f = np.where(x_f, local_cost[k, :, f], 0.0).cumsum(axis=1)[:, -1]
-        rate_out[k, f], local[k, f] = out_f, local_f
-        terms[k, f] = _file_terms(c_mbs[k, 0], out_f, local_f)
-        cost = terms.sum(axis=1)
-        going = moving & (cost < best)
-        placed[live[~going]], objective[live[~going]] = cached[~going], best[~going]
-        if not going.any():
-            return placed, objective
-        state = [x, changed, cost, terms, rate_out, local, toggle, cover0,
-                 live, c_mbs, rate_mbs, rate, local_cost, sizes, has_cache, rate_bare]
-        if not going.all():
-            # in place, one array at a time, so no second copy of the state is held
-            keep = np.flatnonzero(going)
-            for a in state:
-                a[:keep.size] = a[keep]
-            state = [a[:keep.size] for a in state]
-        (cached, touched, best, terms, rate_out, local, toggle, cover0,
-         live, c_mbs, rate_mbs, rate, local_cost, sizes, has_cache, rate_bare) = state
+        touched = (x != cached).any(axis=1)
+        before, cached = cached, x
 
 
 # Values per array of an exhaustive-scan block, whatever the space.  2^15 ran

@@ -18,6 +18,7 @@ from macp import (
     spp_to_macdp,
 )
 from macp.cost import CostBreakdown
+from macp.model import numeric_array
 from macp.reduction import DecisionInstance
 from macp.sim import SimReport
 from helpers import cached_areas, motivating_instance, random_instance
@@ -87,6 +88,16 @@ class TestInstance:
             Instance(1, 2, [1], 1, 1, [0], [[0, 2.0**1023], [1, 2.0**1023]], 1)
         with pytest.raises(ValueError, match="file 0: demand"):
             Instance(1, 1, [1], 1, 1, [0], [[2.0**1023], [2.0**1022]], 2)
+
+    def test_rejects_numpy_integers_beyond_the_range(self):
+        # a numpy scalar item is checked as the number it holds, not wrapped by the cast
+        message = "^cache_size value 9223372036854775808 is outside the 64-bit integer range$"
+        with pytest.raises(ValueError, match=message):
+            numeric_array("cache_size", [np.uint64(2**63)], np.int64)
+        with pytest.raises(ValueError, match=message):
+            Instance(2, 1, [np.uint64(2**63), 1], 1, 1, [0, 0], [[0], [1], [1]], 1)
+        got = numeric_array("cache_size", [np.uint64(2**63 - 1), np.uint64(3)], np.int64)
+        assert got.tolist() == [2**63 - 1, 3]
 
     def test_immutable_arrays(self):
         inst = motivating_instance()

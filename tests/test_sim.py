@@ -56,6 +56,10 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             SimConfig(**{"periods": 10, "mode": "multicast", "seed": 1, **change})
 
+    def test_refuses_a_numpy_integer_beyond_the_range(self):
+        with pytest.raises(ValueError, match="^periods value 18446744073709551615 is outside the 64-bit"):
+            SimConfig(periods=np.uint64(2**64 - 1), mode="multicast", seed=1)
+
     def test_whole_numbers_of_any_numeric_type(self):
         config = SimConfig(periods=5.0, mode="unicast", seed=np.uint64(2**64 - 1))
         assert (config.periods, config.seed) == (5, 2**64 - 1)

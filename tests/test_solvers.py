@@ -447,12 +447,14 @@ class TestGreedyChains:
 
     def test_ends_where_a_run_fills_a_row_of_a_follower(self):
         # the follower's SCBS 2 fills in the first run of its leader's first
-        # chain, and the leader's next run would not be the follower's
+        # chain, and the leader's next run would not be the follower's; a second
+        # follower's SCBS 2 fills one commit later, after the first has split
         fields = dict(num_scbs=2, num_files=3, cost_backhaul=0.5, cost_mbs_tx=0.5,
                       cost_scbs_tx=[0.2, 0.1], deadline=1.0,
                       demand=[[0.25, 0.0, 0.5], [0.5, 0.25, 0.5], [1.5, 0.5, 2.0]])
-        batch = [Instance(cache_size=[1, 3], **fields), Instance(cache_size=[1, 1], **fields)]
-        assert solvers_module._leaders(_stack(batch)).tolist() == [0, 0]
+        batch = [Instance(cache_size=[1, 3], **fields), Instance(cache_size=[1, 1], **fields),
+                 Instance(cache_size=[1, 2], **fields)]
+        assert solvers_module._leaders(_stack(batch)).tolist() == [0, 0, 0]
         for inst, x in zip(batch, _greedy_runs(_stack(batch))[0]):
             assert np.array_equal(x, _stepwise(inst))
 
@@ -994,6 +996,36 @@ class TestLocalSearch:
         instances, starts = zip(*runs)
         for inst, x, path in zip(instances, _search(_stack(instances), _bools(starts))[0], paths):
             assert np.array_equal(x, path[-1]), inst
+
+    def test_refused_move_keeps_the_start(self):
+        # One SCBS with one slot and two files of equal rates, file 0 cached:
+        # swapping it for file 1 scores a last bit below 0, as file 1's rate
+        # outside once cached is scored as (rate_mbs + rate) - rate, but the
+        # exact total is the same sum of the same two terms, so the move is
+        # refused.
+        # Alone, and first in a batch whose other member moves once and
+        # searches on after the refused one has left the chunk.
+        fields = dict(num_scbs=1, num_files=2, cache_size=[1], cost_backhaul=0.5,
+                      cost_mbs_tx=1.0, cost_scbs_tx=[0.5], deadline=0.3)
+        refused = Instance(demand=[[0.1, 0.1], [1.0, 1.0]], **fields)
+        mover = Instance(demand=[[0.1, 0.1], [0.2, 2.0]], **fields)
+        start = CachingPolicy([[1, 0]])
+        # the drop of file 0 plus the add of file 1, as the search scores them
+        c_mbs, rate_mbs, rate, local_cost = _area_rates(refused)
+        cached_out, r, cost = rate_mbs[0] + 0.0, rate[0, 0], local_cost[0, 0]
+        drop = _file_terms(c_mbs, cached_out + r, 0.0) - _file_terms(c_mbs, cached_out, cost)
+        add = _file_terms(c_mbs, (cached_out + r) - r, cost) - _file_terms(c_mbs, cached_out + r, 0.0)
+        assert drop + add < 0.0
+        total = cost_closed_form(refused, start).total
+        assert cost_closed_form(refused, CachingPolicy([[0, 1]])).total == total
+        for batch in ([refused], [refused, mover]):
+            placed, objective = _search(_stack(batch), _bools([start] * len(batch)))
+            assert np.array_equal(placed[0], start.placement)
+            assert objective[0].hex() == total.hex()
+            for inst, x, got in zip(batch, placed, objective.tolist()):
+                assert np.array_equal(x, reference_local_search(inst, start).placement)
+                assert got.hex() == cost_closed_form(inst, CachingPolicy(x)).total.hex()
+        assert placed[1].tolist() == [[False, True]]
 
     def test_chunk_objectives_are_closed_form_totals(self):
         # ``_search_chunk`` returns each instance's placement and objective at
