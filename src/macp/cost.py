@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .model import CachingPolicy, Instance, Record, mbs_triggered, subset_probability
+from .model import (CachingPolicy, Instance, Record, mbs_triggered, number, numeric_array,
+                    subset_probability)
 
 # Most SCBSs ``cost_bruteforce`` enumerates the requesting subsets of.
 BRUTEFORCE_CAP = 16
@@ -37,12 +38,11 @@ class CostBreakdown(Record):
     scbs_component: float
 
     def __post_init__(self):
-        pf = np.array(self.per_file, dtype=np.float64)
+        pf = numeric_array("per_file", self.per_file, np.float64)
         pf.setflags(write=False)
         object.__setattr__(self, "per_file", pf)
-        object.__setattr__(self, "total", float(self.total))
-        object.__setattr__(self, "mbs_component", float(self.mbs_component))
-        object.__setattr__(self, "scbs_component", float(self.scbs_component))
+        for name in ("total", "mbs_component", "scbs_component"):
+            object.__setattr__(self, name, number(name, getattr(self, name), np.float64))
 
 
 def _breakdown(per_file: np.ndarray, mbs_pf: np.ndarray, scbs_pf: np.ndarray) -> CostBreakdown:

@@ -24,7 +24,10 @@ if TYPE_CHECKING:
 MBS_AREA = 0
 # The types of the JSON values a field of each kind takes (a bool is no number).
 _JSON_KINDS = {"int": (int,), "float": (int, float), "str": (str,), "list": (list,)}
-_BOOL_TYPES = frozenset((bool, np.bool_))
+# The integer range of each dtype a record's number is read as, and the words that name it;
+# a float dtype has none.  A table: numpy's dtype calls cost more than reading a Python number.
+_RANGES = {np.int64: (-2**63, 2**63 - 1, "64-bit"), np.uint64: (0, 2**64 - 1, "unsigned 64-bit"),
+           np.float64: None}
 
 
 def request_probability(rate: float, deadline: float) -> float:
@@ -46,53 +49,64 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def number(name: str, value, dtype) -> int | float:
+    """``value`` as one Python int (integer ``dtype``) or float; ValueError naming ``name`` else.
+
+    Takes an int, a float, or a numpy scalar or 0-d array holding one, so a
+    bool, a string or any other object is refused, not parsed.  For an
+    integer ``dtype`` the value must be a whole number in its range; it is
+    never truncated or wrapped.  A float ``dtype`` takes an int beyond the
+    float range as inf or -inf, which the field's own finite check refuses.
+    """
+    kind = type(value)
+    if kind is not int and kind is not float:
+        if isinstance(value, (np.generic, np.ndarray)) and not value.ndim and value.dtype.kind in "iufO":
+            item = value.item()
+            if isinstance(item, np.floating):  # a long double's item is itself: a whole one is exact
+                if not item.is_integer() and _RANGES[dtype]:
+                    raise ValueError(f"{name} must hold whole numbers, got {float(item)!r}")
+                item = int(item) if item.is_integer() else float(item)
+            return number(name, item, dtype)
+        if isinstance(value, (list, tuple, np.ndarray)):
+            raise ValueError(f"{name} must be one number, got shape {np.asarray(value, dtype=object).shape}")
+        raise ValueError(f"{name} must hold numbers only")
+    bounds = _RANGES[dtype]
+    if bounds is None:
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
+    low, high, word = bounds
+    # a finite value out of range is named as such, before the whole-number check
+    if not low <= value <= high and (kind is int or math.isfinite(value)):
+        raise ValueError(f"{name} value {value!r} is outside the {word} integer range")
+    if kind is float:
+        if not value.is_integer():
+            raise ValueError(f"{name} must hold whole numbers, got {value!r}")
+        return int(value)
+    return value
+
+
 def numeric_array(name: str, value, dtype) -> np.ndarray:
     """A writable ``dtype`` copy of ``value``; ValueError naming ``name`` unless it holds numbers.
 
-    Checks the dtype numpy infers, so strings and other objects are refused
-    before a cast could parse them or fail on them; then the items of a
-    nested list for booleans, which numpy reads as 0 and 1 among numbers;
-    and, for an integer ``dtype``, that every value is a whole number in its
-    range rather than truncating or wrapping it.  A float ``dtype`` takes a
-    Python int beyond 64 bits as the float it is.
+    Each item must be a number by ``number``'s rule.  A numeric ndarray, or
+    a (nested) list of plain ints and floats, is cast whole where numpy's
+    safe casting keeps every value.  Anything else (a bool, a string, a
+    numpy scalar item, a fraction or a value out of range for an integer
+    ``dtype``, an int beyond 64 bits) is read item by item through
+    ``number``, and the array is built from those exact values.
     """
     try:
         arr = np.asarray(value)
     except ValueError:  # ragged nesting
         raise ValueError(f"{name} must be a regular array of numbers") from None
-    integral = np.dtype(dtype).kind in "iu"
-    if integral:
-        # on the items, a numpy scalar as the number it holds: numpy holds an int beyond
-        # 64 bits as an object, reads 2**63 among ints as a float, casts a float out of
-        # range with a warning and wraps an integer scalar
-        info = np.iinfo(dtype)
-        for v in np.asarray(value, dtype=object).ravel().tolist():
-            v = v.item() if isinstance(v, np.generic) else v
-            if isinstance(v, (int, float)) and abs(v) < math.inf and not info.min <= v <= info.max:
-                raise ValueError(f"{name} value {v!r} is outside the {info.bits}-bit integer range")
-    elif arr.dtype.kind == "O":
-        # numpy holds an int beyond 64 bits as an object; a float field takes its float
-        items = np.asarray(value, dtype=object).ravel().tolist()
-        if all(type(v) in (int, float) for v in items):
-            try:
-                arr = np.array(items, dtype=np.float64).reshape(arr.shape)
-            except OverflowError:
-                raise ValueError(f"{name} holds an integer beyond the float range") from None
-    if arr.dtype.kind not in "iuf" or _holds_bool(value):
-        raise ValueError(f"{name} must hold numbers only")
-    if integral and arr.dtype.kind == "f":
-        whole = np.isfinite(arr) & (arr == np.floor(arr))
-        if not whole.all():
-            raise ValueError(f"{name} must hold whole numbers, got {arr[~whole][0].item()!r}")
-    return arr.astype(dtype)
-
-
-def _holds_bool(value) -> bool:
-    """Whether a (nested) list holds a boolean among its items."""
-    if isinstance(value, np.ndarray):
-        return False  # a boolean dtype is refused by its kind
-    items = np.asarray(value, dtype=object).ravel().tolist()
-    return not _BOOL_TYPES.isdisjoint(map(type, items))
+    # numpy reads a bool among ints as an int and numpy scalars of mixed signedness as floats
+    items = arr if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
+    if (arr.dtype.kind in "iuf" and np.can_cast(arr.dtype, dtype)
+            and (items is arr or {int, float}.issuperset(map(type, items.ravel().tolist())))):
+        return arr.astype(dtype)
+    return np.array([number(name, v, dtype) for v in items.ravel()], dtype=dtype).reshape(arr.shape)
 
 
 def check_keys(kind: str, data: dict, required, optional=(), kinds=()) -> None:
@@ -117,14 +131,6 @@ def check_ints(kind: str, name: str, values: list) -> None:
             raise ValueError(f"{kind}: field {name!r} must hold integers, got {v!r}")
 
 
-def as_float(value) -> float:
-    """``float(value)``, with an int beyond the float range read as inf or -inf."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
 def check_cell(cell, min_scbs: int) -> None:
     """Check the cell fields an ``Instance`` and a ``DecisionInstance`` share.
 
@@ -132,7 +138,7 @@ def check_cell(cell, min_scbs: int) -> None:
     dataclass ``cell`` as an int, a float or a read-only array, ``cache_size``
     clamped to ``num_files``; ValueError names the first rule broken.
     """
-    n, i = int(cell.num_scbs), int(cell.num_files)
+    n, i = (number(name, getattr(cell, name), np.int64) for name in ("num_scbs", "num_files"))
     if n < min_scbs:
         raise ValueError(f"num_scbs must be at least {min_scbs}, got {n}")
     if i < 1:
@@ -150,11 +156,11 @@ def check_cell(cell, min_scbs: int) -> None:
     object.__setattr__(cell, "cache_size", _readonly(cache))
 
     for name in ("cost_backhaul", "cost_mbs_tx"):
-        v = as_float(getattr(cell, name))
+        v = number(name, getattr(cell, name), np.float64)
         if not math.isfinite(v) or v < 0:
             raise ValueError(f"{name} must be finite and non-negative, got {v!r}")
         object.__setattr__(cell, name, v)
-    deadline = as_float(cell.deadline)
+    deadline = number("deadline", cell.deadline, np.float64)
     if not (math.isfinite(deadline) and deadline > 0):
         raise ValueError(f"deadline must be finite and positive, got {deadline!r}")
     object.__setattr__(cell, "deadline", deadline)

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError
-from .model import (CachingPolicy, Record, as_float, check_cell, check_ints, check_keys,
-                    mbs_triggered)
+from .model import (CachingPolicy, Record, check_cell, check_ints, check_keys, mbs_triggered,
+                    number)
 from .solvers import DEFAULT_POLICY_CAP, _placement_blocks, _placement_tables
 
 # Most subsets ``spp_decide`` enumerates selections of.
@@ -46,7 +45,7 @@ class SppInstance(Record):
         subsets = tuple(frozenset(s) for s in self.subsets)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "subsets", subsets)
-        object.__setattr__(self, "target", int(self.target))
+        object.__setattr__(self, "target", number("target", self.target, np.int64))
         for idx, s in enumerate(subsets):
             if not s <= elements:
                 raise ValueError(f"subset {idx} contains elements outside the ground set")
@@ -101,12 +100,13 @@ class DecisionInstance(Record):
         # no SCBS at all: ``spp_to_macdp`` of an empty ground set has none
         check_cell(self, min_scbs=0)
         n, i = self.num_scbs, self.num_files
-        object.__setattr__(self, "threshold", as_float(self.threshold))
+        object.__setattr__(self, "threshold", number("threshold", self.threshold, np.float64))
         if math.isnan(self.threshold):
             raise ValueError("threshold must be a number")
 
-        table = tuple((operator.index(f), frozenset(r), as_float(pr))
-                      for f, r, pr in self.prob_table)
+        table = tuple((number("prob_table file", f, np.int64),
+                       frozenset(number("prob_table areas", a, np.int64) for a in r),
+                       number("prob_table prob", pr, np.float64)) for f, r, pr in self.prob_table)
         mass = [0.0] * i
         for file, areas, pr in table:
             if not 0 <= file < i:

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .cost import _cached_split, _file_terms, _unicast_split
-from .model import CachingPolicy, Instance, Record, numeric_array
+from .model import CachingPolicy, Instance, Record, number
 from .sim import SimConfig, simulate
 from .solvers import _greedy_runs, _popular, _search, _stack
 
@@ -38,10 +38,12 @@ class ScenarioConfig(Record):
     Each (SCBS, file) rate is the file's zipf weight scaled by its own
     uniform draw in [``rate_low``, ``rate_high``], so each SCBS's
     popularity ranking is a noisy variant of the global one, which is what
-    lets coordinated placement beat independent per-SCBS rankings.  This
-    class checks only what the draws need; the cell fields (cache size,
-    deadline and costs) are checked when ``generate_scenario`` builds the
-    ``Instance``.
+    lets coordinated placement beat independent per-SCBS rankings.  Every
+    field is read as one number (``model.number``): the counts as 64-bit
+    integers, the seed as an unsigned one, the rest as floats.  Beyond
+    that, this class checks what the draws need; the cell's rules (cache
+    size, deadline and costs) are checked when ``generate_scenario``
+    builds the ``Instance``.
     """
 
     num_scbs: int = 14
@@ -57,10 +59,13 @@ class ScenarioConfig(Record):
     seed: int = 0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            dtype = np.uint64 if f.name == "seed" else np.int64 if f.type == "int" else np.float64
+            object.__setattr__(self, f.name, number(f.name, getattr(self, f.name), dtype))
         if self.num_scbs < 1 or self.num_files < 1:
             raise ValueError("need at least one SCBS and one file")
         for name in ("zipf_shape", "rate_low", "rate_high"):
-            if not np.isfinite(numeric_array(name, getattr(self, name), np.float64)):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.zipf_shape < 0:
             raise ValueError(f"zipf shape must be non-negative, got {self.zipf_shape}")

@@ -418,9 +418,9 @@ class TestInputErrors:
          "cache_size value 18446744073709551616 is outside the 64-bit integer range"),
         ("macdp", {"cache_size": [2**63, 1]},
          "cache_size value 9223372036854775808 is outside the 64-bit integer range"),
-        # a float field takes an int beyond 64 bits, but not one beyond the float range
+        # a float field reads an int beyond the float range as inf, which its finite check refuses
         ("instance", {"demand": [[0, 0, 0], [1, 10**400, 1], [0, 0, 0]]},
-         "demand holds an integer beyond the float range"),
+         "demand rates must be finite and non-negative"),
         # a probability beyond the float range is read as inf or -inf
         ("macdp", {"prob": 10**400}, "file 0: probability inf outside [0, 1]"),
         ("macdp", {"prob": -10**400}, "file 0: probability -inf outside [0, 1]"),
@@ -547,7 +547,7 @@ class TestInputErrors:
          f"cache_size value {10**20} is outside the 64-bit integer range"),
         (["--config", {"cost_backhaul": 10**400}],
          "cost_backhaul must be finite and non-negative, got inf"),
-        (["--config", {"rate_low": 10**400}], "rate_low holds an integer beyond the float range"),
+        (["--config", {"rate_low": 10**400}], "rate_low must be finite, got inf"),
     ])
     def test_config_value_out_of_range_names_the_field(self, tmp_path, capsys, argv, message):
         if argv[0] == "--config":

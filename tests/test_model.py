@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -18,7 +19,7 @@ from macp import (
     spp_to_macdp,
 )
 from macp.cost import CostBreakdown
-from macp.model import numeric_array
+from macp.model import number, numeric_array
 from macp.reduction import DecisionInstance
 from macp.sim import SimReport
 from helpers import cached_areas, motivating_instance, random_instance
@@ -98,6 +99,11 @@ class TestInstance:
             Instance(2, 1, [np.uint64(2**63), 1], 1, 1, [0, 0], [[0], [1], [1]], 1)
         got = numeric_array("cache_size", [np.uint64(2**63 - 1), np.uint64(3)], np.int64)
         assert got.tolist() == [2**63 - 1, 3]
+        # numpy promotes numpy integers of mixed signedness to float64, which rounds or wraps
+        got = numeric_array("cache_size", [np.uint64(2**62 + 1), np.int8(3)], np.int64)
+        assert got.tolist() == [2**62 + 1, 3]
+        got = numeric_array("cache_size", [np.uint64(2**63 - 1), np.int8(-3)], np.int64)
+        assert got.tolist() == [2**63 - 1, -3]
 
     def test_immutable_arrays(self):
         inst = motivating_instance()
@@ -158,6 +164,63 @@ def test_record_methods_are_in_each_class_namespace(cls):
     # bench/spans.py wraps these methods per class through vars(cls)
     for name in ("to_dict", "from_dict", "to_json", "from_json"):
         assert name in vars(cls)
+
+
+_CELL = {"num_scbs": 1, "num_files": 1, "cache_size": [1], "cost_backhaul": 1.0,
+         "cost_mbs_tx": 1.0, "cost_scbs_tx": [0.0], "deadline": 1.0}
+
+
+def _decision(name, value):
+    """A one-SCBS decision instance with the cell field, ``threshold`` or table item ``name`` set."""
+    entry, cell = {"file": 0, "areas": 1, "prob": 0.5}, {**_CELL, "threshold": 0.5}
+    key = name.removeprefix("prob_table ")
+    (entry if key in entry else cell)[key] = value
+    return DecisionInstance(**cell, prob_table=[(entry["file"], [entry["areas"]], entry["prob"])])
+
+
+def _scalar_fields():
+    """``(record, field, integral, build)``, ``build(value)`` making the record with the field set."""
+    cell = [(name, name.startswith("num_")) for name in _CELL
+            if name not in ("cache_size", "cost_scbs_tx")]
+    fields = [(Instance, name, integral,
+               lambda v, name=name: Instance(**{**_CELL, "demand": [[0.0], [1.0]], name: v}))
+              for name, integral in cell]
+    fields += [(DecisionInstance, name, integral, lambda v, name=name: _decision(name, v))
+               for name, integral in cell + [("threshold", False), ("prob_table file", True),
+                                             ("prob_table areas", True), ("prob_table prob", False)]]
+    fields.append((SppInstance, "target", True,
+                   lambda v: SppInstance(frozenset({1}), (frozenset({1}),), v)))
+    fields += [(ScenarioConfig, f.name, f.type == "int",
+                lambda v, name=f.name: ScenarioConfig(**{name: v}))
+               for f in dataclasses.fields(ScenarioConfig)]
+    return fields
+
+
+@pytest.mark.parametrize("build, value, message", [
+    pytest.param(build, value, f"^{re.escape(f'{field} {message}')}$",
+                 id=f"{record.__name__}-{field}-{value!r}")
+    for record, field, integral, build in _scalar_fields()
+    for value, message in [("1", "must hold numbers only"), (True, "must hold numbers only"),
+                           ([1], "must be one number, got shape (1,)")]
+    + [(1.5, "must hold whole numbers, got 1.5")] * integral
+])
+def test_every_scalar_field_is_one_number(build, value, message):
+    # a string is not parsed, a bool is no number, a list is no scalar and a fraction no count
+    with pytest.raises(ValueError, match=message):
+        build(value)
+
+
+def test_numpy_scalars_are_the_numbers_they_hold():
+    # a long double's item is itself, and a datetime's may be an int: neither may loop or slip by
+    assert number("seed", np.longdouble(7), np.uint64) == 7
+    assert number("deadline", np.longdouble(2.5), np.float64) == 2.5
+    assert numeric_array("cache_size", np.array([1, 2], dtype=np.longdouble), np.int64).tolist() == [1, 2]
+    for value, message in [(np.longdouble(2.5), "must hold whole numbers, got 2.5"),
+                           (np.clongdouble(1), "must hold numbers only"),
+                           (np.datetime64(1, "ns"), "must hold numbers only"),
+                           (np.array([1], dtype="timedelta64[ns]"), "must hold numbers only")]:
+        with pytest.raises(ValueError, match=f"^periods {message}$"):
+            numeric_array("periods", value, np.int64)
 
 
 class TestCachingPolicy:

@@ -137,6 +137,14 @@ class TestDecisionValidation:
         with pytest.raises(ValueError, match=r"^file 0: listed probabilities sum to 1\.2 > 1$"):
             DecisionInstance(2, 2, [1, 1], 0.5, 1.0, [0.25, 0.5], 1.0, table, 0.9)
 
+    def test_reads_whole_float_areas_as_area_ids(self):
+        table = [(0, frozenset({1.0}), 0.5), (1, [2.0, np.int8(1)], 0.25)]
+        dec = DecisionInstance(2, 2, [1, 1], 0.5, 1.0, [0.25, 0.5], 1.0, table, 0.9)
+        assert [sorted(areas) for _, areas, _ in dec.prob_table] == [[1], [1, 2]]
+        assert all(type(a) is int for _, areas, _ in dec.prob_table for a in areas)
+        # file 0 is served by SCBS 1 at 0.25; file 1 is not cached there, so the MBS sends it at 1.5
+        assert decision_cost(dec, CachingPolicy([[1, 0], [0, 0]])) == 0.5 * 0.25 + 0.25 * 1.5
+
     @pytest.mark.parametrize("file", [-1, 3])
     def test_rejects_table_file_out_of_range(self, file):
         dec = spp_to_macdp(FIG_SPP)

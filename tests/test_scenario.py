@@ -111,6 +111,14 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=f"^{name} "):
             ScenarioConfig(**{name: value})
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_is_an_unsigned_64_bit_integer(self, seed):
+        # numpy's SeedSequence would take 2**64 and refuse -1 in its own words
+        message = f"^seed value {seed} is outside the unsigned 64-bit integer range$"
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig(seed=seed)
+        assert ScenarioConfig(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+
     def test_dict_round_trip(self):
         cfg = ScenarioConfig(cache_size=7, seed=42)
         assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
