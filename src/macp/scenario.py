@@ -74,13 +74,18 @@ class ScenarioConfig(Record):
 
 
 def zipf_weights(num_files: int, shape: float) -> np.ndarray:
-    """Normalized zipf popularity over ranks 1..num_files (shape 0 = uniform)."""
+    """Normalized zipf popularity over ranks 1..num_files (shape 0 = uniform).
+
+    Each argument is read as one number (``model.number``): ``num_files`` a
+    64-bit integer, ``shape`` a float, which must be finite and non-negative.
+    """
+    num_files, shape = number("num_files", num_files, np.int64), number("shape", shape, np.float64)
     if num_files < 1:
         raise ValueError("num_files must be positive")
-    if shape < 0:
-        raise ValueError(f"zipf shape must be non-negative, got {shape}")
+    if not 0 <= shape < math.inf:
+        raise ValueError(f"zipf shape must be finite and non-negative, got {shape}")
     ranks = np.arange(1, num_files + 1, dtype=np.float64)
-    w = ranks ** -float(shape)
+    w = ranks ** -shape
     return w / w.sum()
 
 
@@ -240,20 +245,18 @@ def sweep(
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-    values = list(values)
-    if not values:
-        raise ValueError("values must be non-empty")
+    replications = number("replications", replications, np.int64)
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    # each point's config or ``Instance`` checks its value; cache sizes become ints for the CSV
-    if axis == "cache_size":
-        if any(not (0 <= v < math.inf and v == int(v)) for v in values):
-            raise ValueError("cache sizes must be non-negative integers")
-        values = [int(v) for v in values]
+    # each point's config reads its value as the field's number (an int cache
+    # size, a float otherwise) and ``Instance`` checks the cell
+    configs = [dataclasses.replace(config, **{axis: value}) for value in values]
+    if not configs:
+        raise ValueError("values must be non-empty")
+    values = [getattr(cfg, axis) for cfg in configs]
 
     rep_seeds = _replication_seeds(config.seed, replications)
     draws = [_draw(config, seed) for seed in rep_seeds]
-    configs = [dataclasses.replace(config, **{axis: value}) for value in values]
     pops = [zipf_weights(cfg.num_files, cfg.zipf_shape) for cfg in configs]
     points = [(rep, vi, value) for rep in range(replications) for vi, value in enumerate(values)]
     instances = [_scenario(configs[vi], draws[rep], pops[vi]) for rep, vi, _ in points]

@@ -281,26 +281,25 @@ def _greedy_runs(stack, trace=None):
         gain[v, :, f], best[v, f] = gains[:, w, j, s].T, least[w, j, s]
         run = run.sum(axis=1)
         left[live] -= run
-        full = (run > 0) & (left[live] <= 0)
-        if full.any():
-            filled, filled_row = np.nonzero(full)
-            gain[live[filled], filled_row] = np.inf
-            filled = live[full.any(axis=1)]
-            best[filled] = gain[filled].min(axis=1)
+        # the members whose full rows changed: leaders whose runs filled a row
+        filled = live[((run > 0) & (left[live] <= 0)).any(axis=1)]
         if attached.size:
             # each follower commits its leader's runs; one that fills a row
-            # with them goes on from a copy of the leader's state, its full
-            # rows out (the leader's full rows are among them)
+            # with them splits off with a copy of the leader's state and is
+            # masked with the leaders (its full rows include its leader's)
             ahead = run[live.searchsorted(lead[attached])]
             left[attached] -= ahead
             fills = ((ahead > 0) & (left[attached] <= 0)).any(axis=1)
             if fills.any():
                 split, attached = attached[fills], attached[~fills]
                 was = lead[split]
-                cached[split], terms[split] = cached[was], terms[was]
-                gain[split] = np.where((left[split] <= 0)[:, :, None], np.inf, gain[was])
-                best[split] = gain[split].min(axis=1)
-                live = np.sort(np.concatenate([live, split]))
+                cached[split], terms[split], gain[split] = cached[was], terms[was], gain[was]
+                live, filled = np.sort(np.concatenate([live, split])), np.concatenate([filled, split])
+        if filled.size:
+            # a full row has no gain; rows full before this step already had none
+            member, row = np.nonzero(left[filled] <= 0)
+            gain[filled[member], row] = np.inf
+            best[filled] = gain[filled].min(axis=1)
         live = live[(left[live] > 0).any(axis=1)]
 
     return cached, evaluations

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,18 @@ class TestZipfWeights:
     def test_no_files_rejected(self):
         with pytest.raises(ValueError, match="^num_files must be positive$"):
             zipf_weights(0, 0.8)
+
+    @pytest.mark.parametrize("num_files, shape, message", [
+        (2.5, 1.0, "num_files must hold whole numbers, got 2.5"),
+        ("3", 1.0, "num_files must hold numbers only"),
+        (True, 1.0, "num_files must hold numbers only"),
+        (4, "1", "shape must hold numbers only"),
+        (4, float("nan"), "zipf shape must be finite and non-negative, got nan"),
+        (4, float("inf"), "zipf shape must be finite and non-negative, got inf"),
+    ])
+    def test_arguments_are_one_number_each(self, num_files, shape, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            zipf_weights(num_files, shape)
 
 
 class TestScenarioConfig:
@@ -286,7 +299,7 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(cfg, "cache_size", [])
         for bad in (1.5, float("inf"), float("nan")):
-            with pytest.raises(ValueError, match="cache sizes must be non-negative integers"):
+            with pytest.raises(ValueError, match="cache_size must hold whole numbers"):
                 sweep(cfg, "cache_size", [bad])
         with pytest.raises(ValueError):
             sweep(cfg, "deadline", [0.0])
@@ -298,6 +311,24 @@ class TestSweep:
     def test_rejects_no_replications(self):
         with pytest.raises(ValueError, match="^replications must be >= 1$"):
             sweep(ScenarioConfig(num_scbs=3, num_files=10), "deadline", [1.0], replications=0)
+
+    @pytest.mark.parametrize("axis, values, replications, message", [
+        ("cache_size", [True], 1, "cache_size must hold numbers only"),
+        ("cache_size", [2, "2"], 1, "cache_size must hold numbers only"),
+        ("deadline", [1.0], True, "replications must hold numbers only"),
+        ("deadline", [1.0], 1.5, "replications must hold whole numbers, got 1.5"),
+    ])
+    def test_reads_values_and_replications_as_numbers(self, axis, values, replications, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sweep(ScenarioConfig(num_scbs=3, num_files=10), axis, values, replications=replications)
+
+    def test_values_are_the_configs_numbers(self):
+        # each value is read as its config field: an int cache size, a float deadline
+        cfg = ScenarioConfig(num_scbs=3, num_files=10, seed=5)
+        result = sweep(cfg, "deadline", [1, 2])
+        assert result.values == (1.0, 2.0) and all(type(v) is float for v in result.values)
+        assert [line.split(",")[1] for line in sweep_csv(result).splitlines()[1:]] == ["1.0"] * 3 + ["2.0"] * 3
+        assert sweep(cfg, "cache_size", [2.0, np.int64(3)]).values == (2, 3)
 
     def test_row_layout(self):
         cfg = ScenarioConfig(num_scbs=3, num_files=10, seed=37)

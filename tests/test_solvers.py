@@ -374,6 +374,23 @@ class TestGreedyBatch:
         for member, x in zip([leader, follower], _greedy_runs(_stack([leader, follower]))[0]):
             assert np.array_equal(x, _stepwise(member))
 
+    def test_leader_fills_a_row_in_the_step_a_follower_splits(self):
+        # File 1's run, SCBS 3 then SCBS 1, fills the leader's SCBS 1 and the
+        # follower's SCBSs 1 and 3 in one step.  The follower splits off with
+        # SCBS 2 open, and both rows it filled must be masked with the
+        # leader's, although only one of them is full in the leader.
+        fields = dict(num_scbs=3, num_files=2, cost_backhaul=0.5, cost_mbs_tx=0.5,
+                      cost_scbs_tx=[0.1, 0.1, 0.1], deadline=1.0,
+                      demand=[[0.0, 0.25], [0.5, 0.5], [0.5, 0.0], [0.5, 1.25]])
+        leader, follower = Instance(cache_size=[1, 2, 2], **fields), Instance(cache_size=[1, 1, 1], **fields)
+        assert [entry[1:3] for entry in reference_greedy_macp(leader).trace] == [
+            (3, 1), (1, 1), (2, 0), (3, 0), (2, 1)]
+        assert [entry[1:3] for entry in reference_greedy_macp(follower).trace] == [(3, 1), (1, 1), (2, 0)]
+        batch = [leader, follower]
+        assert solvers_module._leaders(_stack(batch)).tolist() == [0, 0]
+        for member, x in zip(batch, _greedy_runs(_stack(batch))[0]):
+            assert np.array_equal(x, _stepwise(member))
+
     @pytest.mark.parametrize("event, inst", [
         # file 1 then file 2 at SCBS 1, whose cache still has room
         ("cut", Instance(2, 3, [2, 2], 0.5, 0.5, [0.0, 0.0],
